@@ -1,10 +1,15 @@
 """Tour construction parameterized by the number of bad vertices.
 
-Every chain layout of the bad vertices is evaluated independently: bad
-cycle, rooted spanning forest over the good vertices, parity matching,
-then the shortcut pipeline.  The cheapest resulting tour wins; ties break
-on the lexicographically smallest rotation so the answer is independent
-of evaluation order (and of worker scheduling under --jobs).
+Every chain layout of the bad vertices is evaluated: bad cycle, rooted
+spanning forest over the good vertices, parity matching, then the
+shortcut pipeline.  The bad cycle gives every vertex even degree, so the
+forest (rooted at the chain ends E) and its odd-degree set, and with them
+the matching, depend on E alone.  This "good skeleton" is computed once
+per end set and shared by every layout with that end set; the union
+checks, repair, Euler tour and splices still run per layout.  The
+cheapest resulting tour wins; ties break on the lexicographically
+smallest rotation so the answer is independent of evaluation order (and
+of worker scheduling under --jobs).
 
 Special regimes short-circuit the enumeration: n <= 3 has a unique tour,
 instances with no violating triangle go through the tree-plus-matching
@@ -15,15 +20,17 @@ already is a Hamiltonian cycle.
 
 from __future__ import annotations
 
+import collections
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import ContractViolationError, SizeRefusalError
-from .forest import rooted_msf
+from .forest import RootedForest, rooted_msf
 from .instance import Instance, TriangleAudit, audit_triangles
 from .layouts import ChainLayout, build_bad_cycle, enumerate_layouts
-from .matching import min_cost_perfect_matching
+from .matching import Matching, min_cost_perfect_matching
 from .multigraph import MultiGraph
 from .shortcut import (
     Tour,
@@ -88,27 +95,47 @@ class SolveReport:
     best: LayoutResult | None = field(default=None, compare=False)
 
 
+def _good_skeleton(
+    inst: Instance, audit: TriangleAudit, ends: frozenset[int], verify: bool
+) -> tuple[RootedForest, Matching]:
+    """Forest over the good vertices rooted at the chain ends, and the
+    matching on its odd-degree vertices.  The bad cycle has even degree
+    everywhere, so odd(cycle + forest) = odd(forest)."""
+    forest = rooted_msf(inst, set(audit.good) | ends, ends)
+    odd = [False] * inst.n
+    for a, b in forest.edges:
+        odd[a] = not odd[a]
+        odd[b] = not odd[b]
+    odd_vertices = [v for v in range(inst.n) if odd[v]]
+    matching = min_cost_perfect_matching(inst, odd_vertices, verify=verify)
+    return forest, matching
+
+
 def evaluate_layout(
     inst: Instance,
     audit: TriangleAudit,
     layout: ChainLayout,
     verify: bool = False,
     keep_graph: bool = False,
+    skeletons: dict | None = None,
 ):
     """Run one chain layout through the whole pipeline.
 
     Returns a LayoutResult, or a (LayoutResult, repaired multigraph) pair
     when keep_graph is set (the bound checks need the post-repair graph).
+    `skeletons` maps an end set to its (forest, matching); pass one dict
+    for all layouts of one instance to compute each skeleton once.
     """
     cycle = build_bad_cycle(layout, inst)
-    roots = set(layout.ends)
-    forest = rooted_msf(inst, set(audit.good) | roots, roots)
-    g1 = cycle.copy()
-    for a, b in forest.edges:
-        g1.add_edge(a, b)
-    matching = min_cost_perfect_matching(inst, g1.odd_vertices(), verify=verify)
+    ends = frozenset(layout.ends)
+    if skeletons is None:
+        skeletons = {}
+    if ends not in skeletons:
+        skeletons[ends] = _good_skeleton(inst, audit, ends, verify)
+    forest, matching = skeletons[ends]
     h = assemble_eulerian(cycle, forest, matching)
-    steps = [graph_cost(inst, h)]
+    cycle_cost = graph_cost(inst, cycle)
+    steps = [cycle_cost + forest.cost + matching.cost]
     repaired = repair_double_bad_edges(h, audit, inst, steps)
     walk = euler_tour(h)
     walk, spliced = splice_bad(walk, audit, inst, steps)
@@ -118,7 +145,7 @@ def evaluate_layout(
         order=canonical_rotation(walk),
         cost=walk_cost(inst, walk),
         certified=repaired and spliced,
-        cycle_cost=graph_cost(inst, cycle),
+        cycle_cost=cycle_cost,
         forest_cost=forest.cost,
         matching_cost=matching.cost,
         step_costs=tuple(steps),
@@ -129,7 +156,11 @@ def evaluate_layout(
 
 
 def _evaluate_batch(inst, audit, layouts, verify):
-    return [evaluate_layout(inst, audit, lay, verify) for lay in layouts]
+    skeletons: dict = {}
+    return [
+        evaluate_layout(inst, audit, lay, verify, skeletons=skeletons)
+        for lay in layouts
+    ]
 
 
 def _trivial_tour(inst: Instance) -> Tour:
@@ -214,31 +245,36 @@ def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
             best_key = key
             best_result = res
 
-    if opts.jobs <= 1:
+    # a pool pays off only past one batch: peek one batch plus one layout
+    head = list(itertools.islice(layouts, _BATCH + 1))
+    layouts = itertools.chain(head, layouts)
+    jobs = min(opts.jobs, os.cpu_count() or 1)
+    if jobs <= 1 or len(head) <= _BATCH:
+        skeletons: dict = {}
         for lay in layouts:
-            absorb(evaluate_layout(inst, audit, lay, opts.verify_matchings))
+            absorb(
+                evaluate_layout(
+                    inst, audit, lay, opts.verify_matchings, skeletons=skeletons
+                )
+            )
     else:
-        with ProcessPoolExecutor(max_workers=opts.jobs) as pool:
-            pending = set()
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            pending: collections.deque = collections.deque()
             while True:
                 batch = list(itertools.islice(layouts, _BATCH))
                 if batch:
-                    pending.add(
+                    pending.append(
                         pool.submit(
                             _evaluate_batch, inst, audit, batch, opts.verify_matchings
                         )
                     )
                 if not pending:
                     break
-                if len(pending) >= 2 * opts.jobs or not batch:
-                    done = next(iter(pending))
-                    # drain any finished future first to keep memory flat
-                    for f in pending:
-                        if f.done():
-                            done = f
-                            break
-                    pending.remove(done)
-                    for res in done.result():
+                if len(pending) >= 2 * jobs or not batch:
+                    # absorb in submission order: equal (cost, order) keys
+                    # then keep the first layout in enumeration order, the
+                    # one a serial run keeps
+                    for res in pending.popleft().result():
                         absorb(res)
 
     if best_result is None:

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -6,10 +7,16 @@ from hypothesis import strategies as st
 
 from tritsp.errors import ContractViolationError, SizeRefusalError
 from tritsp.instance import Instance, audit_triangles, gen_metric, gen_planted
-from tritsp.layouts import ChainLayout
+from tritsp.layouts import ChainLayout, enumerate_layouts
 from tritsp.oracles import held_karp
 from tritsp.shortcut import walk_cost
+import tritsp.solver
 from tritsp.solver import SolveOptions, christofides, evaluate_layout, solve
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("no process pool expected")
 
 
 class TestSolveRegimes:
@@ -66,6 +73,42 @@ class TestSolveRegimes:
         assert seq.layouts == par.layouts
         assert seq.certified == par.certified
 
+    def test_jobs_equivalence_through_pool(self, monkeypatch):
+        # 4! * 2^4 = 384 layouts: more than one batch, so jobs=2 pools
+        started = []
+
+        class SpyPool(tritsp.solver.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        inst = gen_planted(11, 5, seed=7)
+        seq = solve(inst)
+        assert seq.layouts == 384
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(tritsp.solver, "ProcessPoolExecutor", SpyPool)
+        par = solve(inst, SolveOptions(jobs=2))
+        assert started == [{"max_workers": 2}]
+        assert seq.tour == par.tour
+        assert seq.layouts == par.layouts
+        assert seq.certified == par.certified
+        # batches finish in any order; ties must still keep the serial pick
+        assert seq == par and seq.best == par.best
+
+    def test_one_batch_runs_serially(self, monkeypatch):
+        inst = gen_planted(10, 4, seed=123)
+        seq = solve(inst)
+        assert seq.layouts <= tritsp.solver._BATCH
+        monkeypatch.setattr(tritsp.solver, "ProcessPoolExecutor", _NoPool)
+        assert solve(inst, SolveOptions(jobs=2)) == seq
+
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        inst = gen_planted(11, 5, seed=7)
+        seq = solve(inst)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(tritsp.solver, "ProcessPoolExecutor", _NoPool)
+        assert solve(inst, SolveOptions(jobs=8)) == seq
+
     def test_result_is_reproducible(self):
         inst = gen_planted(11, 5, seed=321)
         assert solve(inst) == solve(inst)
@@ -97,6 +140,70 @@ class TestEvaluateLayout:
         )
         assert res.cost == 13
         assert h.multiplicity(1, 3) == 2
+
+
+def _uncached_report(inst):
+    """What solve reports, from uncached evaluate_layout on every layout."""
+    audit = audit_triangles(inst)
+    results = [
+        evaluate_layout(inst, audit, lay)
+        for lay in enumerate_layouts(audit, len(audit.good))
+    ]
+    best = min(results, key=lambda r: (r.cost, r.order))
+    certified = [r for r in results if r.certified]
+    return best, len(results), len(certified), all(
+        r.steps_monotone for r in certified
+    )
+
+
+class TestSkeletonCache:
+    CASES = [(9, 4, 11), (10, 5, 12), (12, 6, 13)]
+
+    @pytest.mark.parametrize("n,bad,seed", CASES)
+    def test_matches_uncached_layouts(self, n, bad, seed):
+        inst = gen_planted(n, bad, seed=seed)
+        rep = solve(inst)
+        best, layouts, certified, monotone = _uncached_report(inst)
+        assert rep.tour.order == best.order
+        assert rep.tour.cost == best.cost
+        assert rep.tour.layout_id == best.layout_id
+        assert rep.best == best
+        assert (rep.layouts, rep.certified) == (layouts, certified)
+        assert rep.steps_monotone == monotone
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_one_skeleton_per_end_set(self, monkeypatch, verify):
+        forests = []
+        matchings = []
+        real_msf = tritsp.solver.rooted_msf
+        real_matching = tritsp.solver.min_cost_perfect_matching
+
+        def counting_msf(inst, vertices, roots):
+            forests.append(frozenset(roots))
+            return real_msf(inst, vertices, roots)
+
+        def counting_matching(inst, odd, verify=False):
+            matchings.append(verify)
+            return real_matching(inst, odd, verify=verify)
+
+        monkeypatch.setattr(tritsp.solver, "rooted_msf", counting_msf)
+        monkeypatch.setattr(
+            tritsp.solver, "min_cost_perfect_matching", counting_matching
+        )
+        for n, bad, seed in self.CASES:
+            inst = gen_planted(n, bad, seed=seed)
+            audit = audit_triangles(inst)
+            end_sets = {
+                frozenset(lay.ends)
+                for lay in enumerate_layouts(audit, len(audit.good))
+            }
+            forests.clear()
+            matchings.clear()
+            rep = solve(inst, SolveOptions(verify_matchings=verify))
+            assert rep.layouts > len(end_sets)
+            assert len(forests) == len(end_sets)
+            assert set(forests) == end_sets
+            assert matchings == [verify] * len(end_sets)
 
 
 class TestChristofides:
