@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .errors import (
     AsymmetricCostError,
+    ContractViolationError,
     DimensionMismatchError,
     GenerationRetryError,
     NegativeCostError,
@@ -98,12 +99,35 @@ class TriangleAudit:
         return len(self.bad)
 
 
+# from this many vertices on, the blocked numpy test is faster than the
+# triple loop (measured crossover: 14 to 16); smaller audits leave numpy
+# unloaded
+_AUDIT_NUMPY_MIN = 16
+# cells (pairs x third vertices) the numpy test handles at once; bounds its
+# temporary arrays to about a megabyte whatever n is
+_AUDIT_BLOCK = 1 << 15
+
+
 def audit_triangles(inst: Instance) -> TriangleAudit:
-    """Enumerate every violating triple of `inst` and classify vertices."""
-    n = inst.n
-    c = inst.cost
-    violating: list[tuple[int, int, int]] = []
+    """Enumerate every violating triple of `inst` and classify vertices.
+
+    Triples come out in (u, v, w) lexicographic order, from a triple loop
+    below _AUDIT_NUMPY_MIN vertices and from a blocked numpy test above.
+    """
+    if inst.n < _AUDIT_NUMPY_MIN:
+        violating = _violations_by_loops(inst.cost)
+    else:
+        violating = _violations_by_blocks(inst.cost)
     bad: set[int] = set()
+    for t in violating:
+        bad.update(t)
+    good = tuple(v for v in range(inst.n) if v not in bad)
+    return TriangleAudit(tuple(violating), tuple(sorted(bad)), good)
+
+
+def _violations_by_loops(c) -> list[tuple[int, int, int]]:
+    n = len(c)
+    violating = []
     for u in range(n - 2):
         cu = c[u]
         for v in range(u + 1, n - 1):
@@ -118,11 +142,48 @@ def audit_triangles(inst: Instance) -> TriangleAudit:
                 # strict violation: the max side exceeds the other two combined
                 if 2 * big > duv + a + b:
                     violating.append((u, v, w))
-                    bad.add(u)
-                    bad.add(v)
-                    bad.add(w)
-    good = tuple(v for v in range(n) if v not in bad)
-    return TriangleAudit(tuple(violating), tuple(sorted(bad)), good)
+    return violating
+
+
+def _violations_by_blocks(c) -> list[tuple[int, int, int]]:
+    """With sides duv = c(u, v), a = c(u, w) and b = c(v, w), the triple
+    (u, v, w) violates exactly when b > duv + a or b < |duv - a|.  Each
+    block tests consecutive pairs u < v against every w > v.  The dtype
+    comes from the largest cost C: no value formed exceeds 2C, so int32
+    when 2C < 2**31, int64 when 2C < 2**63, and exact Python ints
+    (dtype=object) beyond that."""
+    import numpy as np  # loaded on first use: importing tritsp stays light
+
+    n = len(c)
+    top = max(map(max, c))
+    if 2 * top < 2**31:
+        dtype = np.int32
+    elif 2 * top < 2**63:
+        dtype = np.int64
+    else:
+        dtype = object
+    cost = np.array(c, dtype=dtype)
+    # flat index of the first pair (u, u + 1) of each row u, pairs in
+    # lexicographic order
+    row_len = np.arange(n - 1, 0, -1)
+    row_start = np.cumsum(row_len) - row_len
+    pairs = n * (n - 1) // 2
+    per_block = max(1, _AUDIT_BLOCK // n)
+    violating: list[tuple[int, int, int]] = []
+    for first in range(0, pairs, per_block):
+        k = np.arange(first, min(first + per_block, pairs))
+        us = np.searchsorted(row_start, k, side="right") - 1
+        vs = k - row_start[us] + us + 1
+        lo = int(us[0]) + 2  # no w in the block is smaller
+        b = cost[vs, lo:]
+        a = cost[us, lo:]
+        duv = cost[us, vs][:, None]
+        bad = (b > duv + a) | (b < abs(duv - a))
+        bad &= np.arange(lo, n) > vs[:, None]
+        rows, cols = np.nonzero(bad)
+        ws = cols + lo
+        violating.extend(zip(us[rows].tolist(), vs[rows].tolist(), ws.tolist()))
+    return violating
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +361,8 @@ def _load_tsplib(text: str) -> Instance:
 
 # ---------------------------------------------------------------------------
 # Generators.  Both are deterministic in (n, seed) and re-audit their output.
+# gen_metric rounds distances up (metric by construction); gen_planted keeps
+# nearest-integer rounding, retrying when it breaks a triangle.
 
 _BOX = 100_000
 _CLUSTER_RADIUS = 150
@@ -313,35 +376,42 @@ def _nint_isqrt(x: int) -> int:
     return d + 1 if x - d * d > d else d
 
 
-def _dist(p: tuple[int, int], q: tuple[int, int]) -> int:
+def _ceil_isqrt(x: int) -> int:
+    """Smallest integer >= sqrt(x), exactly (no floats)."""
+    d = math.isqrt(x)
+    return d + (d * d < x)
+
+
+def _dist(p: tuple[int, int], q: tuple[int, int], root=_nint_isqrt) -> int:
     dx = p[0] - q[0]
     dy = p[1] - q[1]
-    return _nint_isqrt(dx * dx + dy * dy)
+    return root(dx * dx + dy * dy)
 
 
-def _points_instance(name: str, pts: list[tuple[int, int]]) -> Instance:
+def _points_instance(
+    name: str, pts: list[tuple[int, int]], root=_nint_isqrt
+) -> Instance:
     n = len(pts)
     rows = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
-            d = _dist(pts[a], pts[b])
+            d = _dist(pts[a], pts[b], root)
             rows[a][b] = rows[b][a] = d
     return Instance.from_rows(name, rows)
 
 
 def gen_metric(n: int, seed: int) -> Instance:
-    """Random planar points with rounded Euclidean costs; retries until the
-    audit confirms zero violations (rounding can break near-collinear triples)."""
+    """Random planar points with Euclidean costs rounded up (TSPLIB CEIL_2D),
+    which are metric by construction: c <= a + b gives ceil(c) <=
+    ceil(a) + ceil(b).  The audit re-checks every output."""
     if n < 1:
         raise DimensionMismatchError(f"n must be >= 1, got {n}")
     rng = random.Random(seed)
-    name = f"metric-n{n}-s{seed}"
-    for _ in range(_ATTEMPTS):
-        pts = [(rng.randrange(_BOX), rng.randrange(_BOX)) for _ in range(n)]
-        inst = _points_instance(name, pts)
-        if not audit_triangles(inst).violating:
-            return inst
-    raise GenerationRetryError(f"gen_metric({n}, {seed}): retries exhausted")
+    pts = [(rng.randrange(_BOX), rng.randrange(_BOX)) for _ in range(n)]
+    inst = _points_instance(f"metric-n{n}-s{seed}", pts, _ceil_isqrt)
+    if audit_triangles(inst).violating:
+        raise ContractViolationError(f"gen_metric({n}, {seed}): CEIL_2D costs violate")
+    return inst
 
 
 def gen_planted(n: int, target_bad: int, seed: int) -> Instance:

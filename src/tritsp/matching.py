@@ -6,12 +6,20 @@ equal duals, tree paths are tight, hence S-S slacks stay even); blossom
 duals are stored plain.  Slacks are only evaluated between different
 top-level blossoms, where no common blossom dual contributes.
 
-Two deliberate simplifications versus the classic bookkeeping, both safe at
-our sizes (the odd-degree sets here are small):
+Two deliberate simplifications versus the classic bookkeeping, both simple
+rather than asymptotically best:
   - per-blossom least-slack edges are revalidated lazily and rebuilt by a
     local rescan when a merge invalidated them;
   - expanding a T-blossom mid-stage relabels the whole stage from scratch
     instead of surgically relabeling the expanded path.
+
+Odd-degree sets are not small: a metric instance of n = 400 gives about 170
+vertices.  So the scan of a new S-vertex, the search's inner loop, compares
+each edge's slack with stored numbers only: least-slack edges keep their
+slacks in a frame that dual updates leave unchanged.  From SIFT_MIN
+vertices on, the scan also computes its slack row with numpy and runs the
+per-edge bookkeeping only on the edges that can change a label, the allowed
+set or a stored least-slack edge.
 
 A bitmask-DP oracle (brute_matching) and an LP-certificate check
 (verify_matching_certificate) keep the search honest in tests.
@@ -69,6 +77,12 @@ def min_cost_perfect_matching(inst: Instance, odd, verify: bool = False) -> Matc
     return Matching(pairs, sum(inst.cost[a][b] for a, b in pairs))
 
 
+# odd-set size from which sifting a scan with numpy saves more Python work
+# than its per-call cost (measured crossover on CEIL_2D odd-degree sets:
+# between 132 and 170 vertices)
+SIFT_MIN = 150
+
+
 def _blossom_search(w):
     """Returns (mate, y2, blossoms) over internal indices 0..m-1:
     mate[i] = matched partner; y2[i] = doubled vertex dual; blossoms =
@@ -76,7 +90,28 @@ def _blossom_search(w):
     m = len(w)
     w2 = [[2 * x for x in row] for row in w]
     minw = min(w[u][v] for u in range(m) for v in range(u + 1, m))
+    top = max(map(max, w))
+    # Bounds, with top the largest cost: every delta raises the duals of all
+    # free vertices, which stay S and equal, and two of them always sit in
+    # different top blossoms, where y2 + y2 <= 2 * top.  So the deltas sum to
+    # at most top - minw and every |y2| <= top; slacks between tops lie in
+    # [0, 4 * top] and the frame values below in [0, 6 * top].  int64 holds
+    # all of them when 8 * top < 2**63; larger costs use exact Python ints.
+    #
+    # Sifted scans keep their per-edge inputs in numpy; smaller searches
+    # keep the same state in lists, scan every edge and leave numpy unloaded.
+    sift = m >= SIFT_MIN
+    if sift:
+        import numpy as np
+
+        dtype = np.int64 if top < 1 << 60 else object
+
+    def state(values):
+        return np.array(values, dtype=dtype) if sift else values
+
+    w2a = state(w2)
     y2 = [minw] * m
+    y2a = state(list(y2))
     mate = [-1] * m
 
     # ids m..2m-1 name non-trivial blossoms; a live id has childs != None
@@ -91,10 +126,24 @@ def _blossom_search(w):
     label = [0] * (2 * m)  # 0 free, 1 S, 2 T (top-level ids only)
     tree_edge: list = [None] * (2 * m)  # (vertex on parent side, vertex inside)
     queue: list[int] = []
-    allowed: set[tuple[int, int]] = set()
-    best_free: dict = {}  # free top -> least-slack (S-vertex, inside vertex)
-    best_ss: dict = {}  # S top -> least-slack cross edge to another S top
-    ss_stale: set[int] = set()
+    allowed: list = []  # symmetric 0/1 rows, one bytearray per vertex
+    # Least-slack edges per top: free_edge[b] from an S-vertex into free top
+    # b, ss_edge[b] from S top b to another S top.  Their slacks are kept in
+    # a frame that dual updates leave alone: a delta lowers every S-free
+    # slack by delta and every S-S slack by 2 * delta, so slack + shift and
+    # slack + 2 * shift stay fixed, shift being the sum of all deltas so far.
+    # A frame value of `never` (above every real one) means no edge; an
+    # ss_frame of -1 marks a stale S top, whose edge is rebuilt by a rescan
+    # when next asked for, and whose side scans skip.
+    shift = 0
+    never = 8 * top + 1
+    free_frame = state([never] * (2 * m))
+    ss_frame = state([never] * (2 * m))
+    free_edge: list = [None] * (2 * m)
+    ss_edge: list = [None] * (2 * m)
+    # numpy copy of inblossom[:m] and masks of the vertices in free, S and
+    # T tops, made on demand; every change of a label or a blossom clears it
+    tops_now: list = [None]
 
     def slack2(u, v):
         return w2[u][v] - y2[u] - y2[v]
@@ -117,13 +166,14 @@ def _blossom_search(w):
             raise ContractViolationError("S-label on a labeled top")
         label[b] = 1
         tree_edge[b] = te
-        best_free.pop(b, None)
+        free_frame[b] = never
+        tops_now[0] = None
         queue.extend(members(b))
 
     def assign_t(b, te):
         label[b] = 2
         tree_edge[b] = te
-        best_free.pop(b, None)
+        free_frame[b] = never
         bb = base[b]
         partner = mate[bb]
         if partner == -1:
@@ -131,14 +181,14 @@ def _blossom_search(w):
         assign_s(inblossom[partner], (bb, partner))
 
     def restart_stage():
+        tops_now[0] = None
         for i in range(2 * m):
             label[i] = 0
             tree_edge[i] = None
         queue.clear()
-        allowed.clear()
-        best_free.clear()
-        best_ss.clear()
-        ss_stale.clear()
+        allowed[:] = [bytearray(m) for _ in range(m)]
+        free_frame[:] = [never] * (2 * m)
+        ss_frame[:] = [never] * (2 * m)
         for v in range(m):
             if mate[v] == -1 and label[inblossom[v]] == 0:
                 assign_s(inblossom[v], None)
@@ -169,6 +219,7 @@ def _blossom_search(w):
         return found
 
     def add_blossom(base_v, u, v):
+        tops_now[0] = None
         bb = inblossom[base_v]
         kids = [bb]
         edges = []
@@ -201,17 +252,16 @@ def _blossom_search(w):
         tree_edge[nb] = tree_edge[bb]
         for c in kids:
             parent[c] = nb
-            best_free.pop(c, None)
-            best_ss.pop(c, None)
-            ss_stale.discard(c)
+            free_frame[c] = ss_frame[c] = never
             if label[c] == 2:
                 queue.extend(members(c))  # former T-vertices turn S
             label[c] = 0
         for t in members(nb):
             inblossom[t] = nb
-        ss_stale.add(nb)
+        ss_frame[nb] = -1
 
     def expand_blossom(b, endstage):
+        tops_now[0] = None
         for c in childs[b]:
             parent[c] = -1
             if c < m:
@@ -227,9 +277,7 @@ def _blossom_search(w):
         label[b] = 0
         tree_edge[b] = None
         inblossom[b] = -1
-        best_ss.pop(b, None)
-        best_free.pop(b, None)
-        ss_stale.discard(b)
+        free_frame[b] = ss_frame[b] = never
         free_ids.append(b)
 
     def augment_blossom(b, v):
@@ -280,8 +328,7 @@ def _blossom_search(w):
                 cur, partner = x, yv
 
     def best_ss_edge(b):
-        if b in ss_stale:
-            ss_stale.discard(b)
+        if ss_frame[b] == -1:
             found = None
             for t in members(b):
                 for o in range(m):
@@ -291,16 +338,21 @@ def _blossom_search(w):
                     s = slack2(t, o)
                     if found is None or s < found[0] or (s == found[0] and (t, o) < found[1]):
                         found = (s, (t, o))
-            best_ss[b] = None if found is None else found[1]
-        e = best_ss.get(b)
-        if e is None:
+            if found is None:
+                ss_frame[b] = never
+            else:
+                ss_frame[b] = found[0] + 2 * shift
+                ss_edge[b] = found[1]
+        if ss_frame[b] == never:
             return None
+        e = ss_edge[b]
         if inblossom[e[0]] == inblossom[e[1]]:
-            ss_stale.add(b)  # merge made it internal; rebuild
+            ss_frame[b] = -1  # merge made it internal; rebuild
             return best_ss_edge(b)
         return e
 
     def update_duals():
+        nonlocal shift
         delta = None
         dtype = -1
         dedge = None
@@ -313,8 +365,8 @@ def _blossom_search(w):
         for b in tops:
             lb = label[b]
             if lb == 0:
-                e = best_free.get(b)
-                if e is not None:
+                if free_frame[b] != never:
+                    e = free_edge[b]
                     d = slack2(*e)
                     if delta is None or d < delta:
                         delta, dtype, dedge = d, 2, e
@@ -335,12 +387,14 @@ def _blossom_search(w):
             raise ContractViolationError("no dual adjustment available")
         if delta < 0:
             raise ContractViolationError("negative dual adjustment")
+        shift += delta
         for t in range(m):
             lt = label[inblossom[t]]
             if lt == 1:
                 y2[t] += delta
             elif lt == 2:
                 y2[t] -= delta
+        y2a[:] = y2
         for b in tops:
             if b >= m:
                 if label[b] == 1:
@@ -352,8 +406,33 @@ def _blossom_search(w):
             restart_stage()
         else:
             u, v = dedge
-            allowed.add((u, v) if u < v else (v, u))
+            allowed[u][v] = allowed[v][u] = 1
             queue.append(u)
+
+    def pending(u, bu, row, first):
+        """The vertices v >= first, ascending, on which the scan of S-vertex
+        u in top bu would act now (row holds the slacks of u's edges):
+        tight or allowed edges that can label or merge something, and other
+        edges whose slack may lower a stored least-slack edge."""
+        if tops_now[0] is None:
+            ib = np.array(inblossom[:m])
+            lv = np.array(label)[ib]
+            tops_now[0] = (ib, lv == 0, lv == 1, lv == 2)
+        ib, free, s_top, t_top = (a[first:] for a in tops_now[0])
+        s = row[first:]
+        al = np.frombuffer(allowed[u], dtype=bool)[first:]
+        cross = ib != bu
+        quiet = ~(al | (s == 0))  # the body only compares these
+        # the slack below which an edge replaces the stored edge of v's top
+        cut = np.where(free, free_frame[ib] - shift, ss_frame[ib] - 2 * shift)
+        gain = quiet & ~t_top & (s <= cut)
+        # on bu's side an edge can only win where it ties or lowers the
+        # running minimum, since among equal slacks the earlier (u, v) wins
+        ss = cross & quiet & s_top
+        g = np.where(ss, s, never)
+        gain |= ss & (g == np.minimum.accumulate(g)) & (g <= ss_frame[bu] - 2 * shift)
+        act = cross & (gain | ~quiet & ~(t_top & al))
+        return (np.flatnonzero(act) + first).tolist()
 
     for _stage in range(m // 2):
         restart_stage()
@@ -365,49 +444,54 @@ def _blossom_search(w):
                 bu = inblossom[u]
                 if label[bu] != 1:
                     continue
-                for v in range(m):
-                    if v == u:
-                        continue
-                    bv = inblossom[v]
-                    if bv == bu:
-                        continue
-                    key = (u, v) if u < v else (v, u)
-                    if key not in allowed and slack2(u, v) == 0:
-                        allowed.add(key)
-                    if key in allowed:
-                        lv = label[bv]
-                        if lv == 0:
-                            assign_t(bv, (u, v))
-                        elif lv == 1:
-                            stem = scan_blossom(u, v)
-                            if stem == -1:
-                                augment_matching(u, v)
-                                augmented = True
+                w2u = w2[u]
+                yu = y2[u]
+                if sift:
+                    row = w2a[u] - yu - y2a
+                first = 0
+                while first < m:
+                    todo = pending(u, bu, row, first) if sift else range(first, m)
+                    first = m
+                    for v in todo:
+                        bv = inblossom[v]
+                        if bv == bu:
+                            continue
+                        s = w2u[v] - yu - y2[v]
+                        if s == 0 and not allowed[u][v]:
+                            allowed[u][v] = allowed[v][u] = 1
+                        if allowed[u][v]:
+                            lv = label[bv]
+                            if lv == 0:
+                                assign_t(bv, (u, v))
+                            elif lv == 1:
+                                stem = scan_blossom(u, v)
+                                if stem == -1:
+                                    augment_matching(u, v)
+                                    augmented = True
+                                    break
+                                add_blossom(stem, u, v)
+                            bu = inblossom[u]
+                            if lv != 2:
+                                # labels or blossoms changed: select again
+                                first = v + 1
                                 break
-                            add_blossom(stem, u, v)
-                        bu = inblossom[u]
-                    else:
-                        s = slack2(u, v)
-                        lv = label[bv]
-                        if lv == 0:
-                            e = best_free.get(bv)
-                            if (
-                                e is None
-                                or s < slack2(*e)
-                                or (s == slack2(*e) and (u, v) < e)
-                            ):
-                                best_free[bv] = (u, v)
-                        elif lv == 1:
-                            for side in (bu, bv):
-                                if side in ss_stale:
-                                    continue  # pending rescan covers this edge
-                                e = best_ss.get(side)
-                                if (
-                                    e is None
-                                    or s < slack2(*e)
-                                    or (s == slack2(*e) and (u, v) < e)
-                                ):
-                                    best_ss[side] = (u, v)
+                        else:
+                            lv = label[bv]
+                            if lv == 0:
+                                f = s + shift
+                                cut = free_frame[bv]
+                                if f < cut or (f == cut and (u, v) < free_edge[bv]):
+                                    free_frame[bv] = f
+                                    free_edge[bv] = (u, v)
+                            elif lv == 1:
+                                f = s + 2 * shift
+                                for side in (bu, bv):
+                                    cut = ss_frame[side]
+                                    if cut == -1:
+                                        continue  # stale: its rescan covers this edge
+                                    if f < cut or (f == cut and (u, v) < ss_edge[side]):
+                                        ss_frame[side] = f
+                                        ss_edge[side] = (u, v)
             if augmented:
                 break
             guard += 1

@@ -14,8 +14,6 @@ import bisect
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ContractViolationError, SizeRefusalError
 from .instance import Instance, TriangleAudit, audit_triangles
 from .layouts import ChainLayout
@@ -42,6 +40,8 @@ def held_karp(inst: Instance) -> Tour:
     batched with numpy per (subset size, from, to) triple.  Memory is
     O(2^n * n), so n is capped at 18.
     """
+    import numpy as np  # loaded on first use: importing tritsp stays light
+
     n = inst.n
     if n > _HK_MAX:
         raise SizeRefusalError(f"held_karp handles up to n={_HK_MAX}, got {n}")

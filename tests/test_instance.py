@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from tritsp.errors import (
 )
 from tritsp.instance import (
     Instance,
+    _violations_by_blocks,
     audit_triangles,
     gen_metric,
     gen_planted,
@@ -21,13 +23,32 @@ from tritsp.instance import (
 
 
 @st.composite
-def symmetric_matrix(draw, n_max=8, hi=50):
-    n = draw(st.integers(3, n_max))
+def symmetric_matrix(draw, n_min=3, n_max=8, hi=50, scale=1):
+    """Costs x * scale + y with x in [0, hi] and y in [0, scale)."""
+    n = draw(st.integers(n_min, n_max))
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = draw(st.integers(0, hi))
+            x = draw(st.integers(0, hi)) * scale
+            if scale > 1:
+                x += draw(st.integers(0, scale - 1))
+            rows[i][j] = rows[j][i] = x
     return Instance("h", tuple(tuple(r) for r in rows))
+
+
+def audit_by_loops(inst):
+    """Reference audit: every triple in lexicographic order, Python ints."""
+    n, c = inst.n, inst.cost
+    violating = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            for w in range(v + 1, n):
+                a, b, d = c[u][v], c[u][w], c[v][w]
+                if 2 * max(a, b, d) > a + b + d:
+                    violating.append((u, v, w))
+    bad = sorted({x for t in violating for x in t})
+    good = [x for x in range(n) if x not in bad]
+    return tuple(violating), tuple(bad), tuple(good)
 
 
 class TestValidation:
@@ -89,6 +110,50 @@ class TestAudit:
                     if u in good or v in good or w in good:
                         a, b, d = c[u][v], c[u][w], c[v][w]
                         assert 2 * max(a, b, d) <= a + b + d
+
+    @given(symmetric_matrix(n_min=1, n_max=12))
+    @settings(max_examples=150)
+    def test_matches_triple_loop(self, inst):
+        # small n takes the loops; the numpy test is checked directly
+        ref = audit_by_loops(inst)
+        audit = audit_triangles(inst)
+        assert (audit.violating, audit.bad, audit.good) == ref
+        assert tuple(_violations_by_blocks(inst.cost)) == ref[0]
+
+    @given(symmetric_matrix(n_min=1, n_max=9, scale=2**62))
+    @settings(max_examples=60)
+    def test_matches_triple_loop_beyond_int64(self, inst):
+        # sums of two costs pass 2**63: the exact-int (object) numpy path
+        ref = audit_by_loops(inst)
+        audit = audit_triangles(inst)
+        assert (audit.violating, audit.bad, audit.good) == ref
+        blocks = _violations_by_blocks(inst.cost)
+        assert tuple(blocks) == ref[0]
+        assert all(type(x) is int for t in blocks for x in t)
+
+    @pytest.mark.parametrize("big", [2**30, 2**62])
+    @pytest.mark.parametrize("slack", [-1, 1])
+    def test_dtype_boundaries(self, big, slack):
+        # duv + a = 2 * big passes 2**31 (or 2**63): a wrapped sum would
+        # flip the verdict on b = 2 * big + slack
+        b = 2 * big + slack
+        inst = Instance.from_rows("wrap", [[0, big, big], [big, 0, b], [big, b, 0]])
+        ref = audit_by_loops(inst)
+        assert ref[0] == (((0, 1, 2),) if slack > 0 else ())
+        assert tuple(_violations_by_blocks(inst.cost)) == ref[0]
+
+    def test_matches_triple_loop_across_blocks(self):
+        # n = 90 spans several blocks of pairs, and the blocks split rows
+        rng = random.Random(4)
+        n = 90
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.randint(1, 40)
+        inst = Instance.from_rows("blocks", rows)
+        audit = audit_triangles(inst)
+        assert audit.k > 1000
+        assert (audit.violating, audit.bad, audit.good) == audit_by_loops(inst)
 
     @given(symmetric_matrix())
     @settings(max_examples=60)
@@ -162,6 +227,14 @@ class TestGenerators:
 
     def test_metric_deterministic(self):
         assert gen_metric(9, seed=5) == gen_metric(9, seed=5)
+
+    @pytest.mark.parametrize("n", [50, 60, 200])
+    def test_metric_at_scale(self, n):
+        # CEIL_2D rounding stays metric where nearest-integer rounding broke
+        for seed in (1, 2, 3):
+            inst = gen_metric(n, seed=seed)
+            assert inst.n == n
+            assert audit_triangles(inst).k == 0
 
     def test_planted_contract(self):
         for seed in range(100):

@@ -1,10 +1,15 @@
+import hashlib
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tritsp.matching
 from tritsp.errors import ContractViolationError, SizeRefusalError
+from tritsp.forest import rooted_msf
 from tritsp.instance import Instance
 from tritsp.matching import brute_matching, min_cost_perfect_matching
 
@@ -96,3 +101,85 @@ class TestBruteMatching:
         inst = random_instance(rng, 18)
         with pytest.raises(SizeRefusalError):
             brute_matching(inst, range(18))
+
+
+def ceil2d_instance(n, seed):
+    """Random points in a 100000 x 100000 square, distances rounded up."""
+    rng = random.Random(seed)
+    pts = [(rng.randrange(100_000), rng.randrange(100_000)) for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        xa, ya = pts[a]
+        for b in range(a + 1, n):
+            d2 = (xa - pts[b][0]) ** 2 + (ya - pts[b][1]) ** 2
+            r = math.isqrt(d2)
+            rows[a][b] = rows[b][a] = r + (r * r < d2)
+    return Instance.from_rows(f"ceil2d-n{n}-s{seed}", rows)
+
+
+class TestSiftedScan:
+    """Scans of large searches act only on the edges numpy selects; the
+    results must equal those of the full per-edge scan."""
+
+    def test_fingerprint_at_scale(self, monkeypatch):
+        # the odd-degree vertices of a spanning tree of n = 400, as christofides
+        # matches them; the fingerprint is that of the full per-edge scan
+        inst = ceil2d_instance(400, 7)
+        deg = Counter(v for e in rooted_msf(inst, range(inst.n), {0}).edges for v in e)
+        odd = [v for v in range(inst.n) if deg[v] % 2]
+        assert len(odd) == 180 >= tritsp.matching.SIFT_MIN
+        for sift_min in (tritsp.matching.SIFT_MIN, len(odd) + 1):
+            monkeypatch.setattr(tritsp.matching, "SIFT_MIN", sift_min)
+            m = min_cost_perfect_matching(inst, odd, verify=True)
+            digest = hashlib.sha256(repr(m.pairs).encode()).hexdigest()[:16]
+            assert (len(m.pairs), m.cost, digest) == (90, 474287, "468eb9182607ce16")
+
+    @given(st.integers(0, 100000))
+    @settings(max_examples=150)
+    def test_sifted_matches_brute_force(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(4, 12)
+        odd = rng.sample(range(n), 2 * rng.randint(1, n // 2))
+        inst = random_instance(rng, n, rng.choice([1, 3, 10, 100]))
+        saved = tritsp.matching.SIFT_MIN
+        tritsp.matching.SIFT_MIN = 0
+        try:
+            m = min_cost_perfect_matching(inst, odd, verify=True)
+        finally:
+            tritsp.matching.SIFT_MIN = saved
+        assert m.cost == brute_matching(inst, odd).cost
+
+    def test_sifted_equals_full_scan_with_ties(self, monkeypatch):
+        # small cost ranges make many equal slacks, where the order of the
+        # per-edge updates decides which least-slack edge is kept
+        rng = random.Random(5)
+        for trial in range(300):
+            m = 2 * rng.randint(2, 20)
+            w = [[0] * m for _ in range(m)]
+            hi = rng.choice([1, 2, 3, 5, 20])
+            for i in range(m):
+                for j in range(i + 1, m):
+                    w[i][j] = w[j][i] = rng.randint(0, hi)
+            runs = []
+            for sift_min in (0, 10**9):
+                monkeypatch.setattr(tritsp.matching, "SIFT_MIN", sift_min)
+                runs.append(tritsp.matching._blossom_search(w))
+            assert runs[0] == runs[1], trial
+
+    @pytest.mark.parametrize("sift_min", [0, 10**9])
+    def test_costs_beyond_int64(self, monkeypatch, sift_min):
+        # costs of 2**62 and more overflow int64 sums: the exact-int path
+        monkeypatch.setattr(tritsp.matching, "SIFT_MIN", sift_min)
+        rng = random.Random(11)
+        for _ in range(30):
+            n = rng.randint(4, 12)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    x = rng.randint(1, 40) * 2**62 + rng.randrange(2**62)
+                    rows[i][j] = rows[j][i] = x
+            inst = Instance.from_rows("huge", rows)
+            odd = rng.sample(range(n), 2 * rng.randint(1, n // 2))
+            m = min_cost_perfect_matching(inst, odd, verify=True)
+            assert m.cost == brute_matching(inst, odd).cost
+            assert all(type(x) is int for pair in m.pairs for x in pair)
