@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from tritsp.instance import gen_planted, save_instance
+from tritsp.instance import planted_corpus, save_instance
 
 
 def main(argv=None) -> int:
@@ -34,24 +34,11 @@ def main(argv=None) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed = args.seed0
-    sizes = list(range(args.n_min, args.n_max + 1))
-    size_idx = 0
-    written = 0
-    for bad in sorted(mix):
-        made = 0
-        while made < mix[bad]:
-            n = sizes[size_idx % len(sizes)]
-            size_idx += 1
-            if n <= bad:
-                continue
-            inst = gen_planted(n, bad, seed=seed)
-            path = out / f"planted-n{n}-b{bad}-s{seed}.json"
-            path.write_bytes(save_instance(inst))
-            seed += 1
-            made += 1
-            written += 1
-    print(f"wrote {written} instances to {out}", file=sys.stderr)
+    sizes = range(args.n_min, args.n_max + 1)
+    corpus = planted_corpus(mix, sizes, args.seed0)
+    for inst in corpus:
+        (out / f"{inst.name}.json").write_bytes(save_instance(inst))
+    print(f"wrote {len(corpus)} instances to {out}", file=sys.stderr)
     return 0
 
 

@@ -12,6 +12,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import ContractViolationError, SizeRefusalError
@@ -19,7 +20,15 @@ from .instance import Instance, load_instance
 from .oracles import held_karp
 from .solver import SolveOptions, solve
 
-__all__ = ["ROW_FIELDS", "BenchRow", "bench_instance", "run_bench", "aggregate", "format_summary"]
+__all__ = [
+    "ROW_FIELDS",
+    "BenchRow",
+    "bench_instance",
+    "run_bench",
+    "aggregate",
+    "format_summary",
+    "format_worst",
+]
 
 ROW_FIELDS = [
     "instance",
@@ -191,4 +200,18 @@ def format_summary(summary: dict) -> str:
         f"time_ms p50={summary['time_p50_ms']} "
         f"p90={summary['time_p90_ms']} max={summary['time_max_ms']}"
     )
+    return "\n".join(lines)
+
+
+def format_worst(rows, top: int) -> str:
+    """The `top` rows with the largest alg/opt ratio, largest first (ties
+    in row order); rows without a positive optimum are left out."""
+    with_opt = [r for r in rows if r.opt_cost]
+    with_opt.sort(key=lambda r: Fraction(r.alg_cost, r.opt_cost), reverse=True)
+    lines = [f"worst {min(top, len(with_opt))} ratios:"]
+    for r in with_opt[:top]:
+        lines.append(
+            f"  {r.instance}: {r.alg_cost}/{r.opt_cost} "
+            f"= {r.alg_cost / r.opt_cost:.4f} (n={r.n}, k={r.k})"
+        )
     return "\n".join(lines)

@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from .bench import aggregate, format_summary, run_bench
+from .bench import aggregate, format_summary, format_worst, run_bench
 from .errors import SizeRefusalError, TritspError
 from .instance import (
     audit_triangles,
@@ -63,6 +63,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--max-bad", type=int, default=9, metavar="N")
     p.add_argument("--jobs", type=int, default=1, metavar="J")
+    p.add_argument("--top", type=int, default=0, metavar="K",
+                   help="also list the K instances with the worst ratio")
     return parser
 
 
@@ -153,6 +155,9 @@ def _cmd_bench(args) -> int:
     rows = run_bench(args.dir, args.out, opts)
     summary = aggregate(rows)
     print(format_summary(summary))
+    if args.top > 0:
+        print()
+        print(format_worst(rows, args.top))
     print(f"csv written to {args.out}", file=sys.stderr)
     return 0
 

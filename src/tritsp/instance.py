@@ -7,6 +7,7 @@ exact integer arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -30,6 +31,7 @@ __all__ = [
     "save_instance",
     "gen_metric",
     "gen_planted",
+    "planted_corpus",
 ]
 
 
@@ -481,3 +483,18 @@ def gen_planted(n: int, target_bad: int, seed: int) -> Instance:
     raise GenerationRetryError(
         f"gen_planted({n}, {target_bad}, {seed}): retries exhausted"
     )
+
+
+def planted_corpus(mix: dict[int, int], sizes, seed0: int) -> list[Instance]:
+    """`mix[b]` planted instances for each bad-set size b, smallest b first.
+    n cycles through `sizes`, skipping sizes that leave no good vertex
+    (n <= b); seeds count up from `seed0`, one per instance."""
+    if any(bad >= max(sizes) for bad in mix):
+        raise DimensionMismatchError(f"no size in {sizes} exceeds every bad-set size")
+    corpus: list[Instance] = []
+    cycle = itertools.cycle(sizes)
+    for bad in sorted(mix):
+        for _ in range(mix[bad]):
+            n = next(n for n in cycle if n > bad)
+            corpus.append(gen_planted(n, bad, seed0 + len(corpus)))
+    return corpus

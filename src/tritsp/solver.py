@@ -8,8 +8,12 @@ the matching, depend on E alone.  This "good skeleton" is computed once
 per end set and shared by every layout with that end set; the union
 checks, repair, Euler tour and splices still run per layout.  The
 cheapest resulting tour wins; ties break on the lexicographically
-smallest rotation so the answer is independent of evaluation order (and
-of worker scheduling under --jobs).
+smallest rotation, then on the first layout in enumeration order.
+
+Under --jobs the end sets are split into shards, one per worker: each
+worker enumerates every layout, keeps those whose end set falls in its
+shard and builds their skeletons itself.  A serial solve is the same
+evaluation run on the only shard, so both return the same report.
 
 Special regimes short-circuit the enumeration: n <= 3 has a unique tour,
 instances with no violating triangle go through the tree-plus-matching
@@ -20,7 +24,7 @@ already is a Hamiltonian cycle.
 
 from __future__ import annotations
 
-import collections
+import functools
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -53,7 +57,8 @@ __all__ = [
     "solve",
 ]
 
-_BATCH = 64
+# a pool pays off only past this many layouts
+_SERIAL_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -155,12 +160,39 @@ def evaluate_layout(
     return result
 
 
-def _evaluate_batch(inst, audit, layouts, verify):
+def _evaluate_shard(inst, audit, verify, shard=0, jobs=1, layouts=None):
+    """Evaluate the layouts whose end set lies in shard `shard` of `jobs`
+    and return their partial aggregate (best, layouts, certified,
+    monotone, hamiltonian); best is ((cost, order, enumeration index),
+    LayoutResult) of the cheapest layout, or None for an empty shard.
+
+    An end set's shard is its first-seen rank in the enumeration modulo
+    `jobs`.  The enumeration is deterministic, so every worker derives the
+    same shards and each skeleton is built by one worker only; the index
+    in the key makes equal (cost, order) keep the layout a serial run
+    keeps.  `layouts` defaults to a fresh enumeration.
+    """
+    if layouts is None:
+        layouts = enumerate_layouts(audit, len(audit.good))
+    expected = tuple(range(inst.n))
+    ranks: dict = {}
     skeletons: dict = {}
-    return [
-        evaluate_layout(inst, audit, lay, verify, skeletons=skeletons)
-        for lay in layouts
-    ]
+    best = None
+    count = certified = 0
+    monotone = hamiltonian = True
+    for index, lay in enumerate(layouts):
+        if ranks.setdefault(frozenset(lay.ends), len(ranks)) % jobs != shard:
+            continue
+        res = evaluate_layout(inst, audit, lay, verify, skeletons=skeletons)
+        count += 1
+        if res.certified:
+            certified += 1
+            monotone = monotone and res.steps_monotone
+        hamiltonian = hamiltonian and tuple(sorted(res.order)) == expected
+        key = (res.cost, res.order, index)
+        if best is None or key < best[0]:
+            best = (key, res)
+    return best, count, certified, monotone, hamiltonian
 
 
 def _trivial_tour(inst: Instance) -> Tour:
@@ -186,10 +218,6 @@ def christofides(inst: Instance, audit: TriangleAudit | None = None) -> Tour:
     walk = euler_tour(h)
     walk = splice_good(walk, audit, inst)
     return Tour(canonical_rotation(walk), walk_cost(inst, walk), "christofides")
-
-
-def _better(a: tuple[int, tuple[int, ...]], b) -> bool:
-    return b is None or a < b
 
 
 def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
@@ -218,76 +246,40 @@ def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
             count += 1
             order = canonical_rotation(lay.vertices)
             key = (walk_cost(inst, order), order)
-            if _better(key, best):
+            if best is None or key < best:
                 best = key
                 best_id = lay.layout_id
         tour = Tour(best[1], best[0], best_id)
         return SolveReport(tour, audit.k, audit.k_t, "all-bad", count, count)
 
     layouts = enumerate_layouts(audit, len(audit.good))
-    best_key = None
-    best_result = None
-    count = 0
-    certified = 0
-    monotone = True
-    hamiltonian = True
-    expected = tuple(range(n))
-
-    def absorb(res: LayoutResult):
-        nonlocal best_key, best_result, count, certified, monotone, hamiltonian
-        count += 1
-        if res.certified:
-            certified += 1
-            monotone = monotone and res.steps_monotone
-        hamiltonian = hamiltonian and tuple(sorted(res.order)) == expected
-        key = (res.cost, res.order)
-        if _better(key, best_key):
-            best_key = key
-            best_result = res
-
-    # a pool pays off only past one batch: peek one batch plus one layout
-    head = list(itertools.islice(layouts, _BATCH + 1))
-    layouts = itertools.chain(head, layouts)
+    # peek one layout past _SERIAL_MAX to know whether a pool pays off
+    head = list(itertools.islice(layouts, _SERIAL_MAX + 1))
     jobs = min(opts.jobs, os.cpu_count() or 1)
-    if jobs <= 1 or len(head) <= _BATCH:
-        skeletons: dict = {}
-        for lay in layouts:
-            absorb(
-                evaluate_layout(
-                    inst, audit, lay, opts.verify_matchings, skeletons=skeletons
-                )
-            )
+    if jobs <= 1 or len(head) <= _SERIAL_MAX:
+        layouts = itertools.chain(head, layouts)
+        parts = [_evaluate_shard(inst, audit, opts.verify_matchings, layouts=layouts)]
     else:
+        shard = functools.partial(
+            _evaluate_shard, inst, audit, opts.verify_matchings, jobs=jobs
+        )
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pending: collections.deque = collections.deque()
-            while True:
-                batch = list(itertools.islice(layouts, _BATCH))
-                if batch:
-                    pending.append(
-                        pool.submit(
-                            _evaluate_batch, inst, audit, batch, opts.verify_matchings
-                        )
-                    )
-                if not pending:
-                    break
-                if len(pending) >= 2 * jobs or not batch:
-                    # absorb in submission order: equal (cost, order) keys
-                    # then keep the first layout in enumeration order, the
-                    # one a serial run keeps
-                    for res in pending.popleft().result():
-                        absorb(res)
+            parts = list(pool.map(shard, range(jobs)))
 
-    if best_result is None:
+    bests, counts, certified, monotone, hamiltonian = zip(*parts)
+    found = [b for b in bests if b is not None]
+    if not found:
         raise ContractViolationError("no layout produced a tour")
-    tour = Tour(best_result.order, best_result.cost, best_result.layout_id)
+    _, best = min(found, key=lambda b: b[0])
+    tour = Tour(best.order, best.cost, best.layout_id)
     return SolveReport(
         tour,
         audit.k,
         audit.k_t,
         "chains",
-        count,
-        certified,
-        monotone,
-        hamiltonian,
-        best_result,
+        sum(counts),
+        sum(certified),
+        all(monotone),
+        all(hamiltonian),
+        best,
     )

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from tritsp.instance import Instance, gen_planted
+from tritsp.instance import Instance, planted_corpus
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -28,26 +28,9 @@ def data_dir():
     return DATA
 
 
-def build_corpus():
-    corpus = []
-    seed = 1000
-    size_idx = 0
-    for bad, count in sorted(CORPUS_MIX.items()):
-        made = 0
-        while made < count:
-            n = CORPUS_SIZES[size_idx % len(CORPUS_SIZES)]
-            size_idx += 1
-            if n <= bad:
-                continue
-            corpus.append(gen_planted(n, bad, seed=seed))
-            seed += 1
-            made += 1
-    return corpus
-
-
 @pytest.fixture(scope="session")
 def corpus():
-    return build_corpus()
+    return planted_corpus(CORPUS_MIX, CORPUS_SIZES, seed0=1000)
 
 
 class SolvedCorpus:

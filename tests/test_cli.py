@@ -1,6 +1,8 @@
+import csv
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -154,3 +156,39 @@ class TestBench:
                       str(tmp_path / "s.csv"))
         assert "max_ratio" in res.stdout
         assert "instances=3" in res.stdout
+
+    def test_output_without_top_is_the_summary_alone(self, corpus_dir, tmp_path):
+        out = tmp_path / "p.csv"
+        plain = run_cli("bench", "--dir", str(corpus_dir), "--out", str(out))
+        zero = run_cli("bench", "--dir", str(corpus_dir), "--out",
+                       str(tmp_path / "z.csv"), "--top", "0")
+        assert plain.returncode == zero.returncode == 0
+        rows = list(csv.DictReader(out.open()))
+        groups = {(r["n"], r["k"]) for r in rows}
+        lines = plain.stdout.splitlines()
+        # header, one line per (n, k), the instance/time line; no worst list
+        assert lines[0].split() == ["n", "k", "count", "mean_ratio", "max_ratio"]
+        assert len(lines) == len(groups) + 2
+        assert lines[-1].startswith("instances=3 time_ms p50=")
+        # only the time figures may differ between runs
+        assert zero.stdout.splitlines()[:-1] == lines[:-1]
+
+    def test_top_lists_worst_ratios(self, corpus_dir, tmp_path):
+        out = tmp_path / "t.csv"
+        res = run_cli("bench", "--dir", str(corpus_dir), "--out", str(out),
+                      "--top", "2")
+        assert res.returncode == 0
+        rows = list(csv.DictReader(out.open()))
+        rows.sort(key=lambda r: Fraction(int(r["alg_cost"]), int(r["opt_cost"])),
+                  reverse=True)
+        lines = res.stdout.splitlines()
+        at = lines.index("worst 2 ratios:")
+        assert lines[at - 1] == ""
+        assert lines[at - 2].startswith("instances=3 ")
+        listed = lines[at + 1:]
+        assert len(listed) == 2
+        for line, row in zip(listed, rows):
+            assert line.startswith(
+                f"  {row['instance']}: {row['alg_cost']}/{row['opt_cost']} = "
+            )
+            assert line.endswith(f" (n={row['n']}, k={row['k']})")

@@ -18,6 +18,7 @@ from tritsp.instance import (
     gen_metric,
     gen_planted,
     load_instance,
+    planted_corpus,
     save_instance,
 )
 
@@ -254,3 +255,19 @@ class TestGenerators:
     def test_planted_rejects_tiny(self):
         with pytest.raises(DimensionMismatchError):
             gen_planted(4, 4, seed=1)
+
+    def test_planted_corpus_order(self):
+        # smallest b first; n cycles 4, 5, 6 and skips n <= b; one seed each
+        corpus = planted_corpus({4: 2, 3: 3}, (4, 5, 6), seed0=20)
+        assert [inst.name for inst in corpus] == [
+            "planted-n4-b3-s20",
+            "planted-n5-b3-s21",
+            "planted-n6-b3-s22",
+            "planted-n5-b4-s23",
+            "planted-n6-b4-s24",
+        ]
+        assert corpus[3] == gen_planted(5, 4, seed=23)
+
+    def test_planted_corpus_rejects_sizes_without_good_vertex(self):
+        with pytest.raises(DimensionMismatchError):
+            planted_corpus({5: 1}, (4, 5), seed0=1)

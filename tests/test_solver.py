@@ -19,6 +19,23 @@ class _NoPool:
         raise AssertionError("no process pool expected")
 
 
+class _InlinePool:
+    """Runs a pooled solve's shards one after another in this process."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        self.results = list(map(fn, *iterables))
+        return self.results
+
+
 class TestSolveRegimes:
     def test_inst4(self, inst4):
         rep = solve(inst4)
@@ -74,7 +91,7 @@ class TestSolveRegimes:
         assert seq.certified == par.certified
 
     def test_jobs_equivalence_through_pool(self, monkeypatch):
-        # 4! * 2^4 = 384 layouts: more than one batch, so jobs=2 pools
+        # 4! * 2^4 = 384 layouts: more than _SERIAL_MAX, so jobs=2 pools
         started = []
 
         class SpyPool(tritsp.solver.ProcessPoolExecutor):
@@ -92,15 +109,49 @@ class TestSolveRegimes:
         assert seq.tour == par.tour
         assert seq.layouts == par.layouts
         assert seq.certified == par.certified
-        # batches finish in any order; ties must still keep the serial pick
+        # shards finish in any order; ties must still keep the serial pick
         assert seq == par and seq.best == par.best
 
-    def test_one_batch_runs_serially(self, monkeypatch):
+    def test_few_layouts_run_serially(self, monkeypatch):
         inst = gen_planted(10, 4, seed=123)
         seq = solve(inst)
-        assert seq.layouts <= tritsp.solver._BATCH
+        assert seq.layouts <= tritsp.solver._SERIAL_MAX
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(tritsp.solver, "ProcessPoolExecutor", _NoPool)
         assert solve(inst, SolveOptions(jobs=2)) == seq
+
+    def test_shards_split_end_sets(self, monkeypatch):
+        # every end set's skeleton is built once over all shards, and the
+        # merged shards report exactly what the serial solve reports
+        inst = gen_planted(11, 5, seed=7)
+        audit = audit_triangles(inst)
+        end_sets = {
+            frozenset(lay.ends) for lay in enumerate_layouts(audit, len(audit.good))
+        }
+        seq = solve(inst)
+        assert seq.layouts > tritsp.solver._SERIAL_MAX
+        forests = []
+        real_msf = tritsp.solver.rooted_msf
+
+        def counting_msf(inst, vertices, roots):
+            forests.append(frozenset(roots))
+            return real_msf(inst, vertices, roots)
+
+        pools = []
+
+        def inline_pool(max_workers):
+            pools.append(_InlinePool(max_workers))
+            return pools[-1]
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(tritsp.solver, "ProcessPoolExecutor", inline_pool)
+        monkeypatch.setattr(tritsp.solver, "rooted_msf", counting_msf)
+        par = solve(inst, SolveOptions(jobs=2))
+        assert sorted(forests, key=sorted) == sorted(end_sets, key=sorted)
+        # both shards got layouts to evaluate
+        (pool,) = pools
+        assert [layouts > 0 for _, layouts, *_ in pool.results] == [True, True]
+        assert par == seq and par.best == seq.best
 
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):
         inst = gen_planted(11, 5, seed=7)
