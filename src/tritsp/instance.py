@@ -39,6 +39,48 @@ def _check_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _well_formed(cost) -> bool:
+    """True for a non-empty square tuple of int tuples with non-negative
+    entries, a zero diagonal and symmetry; checked by C-level passes."""
+    n = len(cost)
+    if n == 0 or set(map(type, cost)) != {tuple} or set(map(len, cost)) != {n}:
+        return False
+    types: set[type] = set()
+    for row in cost:
+        types.update(map(type, row))
+    if types != {int} or min(map(min, cost)) < 0:
+        return False
+    if any(row[i] for i, row in enumerate(cost)):
+        return False
+    return tuple(zip(*cost)) == cost
+
+
+def _scan_cells(cost) -> None:
+    """Raise for the first defect of `cost` in row-major order."""
+    n = len(cost)
+    if n == 0:
+        raise DimensionMismatchError("empty cost matrix")
+    for i, row in enumerate(cost):
+        if len(row) != n:
+            raise DimensionMismatchError(
+                f"row {i} has {len(row)} entries, expected {n}"
+            )
+        for j, x in enumerate(row):
+            if not _check_int(x):
+                raise ParseError(f"cost[{i}][{j}] is not an integer")
+            if x < 0:
+                raise NegativeCostError(f"cost[{i}][{j}] = {x} is negative")
+        if row[i] != 0:
+            raise NegativeCostError(f"diagonal cost[{i}][{i}] = {row[i]} != 0")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if cost[i][j] != cost[j][i]:
+                raise AsymmetricCostError(
+                    f"cost[{i}][{j}] = {cost[i][j]} != "
+                    f"cost[{j}][{i}] = {cost[j][i]}"
+                )
+
+
 @dataclass(frozen=True)
 class Instance:
     """A complete undirected graph given by name and symmetric cost matrix."""
@@ -47,28 +89,11 @@ class Instance:
     cost: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.cost)
-        if n == 0:
-            raise DimensionMismatchError("empty cost matrix")
-        for i, row in enumerate(self.cost):
-            if len(row) != n:
-                raise DimensionMismatchError(
-                    f"row {i} has {len(row)} entries, expected {n}"
-                )
-            for j, x in enumerate(row):
-                if not _check_int(x):
-                    raise ParseError(f"cost[{i}][{j}] is not an integer")
-                if x < 0:
-                    raise NegativeCostError(f"cost[{i}][{j}] = {x} is negative")
-            if row[i] != 0:
-                raise NegativeCostError(f"diagonal cost[{i}][{i}] = {row[i]} != 0")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.cost[i][j] != self.cost[j][i]:
-                    raise AsymmetricCostError(
-                        f"cost[{i}][{j}] = {self.cost[i][j]} != "
-                        f"cost[{j}][{i}] = {self.cost[j][i]}"
-                    )
+        # the C-level test accepts every well-formed matrix of tuples of
+        # ints; anything else goes through the cell-by-cell scan, which
+        # raises on the first defect it meets
+        if not _well_formed(self.cost):
+            _scan_cells(self.cost)
 
     @property
     def n(self) -> int:

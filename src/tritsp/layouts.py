@@ -10,7 +10,7 @@ chains than there are good vertices are pruned.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import ContractViolationError
@@ -22,37 +22,34 @@ __all__ = ["ChainLayout", "enumerate_layouts", "build_bad_cycle"]
 
 @dataclass(frozen=True)
 class ChainLayout:
-    """Ordered chains (each a non-empty ordered tuple of bad vertices)."""
+    """Ordered chains (each a non-empty ordered tuple of bad vertices).
+
+    `vertices` (all bad vertices in chain order, the underlying
+    permutation), `starts` and `ends` are derived once, on construction;
+    they take no part in equality, hashing or repr."""
 
     chains: tuple[tuple[int, ...], ...]
+    vertices: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.chains or any(not c for c in self.chains):
             raise ContractViolationError("chains must be non-empty")
-        flat = self.vertices
+        flat = tuple(itertools.chain.from_iterable(self.chains))
         if len(set(flat)) != len(flat):
             raise ContractViolationError(f"chains overlap: {self.chains}")
+        object.__setattr__(self, "vertices", flat)
+        object.__setattr__(self, "starts", tuple(c[0] for c in self.chains))
+        object.__setattr__(self, "ends", tuple(c[-1] for c in self.chains))
 
     @property
     def t(self) -> int:
         return len(self.chains)
 
     @property
-    def vertices(self) -> tuple[int, ...]:
-        """All bad vertices in chain order (the underlying permutation)."""
-        return tuple(v for chain in self.chains for v in chain)
-
-    @property
-    def starts(self) -> tuple[int, ...]:
-        return tuple(c[0] for c in self.chains)
-
-    @property
-    def ends(self) -> tuple[int, ...]:
-        return tuple(c[-1] for c in self.chains)
-
-    @property
     def layout_id(self) -> str:
-        return "|".join(",".join(str(v) for v in c) for c in self.chains)
+        return "|".join(",".join(map(str, c)) for c in self.chains)
 
 
 def enumerate_layouts(
@@ -90,20 +87,15 @@ def build_bad_cycle(layout: ChainLayout, inst: Instance) -> MultiGraph:
     from each chain's end to the next chain's start (cyclically).  One bad
     vertex gives an empty graph; two give the connecting edge doubled."""
     verts = layout.vertices
-    if any(not 0 <= v < inst.n for v in verts):
+    if min(verts) < 0 or max(verts) >= inst.n:
         raise ContractViolationError(
             f"layout vertices {verts} out of range for n={inst.n}"
         )
     g = MultiGraph(inst.n)
     if len(verts) == 1:
         return g
-    # intra-chain edges, then closing edges end(q_i) -> start(q_{i+1});
-    # together these trace the concatenated permutation cyclically
-    for chain in layout.chains:
-        for a, b in itertools.pairwise(chain):
-            g.add_edge(a, b)
-    ends = layout.ends
-    starts = layout.starts
-    for i in range(layout.t):
-        g.add_edge(ends[i], starts[(i + 1) % layout.t])
+    # intra-chain edges and closing edges end(q_i) -> start(q_{i+1})
+    # together trace the concatenated permutation cyclically
+    for a, b in zip(verts, verts[1:] + verts[:1]):
+        g.add_edge(a, b)
     return g

@@ -2,6 +2,9 @@
 
 Just enough surface for the solver: union of a cycle, a forest, and a
 matching, degree parity queries, and edge removal during Euler tours.
+Vertex v's neighbors and multiplicities live in the dict ``_adj[v]``.
+The shortcut stages read these dicts directly in their inner loops, but
+change a graph only through its methods (the Euler tour walks copies).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ class MultiGraph:
         if n < 1:
             raise ContractViolationError(f"n must be >= 1, got {n}")
         self.n = n
-        self._adj: list[dict[int, int]] = [dict() for _ in range(n)]
+        self._adj: list[dict[int, int]] = [{} for _ in range(n)]
         self._edge_count = 0
 
     def add_edge(self, u: int, v: int, mult: int = 1) -> None:
@@ -27,6 +30,18 @@ class MultiGraph:
         self._adj[u][v] = self._adj[u].get(v, 0) + mult
         self._adj[v][u] = self._adj[v].get(u, 0) + mult
         self._edge_count += mult
+
+    def add_graph(self, other: "MultiGraph") -> None:
+        """Add every edge copy of `other`, a multigraph on the same vertices."""
+        if other.n != self.n:
+            raise ContractViolationError(f"vertex counts differ: {self.n}, {other.n}")
+        adj = self._adj
+        for u, nbrs in enumerate(other._adj):
+            if nbrs:
+                mine = adj[u]
+                for v, m in nbrs.items():
+                    mine[v] = mine.get(v, 0) + m
+        self._edge_count += other._edge_count
 
     def remove_edge(self, u: int, v: int) -> None:
         """Remove one copy of (u, v)."""
@@ -70,7 +85,9 @@ class MultiGraph:
         return [v for v in range(self.n) if self.degree(v) % 2 == 1]
 
     def copy(self) -> "MultiGraph":
-        g = MultiGraph(self.n)
+        # skips __init__, whose empty adjacency maps would be replaced
+        g = MultiGraph.__new__(MultiGraph)
+        g.n = self.n
         g._adj = [dict(d) for d in self._adj]
         g._edge_count = self._edge_count
         return g

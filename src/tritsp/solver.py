@@ -4,11 +4,14 @@ Every chain layout of the bad vertices is evaluated: bad cycle, rooted
 spanning forest over the good vertices, parity matching, then the
 shortcut pipeline.  The bad cycle gives every vertex even degree, so the
 forest (rooted at the chain ends E) and its odd-degree set, and with them
-the matching, depend on E alone.  This "good skeleton" is computed once
-per end set and shared by every layout with that end set; the union
-checks, repair, Euler tour and splices still run per layout.  The
-cheapest resulting tour wins; ties break on the lexicographically
-smallest rotation, then on the first layout in enumeration order.
+the matching, depend on E alone.  This "good skeleton" (forest, matching
+and their union multigraph, whose parity and reach to E are checked
+there) is built once per end set and shared by every layout with that
+end set.  Per layout only the overlay and the walk run: a copy of the
+skeleton gets the bad cycle's edges, then the repair, the Euler tour and
+the splices, each step's cost traced as a delta.  The cheapest resulting
+tour wins; ties break on the lexicographically smallest rotation, then on
+the first layout in enumeration order.
 
 Under --jobs the end sets are split into shards, one per worker: each
 worker enumerates every layout, keeps those whose end set falls in its
@@ -39,9 +42,10 @@ from .multigraph import MultiGraph
 from .shortcut import (
     Tour,
     assemble_eulerian,
+    assemble_skeleton,
     canonical_rotation,
     euler_tour,
-    graph_cost,
+    graph_cost,  # unused here; perfbench/measure.py wraps it by this name
     repair_double_bad_edges,
     splice_bad,
     splice_good,
@@ -57,8 +61,9 @@ __all__ = [
     "solve",
 ]
 
-# a pool pays off only past this many layouts
-_SERIAL_MAX = 64
+# a pool pays off only past this many layouts: on planted instances, two
+# workers broke even with one at 360-384 layouts and won from 720 on
+_SERIAL_MAX = 400
 
 
 @dataclass(frozen=True)
@@ -100,20 +105,25 @@ class SolveReport:
     best: LayoutResult | None = field(default=None, compare=False)
 
 
-def _good_skeleton(
-    inst: Instance, audit: TriangleAudit, ends: frozenset[int], verify: bool
-) -> tuple[RootedForest, Matching]:
-    """Forest over the good vertices rooted at the chain ends, and the
-    matching on its odd-degree vertices.  The bad cycle has even degree
-    everywhere, so odd(cycle + forest) = odd(forest)."""
-    forest = rooted_msf(inst, set(audit.good) | ends, ends)
-    odd = [False] * inst.n
-    for a, b in forest.edges:
+def _odd_vertices(n: int, edges) -> list[int]:
+    odd = [False] * n
+    for a, b in edges:
         odd[a] = not odd[a]
         odd[b] = not odd[b]
-    odd_vertices = [v for v in range(inst.n) if odd[v]]
+    return [v for v in range(n) if odd[v]]
+
+
+def _good_skeleton(
+    inst: Instance, audit: TriangleAudit, ends: frozenset[int], verify: bool
+) -> tuple[RootedForest, Matching, MultiGraph]:
+    """Forest over the good vertices rooted at the chain ends, the matching
+    on its odd-degree vertices, and their checked union.  The bad cycle
+    has even degree everywhere, so odd(cycle + forest) = odd(forest)."""
+    forest = rooted_msf(inst, set(audit.good) | ends, ends)
+    odd_vertices = _odd_vertices(inst.n, forest.edges)
     matching = min_cost_perfect_matching(inst, odd_vertices, verify=verify)
-    return forest, matching
+    skeleton = assemble_skeleton(inst.n, forest, matching, audit.good)
+    return forest, matching, skeleton
 
 
 def evaluate_layout(
@@ -128,8 +138,8 @@ def evaluate_layout(
 
     Returns a LayoutResult, or a (LayoutResult, repaired multigraph) pair
     when keep_graph is set (the bound checks need the post-repair graph).
-    `skeletons` maps an end set to its (forest, matching); pass one dict
-    for all layouts of one instance to compute each skeleton once.
+    `skeletons` maps an end set to its (forest, matching, union); pass one
+    dict for all layouts of one instance to build each skeleton once.
     """
     cycle = build_bad_cycle(layout, inst)
     ends = frozenset(layout.ends)
@@ -137,9 +147,10 @@ def evaluate_layout(
         skeletons = {}
     if ends not in skeletons:
         skeletons[ends] = _good_skeleton(inst, audit, ends, verify)
-    forest, matching = skeletons[ends]
-    h = assemble_eulerian(cycle, forest, matching)
-    cycle_cost = graph_cost(inst, cycle)
+    forest, matching, skeleton = skeletons[ends]
+    h = assemble_eulerian(cycle, skeleton)
+    # the bad cycle is the closed walk over the layout's vertex order
+    cycle_cost = walk_cost(inst, layout.vertices)
     steps = [cycle_cost + forest.cost + matching.cost]
     repaired = repair_double_bad_edges(h, audit, inst, steps)
     walk = euler_tour(h)
@@ -210,11 +221,9 @@ def christofides(inst: Instance, audit: TriangleAudit | None = None) -> Tour:
     if n <= 3:
         return _trivial_tour(inst)
     forest = rooted_msf(inst, range(n), {0})
-    tree = MultiGraph(n)
-    for a, b in forest.edges:
-        tree.add_edge(a, b)
-    matching = min_cost_perfect_matching(inst, tree.odd_vertices())
-    h = assemble_eulerian(MultiGraph(n), forest, matching)
+    matching = min_cost_perfect_matching(inst, _odd_vertices(n, forest.edges))
+    # a spanning tree plus its parity matching is already Eulerian
+    h = assemble_skeleton(n, forest, matching, range(n))
     walk = euler_tour(h)
     walk = splice_good(walk, audit, inst)
     return Tour(canonical_rotation(walk), walk_cost(inst, walk), "christofides")

@@ -11,6 +11,7 @@ from tritsp.errors import (
     NegativeCostError,
     ParseError,
 )
+import tritsp.instance as instance_module
 from tritsp.instance import (
     Instance,
     _violations_by_blocks,
@@ -52,7 +53,130 @@ def audit_by_loops(inst):
     return tuple(violating), tuple(bad), tuple(good)
 
 
+def validate_by_loops(cost):
+    """Reference validation: every cell in row-major order, then symmetry."""
+    n = len(cost)
+    if n == 0:
+        raise DimensionMismatchError("empty cost matrix")
+    for i, row in enumerate(cost):
+        if len(row) != n:
+            raise DimensionMismatchError(
+                f"row {i} has {len(row)} entries, expected {n}"
+            )
+        for j, x in enumerate(row):
+            if not (isinstance(x, int) and not isinstance(x, bool)):
+                raise ParseError(f"cost[{i}][{j}] is not an integer")
+            if x < 0:
+                raise NegativeCostError(f"cost[{i}][{j}] = {x} is negative")
+        if row[i] != 0:
+            raise NegativeCostError(f"diagonal cost[{i}][{i}] = {row[i]} != 0")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if cost[i][j] != cost[j][i]:
+                raise AsymmetricCostError(
+                    f"cost[{i}][{j}] = {cost[i][j]} != "
+                    f"cost[{j}][{i}] = {cost[j][i]}"
+                )
+
+
+def _outcome(fn, cost):
+    try:
+        fn(cost)
+    except Exception as e:  # the class and message are what is compared
+        return type(e), str(e)
+    return None
+
+
+# one defect each: a cell value, a row length, or the container types
+_DEFECTS = (
+    "negative",
+    "diagonal",
+    "asymmetric",
+    "float",
+    "bool",
+    "string",
+    "none",
+    "big",
+    "short_row",
+    "long_row",
+    "list_row",
+    "list_matrix",
+    "int_subclass",
+)
+
+
+class _Cost(int):
+    pass
+
+
+class _ListRow(list):
+    """Marks a row that stays a list."""
+
+
+@st.composite
+def defective_matrix(draw):
+    """A random symmetric matrix with 0-3 planted defects."""
+    n = draw(st.integers(1, 7))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(0, 9))
+    outer = tuple
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(_DEFECTS))
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 1))
+        if kind == "negative":
+            rows[i][j] = -draw(st.integers(1, 5))
+        elif kind == "diagonal":
+            rows[i][i] = draw(st.integers(1, 5))
+        elif kind == "asymmetric" and i != j:
+            rows[i][j] += draw(st.integers(1, 5))
+        elif kind == "float":
+            rows[i][j] = float(rows[i][j])
+        elif kind == "bool":
+            rows[i][j] = bool(rows[i][j])
+        elif kind == "string":
+            rows[i][j] = str(rows[i][j])
+        elif kind == "none":
+            rows[i][j] = None
+        elif kind == "big":
+            rows[i][j] = rows[j][i] = 2**70 + i + j
+        elif kind == "short_row":
+            rows[i] = rows[i][:-1]
+        elif kind == "long_row":
+            rows[i] = rows[i] + [0]
+        elif kind == "list_row":
+            rows[i] = _ListRow(rows[i])
+        elif kind == "list_matrix":
+            outer = list
+        elif kind == "int_subclass":
+            rows[i][j] = _Cost(rows[i][j])
+    return outer(r if isinstance(r, _ListRow) else tuple(r) for r in rows)
+
+
 class TestValidation:
+    @given(defective_matrix())
+    @settings(max_examples=400)
+    def test_same_error_as_cell_loop(self, cost):
+        def build(c):
+            Instance("d", c)
+
+        assert _outcome(build, cost) == _outcome(validate_by_loops, cost)
+
+    @given(symmetric_matrix(n_min=1, hi=10**6))
+    @settings(max_examples=50)
+    def test_well_formed_matrices_skip_the_cell_loop(self, inst):
+        assert instance_module._well_formed(inst.cost)
+
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionMismatchError, match="empty cost matrix"):
+            Instance("x", ())
+
+    def test_accepts_list_rows_and_int_subclasses(self):
+        inst = Instance("x", [[0, _Cost(3)], (3, 0)])
+        assert inst.cost[0][1] == 3
+
     def test_rejects_asymmetric(self):
         with pytest.raises(AsymmetricCostError):
             Instance("x", ((0, 1), (2, 0)))

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from tritsp.errors import ContractViolationError
 from tritsp.forest import RootedForest, rooted_msf
-from tritsp.instance import Instance, TriangleAudit, audit_triangles
-from tritsp.layouts import ChainLayout, build_bad_cycle
+from tritsp.instance import Instance, TriangleAudit, audit_triangles, gen_planted
+from tritsp.layouts import ChainLayout, build_bad_cycle, enumerate_layouts
 from tritsp.matching import Matching, min_cost_perfect_matching
 from tritsp.multigraph import MultiGraph
 from tritsp.shortcut import (
     assemble_eulerian,
+    assemble_skeleton,
     canonical_rotation,
     euler_tour,
     graph_cost,
@@ -33,7 +34,8 @@ def inst4_h(inst4, chains):
     for a, b in forest.edges:
         g1.add_edge(a, b)
     matching = min_cost_perfect_matching(inst4, g1.odd_vertices())
-    return assemble_eulerian(cyc, forest, matching), audit
+    skeleton = assemble_skeleton(4, forest, matching, audit.good)
+    return assemble_eulerian(cyc, skeleton), audit
 
 
 class TestCostHelpers:
@@ -51,20 +53,41 @@ class TestAssemble:
         assert graph_cost(inst4, h) == 22
         assert h.multiplicity(2, 3) == 2
 
+    def test_skeleton_is_forest_plus_matching(self, inst4):
+        forest = rooted_msf(inst4, (2, 3), (2,))
+        h = assemble_skeleton(4, forest, Matching(((2, 3),), 5), (3,))
+        assert h.edges() == [(2, 3, 2)]
+        # vertices 0 and 1 stay isolated until a bad cycle is overlaid
+        assert h.degree(0) == h.degree(1) == 0
+
     def test_parity_violation_raises(self, inst4):
-        cyc = MultiGraph(4)
-        cyc.add_edge(0, 1)
+        # a matching that misses the forest's odd vertices 1 and 3
         forest = RootedForest(edges=((1, 2), (2, 3)), roots=(1,), cost=6,
                               component_of={1: 1, 2: 1, 3: 1})
         with pytest.raises(ContractViolationError, match="odd degree"):
-            assemble_eulerian(cyc, forest, Matching((), 0))
+            assemble_skeleton(4, forest, Matching((), 0), (2, 3))
 
     def test_isolated_vertex_raises(self, inst4):
-        cyc = MultiGraph(4)
-        cyc.add_edge(0, 1, 2)
-        cyc.add_edge(2, 3, 2)
-        with pytest.raises(ContractViolationError, match="disconnected"):
-            assemble_eulerian(cyc, RootedForest((), (0,), 0, {0: 0}), Matching((), 0))
+        # vertex 3 has no edge at all, so it reaches no root
+        forest = RootedForest(((0, 2),), (0,), 1, {0: 0, 2: 0})
+        with pytest.raises(ContractViolationError, match="good vertex 3 disconnected"):
+            assemble_skeleton(4, forest, Matching(((0, 2),), 1), (2, 3))
+
+    def test_rootless_component_raises(self, inst4):
+        # even everywhere, but the component {2, 3} holds no root
+        forest = RootedForest(((0, 1), (2, 3)), (0,), 15, {0: 0, 1: 0})
+        matching = Matching(((0, 1), (2, 3)), 15)
+        with pytest.raises(ContractViolationError, match="good vertex 2 disconnected"):
+            assemble_skeleton(4, forest, matching, (1, 2, 3))
+
+    def test_overlay_leaves_skeleton_unchanged(self, inst4):
+        skeleton = MultiGraph(4)
+        skeleton.add_edge(2, 3, 2)
+        cyc = build_bad_cycle(ChainLayout(((0, 1, 2),)), inst4)
+        h = assemble_eulerian(cyc, skeleton)
+        assert h.edges() == [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 2)]
+        assert h.edge_count == 5
+        assert skeleton.edges() == [(2, 3, 2)]
 
 
 class TestRepair:
@@ -93,6 +116,20 @@ class TestRepair:
         assert trace[-1] == graph_cost(inst, h) <= before
         assert all(h.degree(v) % 2 == 0 for v in range(4))
 
+    def test_doubled_pairs_repaired_in_edge_order(self):
+        # (0, 1) is rerouted through 4 before (2, 3) through 5, as h.edges()
+        # lists them; the trace shows the order
+        rows = [[0 if i == j else (i + 1) * (j + 1) for j in range(6)] for i in range(6)]
+        inst = Instance.from_rows("two", rows)
+        h = MultiGraph(6)
+        for a, b, m in ((2, 3, 2), (2, 5, 1), (0, 1, 2), (0, 4, 1)):
+            h.add_edge(a, b, m)
+        audit = TriangleAudit((), (0, 1, 2, 3), (4, 5))
+        trace = [graph_cost(inst, h)]
+        assert repair_double_bad_edges(h, audit, inst, trace) is True
+        assert trace == [trace[0], trace[0] + 10 - 2 - 5, trace[0] + 3 + 24 - 12 - 18]
+        assert h.edges() == [(0, 1, 1), (1, 4, 1), (2, 3, 1), (3, 5, 1)]
+
     def test_unrepairable_flags_not_justified(self):
         rows = [[0, 5, 5], [5, 0, 5], [5, 5, 0]]
         inst = Instance.from_rows("stuck", rows)
@@ -116,6 +153,15 @@ class TestEulerTour:
         h = MultiGraph(3)
         h.add_edge(0, 1)
         with pytest.raises(ContractViolationError):
+            euler_tour(h)
+
+    def test_rejects_odd_degree_behind_a_closed_trail(self):
+        # triangle 0-1-2 plus a pendant edge 1-3: the first trail closes at
+        # 0 and uses every edge but (1, 3), which then ends at vertex 3
+        h = MultiGraph(4)
+        for a, b in ((0, 1), (1, 2), (2, 0), (1, 3)):
+            h.add_edge(a, b)
+        with pytest.raises(ContractViolationError, match="vertex 3 has odd degree"):
             euler_tour(h)
 
     def test_rejects_disconnected_edges(self):
@@ -252,3 +298,117 @@ class TestSpliceGood:
             out = splice_good(walk, audit, inst, trace)
             assert sorted(out) == sorted(set(walk))
             assert all(trace[i + 1] <= trace[i] for i in range(len(trace) - 1))
+
+
+class _Recounted(list):
+    """A step trace that checks every appended value against `recount()`,
+    the cost of the current state computed from scratch."""
+
+    def __init__(self, recount):
+        super().__init__([recount()])
+        self.recount = recount
+
+    def append(self, value):
+        assert value == self.recount()
+        super().append(value)
+
+
+def _splice_bad_by_recount(s, audit, inst):
+    """splice_bad's rounds with walk_cost recomputed after every cut."""
+    bad, good, c = set(audit.bad), set(audit.good), inst.cost
+    s = list(s)
+    trace = [walk_cost(inst, s)]
+    while True:
+        counts = Counter(v for v in s if v in bad)
+        repeated = {v for v, cnt in counts.items() if cnt > 1}
+        if not repeated:
+            return s, trace
+        safe, fallback = None, None
+        for pos, v in enumerate(s):
+            if v not in repeated:
+                continue
+            x, y = s[pos - 1], s[(pos + 1) % len(s)]
+            cand = (c[x][y] - c[x][v] - c[v][y], pos)
+            if x in good or y in good or x == y or x == v or y == v:
+                safe = cand if safe is None else min(safe, cand)
+            fallback = cand if fallback is None else min(fallback, cand)
+        del s[(safe or fallback)[1]]
+        trace.append(walk_cost(inst, s))
+
+
+def _splice_good_by_recount(s, audit, inst):
+    """splice_good's drops with walk_cost recomputed after every drop."""
+    good = set(audit.good)
+    out = list(s)
+    trace = [walk_cost(inst, out)]
+    seen = set()
+    i = 0
+    while i < len(out):
+        if out[i] in good and out[i] in seen:
+            del out[i]
+            trace.append(walk_cost(inst, out))
+            continue
+        seen.add(out[i])
+        i += 1
+    return out, trace
+
+
+class TestDeltaTraces:
+    """Each traced step equals the cost recomputed from scratch."""
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(6, 9),
+        st.sampled_from([2, 3, 4, 5]),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=60)
+    def test_traces_equal_recounts(self, seed, n, b, pick):
+        from tritsp.solver import _good_skeleton, evaluate_layout
+
+        inst = gen_planted(n, max(b, 3), seed=seed)
+        audit = audit_triangles(inst)
+        if b == 2:
+            # two bad vertices: the bad cycle is their edge, doubled
+            bad = audit.bad[:2]
+            good = tuple(v for v in range(n) if v not in bad)
+            audit = TriangleAudit(audit.violating, bad, good)
+        layouts = list(enumerate_layouts(audit, len(audit.good)))
+        layout = layouts[pick % len(layouts)]
+        ends = frozenset(layout.ends)
+        forest, matching, skeleton = _good_skeleton(inst, audit, ends, False)
+        cycle = build_bad_cycle(layout, inst)
+        h = assemble_eulerian(cycle, skeleton)
+        if b == 2:
+            assert cycle.edges() == [(*bad, 2)]
+
+        # step 0: ring cost + forest + matching is the cost of the union
+        res = evaluate_layout(inst, audit, layout)
+        assert res.step_costs[0] == graph_cost(inst, h)
+
+        trace = _Recounted(lambda: graph_cost(inst, h))
+        repaired = repair_double_bad_edges(h, audit, inst, trace)
+        if b == 2:
+            assert repaired and len(trace) > 1
+        walk = euler_tour(h)
+        assert walk_cost(inst, walk) == trace[-1]
+
+        bad_trace = [walk_cost(inst, walk)]
+        spliced, _ = splice_bad(walk, audit, inst, bad_trace)
+        assert (spliced, bad_trace) == _splice_bad_by_recount(walk, audit, inst)
+
+        good_trace = [walk_cost(inst, spliced)]
+        final = splice_good(spliced, audit, inst, good_trace)
+        assert (final, good_trace) == _splice_good_by_recount(spliced, audit, inst)
+
+        assert res.step_costs == tuple(trace) + tuple(bad_trace[1:]) + tuple(
+            good_trace[1:]
+        )
+        assert res.step_costs[-1] == res.cost == walk_cost(inst, final)
+
+    def test_trace_continues_from_its_last_value(self, inst4):
+        # a trace holds deltas on top of its last entry, whatever it is
+        audit = audit_triangles(inst4)
+        trace = [100]
+        splice_bad([0, 2, 3, 2, 1], audit, inst4, trace)
+        assert trace == [100, 99]

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritsp.errors import ContractViolationError, SizeRefusalError
+from tritsp.forest import RootedForest
 from tritsp.instance import Instance, audit_triangles, gen_metric, gen_planted
 from tritsp.layouts import ChainLayout, enumerate_layouts
+from tritsp.matching import Matching
 from tritsp.oracles import held_karp
 from tritsp.shortcut import walk_cost
 import tritsp.solver
@@ -91,7 +93,9 @@ class TestSolveRegimes:
         assert seq.certified == par.certified
 
     def test_jobs_equivalence_through_pool(self, monkeypatch):
-        # 4! * 2^4 = 384 layouts: more than _SERIAL_MAX, so jobs=2 pools
+        # 4! * 2^4 = 384 layouts, a tie-prone instance; a lower _SERIAL_MAX
+        # makes jobs=2 pool it
+        monkeypatch.setattr(tritsp.solver, "_SERIAL_MAX", 64)
         started = []
 
         class SpyPool(tritsp.solver.ProcessPoolExecutor):
@@ -112,17 +116,37 @@ class TestSolveRegimes:
         # shards finish in any order; ties must still keep the serial pick
         assert seq == par and seq.best == par.best
 
-    def test_few_layouts_run_serially(self, monkeypatch):
-        inst = gen_planted(10, 4, seed=123)
+    # 48 layouts, and 384: the most a planted b = 5 instance has
+    @pytest.mark.parametrize("n,bad,seed", [(10, 4, 123), (11, 5, 7)])
+    def test_few_layouts_run_serially(self, monkeypatch, n, bad, seed):
+        inst = gen_planted(n, bad, seed=seed)
         seq = solve(inst)
         assert seq.layouts <= tritsp.solver._SERIAL_MAX
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(tritsp.solver, "ProcessPoolExecutor", _NoPool)
         assert solve(inst, SolveOptions(jobs=2)) == seq
 
+    def test_many_layouts_start_a_pool(self, monkeypatch):
+        # 5! * (1 + 5) = 720 layouts: more than _SERIAL_MAX
+        inst = gen_planted(8, 6, seed=1)
+        seq = solve(inst)
+        assert seq.layouts == 720 > tritsp.solver._SERIAL_MAX
+        pools = []
+
+        def inline_pool(max_workers):
+            pools.append(_InlinePool(max_workers))
+            return pools[-1]
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(tritsp.solver, "ProcessPoolExecutor", inline_pool)
+        par = solve(inst, SolveOptions(jobs=2))
+        assert [pool.max_workers for pool in pools] == [2]
+        assert par == seq and par.best == seq.best
+
     def test_shards_split_end_sets(self, monkeypatch):
         # every end set's skeleton is built once over all shards, and the
         # merged shards report exactly what the serial solve reports
+        monkeypatch.setattr(tritsp.solver, "_SERIAL_MAX", 64)
         inst = gen_planted(11, 5, seed=7)
         audit = audit_triangles(inst)
         end_sets = {
@@ -255,6 +279,59 @@ class TestSkeletonCache:
             assert len(forests) == len(end_sets)
             assert set(forests) == end_sets
             assert matchings == [verify] * len(end_sets)
+
+
+class TestSkeletonChecks:
+    """The skeleton's parity and reach checks run once per end set."""
+
+    def test_checked_once_per_end_set(self, monkeypatch):
+        checked = []
+        real = tritsp.solver.assemble_skeleton
+
+        def counting(n, forest, matching, good):
+            checked.append(frozenset(forest.roots))
+            return real(n, forest, matching, good)
+
+        monkeypatch.setattr(tritsp.solver, "assemble_skeleton", counting)
+        inst = gen_planted(11, 5, seed=7)
+        audit = audit_triangles(inst)
+        end_sets = {
+            frozenset(lay.ends) for lay in enumerate_layouts(audit, len(audit.good))
+        }
+        rep = solve(inst)
+        assert rep.layouts > len(end_sets)
+        assert sorted(checked, key=sorted) == sorted(end_sets, key=sorted)
+
+    def test_odd_degree_skeleton_raises(self, monkeypatch, inst4):
+        # a matching that leaves the forest's odd vertices unmatched
+        monkeypatch.setattr(
+            tritsp.solver,
+            "min_cost_perfect_matching",
+            lambda inst, odd, verify=False: Matching((), 0),
+        )
+        audit = audit_triangles(inst4)
+        with pytest.raises(ContractViolationError, match="odd degree"):
+            evaluate_layout(inst4, audit, ChainLayout(((0, 2, 1),)))
+        with pytest.raises(ContractViolationError, match="odd degree"):
+            solve(inst4)
+
+    def test_good_vertex_reaching_no_end_raises(self, monkeypatch):
+        # a forest that drops every edge of one good vertex; the matching,
+        # built on the forest's odd vertices, keeps all degrees even
+        inst = gen_planted(9, 4, seed=11)
+        audit = audit_triangles(inst)
+        lost = audit.good[-1]
+        real_msf = tritsp.solver.rooted_msf
+
+        def broken_msf(inst, vertices, roots):
+            forest = real_msf(inst, vertices, roots)
+            edges = tuple(e for e in forest.edges if lost not in e)
+            return RootedForest(edges, forest.roots, forest.cost, forest.component_of)
+
+        monkeypatch.setattr(tritsp.solver, "rooted_msf", broken_msf)
+        layout = next(enumerate_layouts(audit, len(audit.good)))
+        with pytest.raises(ContractViolationError, match="good vertex .* disconnected"):
+            evaluate_layout(inst, audit, layout)
 
 
 class TestChristofides:
