@@ -106,6 +106,7 @@ class SolveReport:
 
 
 def _odd_vertices(n: int, edges) -> list[int]:
+    """The vertices of odd degree in the multigraph of `edges`, ascending."""
     odd = [False] * n
     for a, b in edges:
         odd[a] = not odd[a]

@@ -116,15 +116,15 @@ class TestSolveRegimes:
         # shards finish in any order; ties must still keep the serial pick
         assert seq == par and seq.best == par.best
 
-    # 48 layouts, and 384: the most a planted b = 5 instance has
-    @pytest.mark.parametrize("n,bad,seed", [(10, 4, 123), (11, 5, 7)])
-    def test_few_layouts_run_serially(self, monkeypatch, n, bad, seed):
-        inst = gen_planted(n, bad, seed=seed)
-        seq = solve(inst)
-        assert seq.layouts <= tritsp.solver._SERIAL_MAX
+    def test_few_layouts_run_serially(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(tritsp.solver, "ProcessPoolExecutor", _NoPool)
-        assert solve(inst, SolveOptions(jobs=2)) == seq
+        # 48 layouts, and 384: the most a planted b = 5 instance has
+        for n, bad, seed in ((10, 4, 123), (11, 5, 7)):
+            inst = gen_planted(n, bad, seed=seed)
+            seq = solve(inst)
+            assert seq.layouts <= tritsp.solver._SERIAL_MAX
+            assert solve(inst, SolveOptions(jobs=2)) == seq
 
     def test_many_layouts_start_a_pool(self, monkeypatch):
         # 5! * (1 + 5) = 720 layouts: more than _SERIAL_MAX
