@@ -16,10 +16,22 @@ rather than asymptotically best:
 Odd-degree sets are not small: a metric instance of n = 400 gives about 170
 vertices.  So the scan of a new S-vertex, the search's inner loop, compares
 each edge's slack with stored numbers only: least-slack edges keep their
-slacks in a frame that dual updates leave unchanged.  From SIFT_MIN
-vertices on, the scan also computes its slack row with numpy and runs the
-per-edge bookkeeping only on the edges that can change a label, the allowed
-set or a stored least-slack edge.
+slacks in a frame that dual updates leave unchanged.
+
+From SIFT_MIN vertices on, scans run in numpy batches (Galil's dense
+primal-dual search, ACM Comput. Surv. 1986, with bookkeeping vectorized as
+Blossom V does in C, Kolmogorov 2009).  A search makes thousands of row
+scans but only hundreds of events (a T-label, a blossom, an augmentation,
+a dual update).  Between two events labels, blossoms, duals and the pop
+order of the queue stay fixed, and every other edge only lowers a stored
+least-slack edge or marks a tight edge allowed; those updates commute.  So
+a batch takes the next queued rows in pop order, finds the first edge that
+acts in numpy, and runs the per-edge event code on it alone; the updates
+of the edges before it wait until the duals next move and then run as one
+grouped min-reduction (apply_quiet).  Dual updates pick their delta from
+the stored frames in numpy.  The (mate, y2, blossoms) result is the full
+per-edge scan's, which stays as the path for smaller searches and as the
+reference in tests.
 
 A bitmask-DP oracle (brute_matching) and an LP-certificate check
 (verify_matching_certificate) keep the search honest in tests.
@@ -68,7 +80,11 @@ def min_cost_perfect_matching(inst: Instance, odd, verify: bool = False) -> Matc
     if m == 0:
         return Matching((), 0)
     w = [[inst.cost[a][b] for b in verts] for a in verts]
-    mate, y2, blossoms = _blossom_search(w)
+    if m == 2:
+        # one possible matching; both duals at the edge's cost certify it
+        mate, y2, blossoms = [1, 0], [w[0][1]] * 2, []
+    else:
+        mate, y2, blossoms = _blossom_search(w)
     if verify:
         verify_matching_certificate(w, mate, y2, blossoms)
     pairs = tuple(
@@ -77,10 +93,12 @@ def min_cost_perfect_matching(inst: Instance, odd, verify: bool = False) -> Matc
     return Matching(pairs, sum(inst.cost[a][b] for a, b in pairs))
 
 
-# odd-set size from which sifting a scan with numpy saves more Python work
-# than its per-call cost (measured crossover on CEIL_2D odd-degree sets:
-# between 132 and 170 vertices)
-SIFT_MIN = 150
+# odd-set size from which batched numpy scans beat the per-edge scan
+# (measured crossover on CEIL_2D odd-degree sets: 62 to 66 vertices)
+SIFT_MIN = 64
+# queued rows a batched scan examines at once; an event ends a batch early
+# and returns the unexamined rows to the queue
+BATCH_ROWS = 16
 
 
 def _blossom_search(w):
@@ -98,20 +116,15 @@ def _blossom_search(w):
     # [0, 4 * top] and the frame values below in [0, 6 * top].  int64 holds
     # all of them when 8 * top < 2**63; larger costs use exact Python ints.
     #
-    # Sifted scans keep their per-edge inputs in numpy; smaller searches
-    # keep the same state in lists, scan every edge and leave numpy unloaded.
-    sift = m >= SIFT_MIN
-    if sift:
+    # Batched searches keep their per-edge state in numpy; smaller searches
+    # keep it in lists, scan every edge and leave numpy unloaded.
+    batched = m >= SIFT_MIN
+    if batched:
         import numpy as np
 
         dtype = np.int64 if top < 1 << 60 else object
 
-    def state(values):
-        return np.array(values, dtype=dtype) if sift else values
-
-    w2a = state(w2)
     y2 = [minw] * m
-    y2a = state(list(y2))
     mate = [-1] * m
 
     # ids m..2m-1 name non-trivial blossoms; a live id has childs != None
@@ -126,23 +139,40 @@ def _blossom_search(w):
     label = [0] * (2 * m)  # 0 free, 1 S, 2 T (top-level ids only)
     tree_edge: list = [None] * (2 * m)  # (vertex on parent side, vertex inside)
     queue: list[int] = []
-    allowed: list = []  # symmetric 0/1 rows, one bytearray per vertex
-    # Least-slack edges per top: free_edge[b] from an S-vertex into free top
-    # b, ss_edge[b] from S top b to another S top.  Their slacks are kept in
-    # a frame that dual updates leave alone: a delta lowers every S-free
-    # slack by delta and every S-S slack by 2 * delta, so slack + shift and
-    # slack + 2 * shift stay fixed, shift being the sum of all deltas so far.
+    allowed: list = []  # symmetric 0/1 rows, one per vertex
+    # Least-slack edges per top: free edge of b from an S-vertex into free
+    # top b, ss edge of b from S top b to another S top.  Their slacks are
+    # kept in a frame that dual updates leave alone: a delta lowers every
+    # S-free slack by delta and every S-S slack by 2 * delta, so slack +
+    # shift and slack + 2 * shift stay fixed, shift being the sum of all
+    # deltas so far.  An edge (u, v), u the S-vertex it was scanned from, is
+    # stored as the key u * m + v, so keys order edges as (u, v) tuples do.
     # A frame value of `never` (above every real one) means no edge; an
     # ss_frame of -1 marks a stale S top, whose edge is rebuilt by a rescan
-    # when next asked for, and whose side scans skip.
+    # when next asked for, and which no scan updates.
     shift = 0
     never = 8 * top + 1
-    free_frame = state([never] * (2 * m))
-    ss_frame = state([never] * (2 * m))
-    free_edge: list = [None] * (2 * m)
-    ss_edge: list = [None] * (2 * m)
-    # numpy copy of inblossom[:m] and masks of the vertices in free, S and
-    # T tops, made on demand; every change of a label or a blossom clears it
+    if batched:
+        # free tops' entries first, then S tops': apply_quiet lowers both
+        frames = np.full(4 * m, never, dtype=dtype)
+        keys = np.zeros(4 * m, dtype=dtype)
+        free_frame, ss_frame = frames[: 2 * m], frames[2 * m :]
+        free_key, ss_key = keys[: 2 * m], keys[2 * m :]
+        w2a = np.array(w2, dtype=dtype)
+        y2a = np.array(y2, dtype=dtype)
+    else:
+        free_frame = [never] * (2 * m)
+        ss_frame = [never] * (2 * m)
+        free_key = [0] * (2 * m)
+        ss_key = [0] * (2 * m)
+    # batched searches keep every slack, and which edges are tight or
+    # allowed, from one dual update to the next (refresh)
+    slacks = open_edges = None
+    # the scanned rows whose quiet updates wait for apply_quiet: (rows,
+    # live edges, tops and top labels as scanned, row count)
+    quiet: list = []
+    # numpy copies of inblossom[:m] and of the label of each vertex's top,
+    # made on demand; every change of a label or a blossom clears them
     tops_now: list = [None]
 
     def slack2(u, v):
@@ -181,17 +211,32 @@ def _blossom_search(w):
         assign_s(inblossom[partner], (bb, partner))
 
     def restart_stage():
+        nonlocal allowed
         tops_now[0] = None
         for i in range(2 * m):
             label[i] = 0
             tree_edge[i] = None
         queue.clear()
-        allowed[:] = [bytearray(m) for _ in range(m)]
+        quiet.clear()
+        if batched:
+            allowed = np.zeros((m, m), dtype=bool)
+        else:
+            allowed = [bytearray(m) for _ in range(m)]
         free_frame[:] = [never] * (2 * m)
         ss_frame[:] = [never] * (2 * m)
         for v in range(m):
             if mate[v] == -1 and label[inblossom[v]] == 0:
                 assign_s(inblossom[v], None)
+        if batched:
+            refresh()
+
+    def refresh():
+        """Recompute the slacks after the duals moved, and the edges that
+        are tight or allowed: within a scan only tight edges turn allowed,
+        so this set stays fixed until the next dual update."""
+        nonlocal slacks, open_edges
+        slacks = w2a - y2a[:, None] - y2a
+        open_edges = (slacks == 0) | allowed
 
     def scan_blossom(u, v):
         """Common ancestor base vertex of u's and v's tree paths, or -1."""
@@ -327,6 +372,167 @@ def _blossom_search(w):
                 mate[yv] = x
                 cur, partner = x, yv
 
+    def grow(u, v, lv):
+        """Act on the allowed edge from S-vertex u to v, whose top has label
+        lv (free or S): label it T, or merge or augment.  True when the
+        matching grew."""
+        if lv == 0:
+            assign_t(inblossom[v], (u, v))
+            return False
+        stem = scan_blossom(u, v)
+        if stem == -1:
+            augment_matching(u, v)
+            return True
+        add_blossom(stem, u, v)
+        return False
+
+    def scan_queue():
+        """Scan queued S-vertices edge by edge until the queue is empty
+        (False) or the matching grew (True)."""
+        while queue:
+            u = queue.pop()
+            bu = inblossom[u]
+            if label[bu] != 1:
+                continue
+            w2u = w2[u]
+            yu = y2[u]
+            al = allowed[u]
+            for v in range(m):
+                bv = inblossom[v]
+                if bv == bu:
+                    continue
+                s = w2u[v] - yu - y2[v]
+                if s == 0 and not al[v]:
+                    al[v] = allowed[v][u] = 1
+                lv = label[bv]
+                if al[v]:
+                    if lv != 2:
+                        if grow(u, v, lv):
+                            return True
+                        bu = inblossom[u]
+                elif lv == 0:
+                    f = s + shift
+                    cut = free_frame[bv]
+                    if f < cut or (f == cut and u * m + v < free_key[bv]):
+                        free_frame[bv] = f
+                        free_key[bv] = u * m + v
+                elif lv == 1:
+                    f = s + 2 * shift
+                    for side in (bu, bv):
+                        # a stale side's -1 is below every f: its rescan
+                        # covers this edge
+                        cut = ss_frame[side]
+                        if f < cut or (f == cut and u * m + v < ss_key[side]):
+                            ss_frame[side] = f
+                            ss_key[side] = u * m + v
+        return False
+
+    def tops_arrays():
+        if tops_now[0] is None:
+            ib = np.array(inblossom[:m])
+            tops_now[0] = (ib, np.array(label)[ib])
+        return tops_now[0]
+
+    def apply_quiet():
+        """Apply the quiet updates of the batches scanned since the last
+        dual update, as one grouped min-reduction.
+
+        A quiet edge's update commutes with every other until the duals
+        move, except that labeling a free top or merging a top resets its
+        stored edge.  So an update counts only if its top is the same top,
+        with the same label, now: a free top still free, an S top not yet
+        merged (a new blossom is stale and rescans its own edges)."""
+        if not quiet:
+            return
+        us, live, ibs, lts, counts = zip(*quiet)
+        quiet.clear()
+        us = np.concatenate(us)
+        s = slacks[us]
+        live = np.concatenate(live)
+        scanned_ib = np.repeat(np.stack(ibs), counts, axis=0)
+        scanned_lt = np.repeat(np.stack(lts), counts, axis=0)
+        ib, lt = tops_arrays()
+        # tight S-T edges become allowed
+        ri, vi = np.nonzero(live & (s == 0))
+        allowed[us[ri], vi] = allowed[vi, us[ri]] = True
+        cols = np.arange(m)
+        s_edge = live & (scanned_lt == 1)
+        same = scanned_ib == ib
+        same_u = same[np.arange(len(us)), us]
+        # per group, the least (slack, key) among its edges: a column's
+        # least slack over the rows with the least u, for free and S tops
+        # on v's side; a row's least slack with the least v, on u's side
+        parts = []
+        for side, valid in ((0, live & (scanned_lt == 0) & (lt == 0)), (1, s_edge & same)):
+            x = np.where(valid, s, never)
+            least = x.min(axis=0)
+            u = np.where(x == least, us[:, None], m).min(axis=0)
+            at = least < never
+            parts.append((ib[at] + 2 * m * side, least[at] + shift * (1 + side), u[at] * m + cols[at]))
+        x = np.where(s_edge & same_u[:, None], s, never)
+        least = x.min(axis=1)
+        v = np.where(x == least[:, None], cols, m).min(axis=1)
+        at = least < never
+        parts.append((ib[us[at]] + 2 * m, least[at] + 2 * shift, us[at] * m + v[at]))
+        groups, f, k = (np.concatenate(p) for p in zip(*parts))
+        fmin = np.full(4 * m, never, dtype=dtype)
+        np.minimum.at(fmin, groups, f)
+        tie = f == fmin[groups]
+        kmin = np.full(4 * m, m * m, dtype=dtype)
+        np.minimum.at(kmin, groups[tie], k[tie])
+        # a stale S top's -1 is below every f: its rescan covers these edges
+        better = (fmin < frames) | ((fmin == frames) & (kmin < keys))
+        frames[better] = fmin[better]
+        keys[better] = kmin[better]
+
+    def scan_queue_batched():
+        """scan_queue in batches of rows between events, same trajectory.
+
+        Between two events labels, blossoms, duals and the pop order stay
+        fixed, and every other edge only lowers stored least-slack edges or
+        marks a tight S-T edge allowed: updates that commute.  So a batch
+        takes the next queued rows in pop order, finds the first edge that
+        acts (an allowed edge into a free or S top), keeps the edges before
+        it for apply_quiet, and runs the per-edge event code on it."""
+        row, first = -1, 0  # the row an event interrupted, resumed at first
+        while row != -1 or queue:
+            ib, lt = tops_arrays()
+            popped = queue[-BATCH_ROWS:]
+            del queue[-BATCH_ROWS:]
+            popped.reverse()
+            rows = [row] if row != -1 else []
+            taken = [-1] * len(rows)  # each row's position in popped
+            for i, x in enumerate(popped):
+                if lt[x] == 1:
+                    rows.append(x)
+                    taken.append(i)
+            if not rows:
+                continue
+            us = np.array(rows)
+            live = ib != ib[us, None]
+            live[0, :first] = False
+            acts = live & open_edges[us] & (lt != 2)
+            at = int(acts.argmax())
+            event = bool(acts.flat[at])
+            if event:
+                live.flat[at:] = False
+            quiet.append((us, live, ib, lt, len(rows)))
+            row, first = -1, 0
+            if not event:
+                continue
+            r, v = divmod(at, m)
+            u = rows[r]
+            rest = popped[taken[r] + 1 :]
+            rest.reverse()
+            queue.extend(rest)  # unexamined rows go back in pop order
+            if slacks[u, v] == 0:
+                allowed[u][v] = allowed[v][u] = 1
+            if grow(u, v, label[inblossom[v]]):
+                return True
+            if v + 1 < m:
+                row, first = u, v + 1
+        return False
+
     def best_ss_edge(b):
         if ss_frame[b] == -1:
             found = None
@@ -336,40 +542,36 @@ def _blossom_search(w):
                     if ob == b or label[ob] != 1:
                         continue
                     s = slack2(t, o)
-                    if found is None or s < found[0] or (s == found[0] and (t, o) < found[1]):
-                        found = (s, (t, o))
+                    if found is None or s < found[0] or (s == found[0] and t * m + o < found[1]):
+                        found = (s, t * m + o)
             if found is None:
                 ss_frame[b] = never
             else:
                 ss_frame[b] = found[0] + 2 * shift
-                ss_edge[b] = found[1]
+                ss_key[b] = found[1]
         if ss_frame[b] == never:
             return None
-        e = ss_edge[b]
+        e = divmod(ss_key[b], m)
         if inblossom[e[0]] == inblossom[e[1]]:
             ss_frame[b] = -1  # merge made it internal; rebuild
             return best_ss_edge(b)
         return e
 
-    def update_duals():
-        nonlocal shift
+    def least_delta(tops):
+        """(delta, kind, edge or blossom) of the next dual update; kind 2
+        is an S-free edge, 3 an S-S edge, 4 a T-blossom whose dual runs
+        out.  Ties go to the lowest top."""
         delta = None
-        dtype = -1
+        kind = -1
         dedge = None
-        dblossom = -1
-        tops = [
-            b
-            for b in range(2 * m)
-            if parent[b] == -1 and (b < m or childs[b] is not None)
-        ]
         for b in tops:
             lb = label[b]
             if lb == 0:
                 if free_frame[b] != never:
-                    e = free_edge[b]
+                    e = divmod(free_key[b], m)
                     d = slack2(*e)
                     if delta is None or d < delta:
-                        delta, dtype, dedge = d, 2, e
+                        delta, kind, dedge = d, 2, e
             elif lb == 1:
                 e = best_ss_edge(b)
                 if e is not None:
@@ -379,121 +581,99 @@ def _blossom_search(w):
                             "odd S-S slack; dual parity invariant broken"
                         )
                     if delta is None or s // 2 < delta:
-                        delta, dtype, dedge = s // 2, 3, e
+                        delta, kind, dedge = s // 2, 3, e
             elif lb == 2 and b >= m:
                 if delta is None or zdual[b] < delta:
-                    delta, dtype, dblossom = zdual[b], 4, b
-        if dtype == -1:
+                    delta, kind, dedge = zdual[b], 4, b
+        if kind == -1:
             raise ContractViolationError("no dual adjustment available")
+        return delta, kind, dedge
+
+    def least_delta_batched(tops):
+        """least_delta from the stored frames in numpy; stale S tops are
+        rescanned a whole member block at a time."""
+        ib, lt = tops_arrays()
+        ta = np.array(tops)
+        lab = np.array(label)[ta]
+        # an S top whose edge a merge made internal is stale as well
+        s_tops = ta[lab == 1]
+        kept = s_tops[(ss_frame[s_tops] != -1) & (ss_frame[s_tops] != never)]
+        key = ss_key[kept].astype(np.int64)
+        ss_frame[kept[ib[key // m] == ib[key % m]]] = -1
+        for b in s_tops[ss_frame[s_tops] == -1].tolist():
+            mem = np.array(members(b))
+            s = slacks[mem]
+            s = s[:, (ib != b) & (lt == 1)]
+            if s.size == 0:
+                ss_frame[b] = never
+                continue
+            smin = s.min()
+            ri, ci = np.nonzero(s == smin)
+            cols = np.flatnonzero((ib != b) & (lt == 1))
+            ss_frame[b] = smin + 2 * shift
+            ss_key[b] = (mem[ri] * m + cols[ci]).min()
+        value = np.full(len(tops), never, dtype=dtype)
+        free = (lab == 0) & (free_frame[ta] != never)
+        value[free] = free_frame[ta[free]] - shift
+        ss = (lab == 1) & (ss_frame[ta] != never)
+        s = ss_frame[ta[ss]] - 2 * shift
+        if (s % 2 != 0).any():
+            raise ContractViolationError("odd S-S slack; dual parity invariant broken")
+        value[ss] = s // 2
+        tb = (lab == 2) & (ta >= m)
+        value[tb] = [zdual[b] for b in ta[tb].tolist()]
+        i = int(value.argmin())
+        if value[i] == never:
+            raise ContractViolationError("no dual adjustment available")
+        b = int(ta[i])
+        kind = 2 if lab[i] == 0 else 3 if lab[i] == 1 else 4
+        if kind == 4:
+            return zdual[b], 4, b
+        e = divmod(int((free_key if kind == 2 else ss_key)[b]), m)
+        return int(value[i]), kind, e
+
+    def update_duals():
+        nonlocal shift
+        tops = sorted(set(inblossom[:m]))  # every top holds a vertex
+        if batched:
+            apply_quiet()
+        delta, kind, dedge = (least_delta_batched if batched else least_delta)(tops)
         if delta < 0:
             raise ContractViolationError("negative dual adjustment")
         shift += delta
-        for t in range(m):
-            lt = label[inblossom[t]]
-            if lt == 1:
-                y2[t] += delta
-            elif lt == 2:
-                y2[t] -= delta
-        y2a[:] = y2
+        if batched:
+            ib, lt = tops_arrays()
+            y2a[lt == 1] += delta
+            y2a[lt == 2] -= delta
+            y2[:] = y2a.tolist()
+        else:
+            for t in range(m):
+                lt = label[inblossom[t]]
+                if lt == 1:
+                    y2[t] += delta
+                elif lt == 2:
+                    y2[t] -= delta
         for b in tops:
             if b >= m:
                 if label[b] == 1:
                     zdual[b] += delta
                 elif label[b] == 2:
                     zdual[b] -= delta
-        if dtype == 4:
-            expand_blossom(dblossom, False)
+        if kind == 4:
+            expand_blossom(dedge, False)
             restart_stage()
         else:
             u, v = dedge
             allowed[u][v] = allowed[v][u] = 1
             queue.append(u)
+            if batched:
+                refresh()
 
-    def pending(u, bu, row, first):
-        """The vertices v >= first, ascending, on which the scan of S-vertex
-        u in top bu would act now (row holds the slacks of u's edges):
-        tight or allowed edges that can label or merge something, and other
-        edges whose slack may lower a stored least-slack edge."""
-        if tops_now[0] is None:
-            ib = np.array(inblossom[:m])
-            lv = np.array(label)[ib]
-            tops_now[0] = (ib, lv == 0, lv == 1, lv == 2)
-        ib, free, s_top, t_top = (a[first:] for a in tops_now[0])
-        s = row[first:]
-        al = np.frombuffer(allowed[u], dtype=bool)[first:]
-        cross = ib != bu
-        quiet = ~(al | (s == 0))  # the body only compares these
-        # the slack below which an edge replaces the stored edge of v's top
-        cut = np.where(free, free_frame[ib] - shift, ss_frame[ib] - 2 * shift)
-        gain = quiet & ~t_top & (s <= cut)
-        # on bu's side an edge can only win where it ties or lowers the
-        # running minimum, since among equal slacks the earlier (u, v) wins
-        ss = cross & quiet & s_top
-        g = np.where(ss, s, never)
-        gain |= ss & (g == np.minimum.accumulate(g)) & (g <= ss_frame[bu] - 2 * shift)
-        act = cross & (gain | ~quiet & ~(t_top & al))
-        return (np.flatnonzero(act) + first).tolist()
-
+    scan = scan_queue_batched if batched else scan_queue
     for _stage in range(m // 2):
         restart_stage()
-        augmented = False
         guard = 0
-        while not augmented:
-            while queue and not augmented:
-                u = queue.pop()
-                bu = inblossom[u]
-                if label[bu] != 1:
-                    continue
-                w2u = w2[u]
-                yu = y2[u]
-                if sift:
-                    row = w2a[u] - yu - y2a
-                first = 0
-                while first < m:
-                    todo = pending(u, bu, row, first) if sift else range(first, m)
-                    first = m
-                    for v in todo:
-                        bv = inblossom[v]
-                        if bv == bu:
-                            continue
-                        s = w2u[v] - yu - y2[v]
-                        if s == 0 and not allowed[u][v]:
-                            allowed[u][v] = allowed[v][u] = 1
-                        if allowed[u][v]:
-                            lv = label[bv]
-                            if lv == 0:
-                                assign_t(bv, (u, v))
-                            elif lv == 1:
-                                stem = scan_blossom(u, v)
-                                if stem == -1:
-                                    augment_matching(u, v)
-                                    augmented = True
-                                    break
-                                add_blossom(stem, u, v)
-                            bu = inblossom[u]
-                            if lv != 2:
-                                # labels or blossoms changed: select again
-                                first = v + 1
-                                break
-                        else:
-                            lv = label[bv]
-                            if lv == 0:
-                                f = s + shift
-                                cut = free_frame[bv]
-                                if f < cut or (f == cut and (u, v) < free_edge[bv]):
-                                    free_frame[bv] = f
-                                    free_edge[bv] = (u, v)
-                            elif lv == 1:
-                                f = s + 2 * shift
-                                for side in (bu, bv):
-                                    cut = ss_frame[side]
-                                    if cut == -1:
-                                        continue  # stale: its rescan covers this edge
-                                    if f < cut or (f == cut and (u, v) < ss_edge[side]):
-                                        ss_frame[side] = f
-                                        ss_edge[side] = (u, v)
-            if augmented:
-                break
+        while not scan():
             guard += 1
             if guard > 50 * m * m + 100:
                 raise ContractViolationError("matching search stalled")

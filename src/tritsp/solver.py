@@ -212,8 +212,11 @@ def _trivial_tour(inst: Instance) -> Tour:
     return Tour(order, walk_cost(inst, order), "trivial")
 
 
-def christofides(inst: Instance, audit: TriangleAudit | None = None) -> Tour:
-    """Tree + matching 1.5-approximation; the cost matrix must be metric."""
+def christofides(
+    inst: Instance, audit: TriangleAudit | None = None, verify: bool = False
+) -> Tour:
+    """Tree + matching 1.5-approximation; the cost matrix must be metric.
+    With verify=True the matching's dual certificate is checked."""
     if audit is None:
         audit = audit_triangles(inst)
     if audit.k != 0:
@@ -222,7 +225,9 @@ def christofides(inst: Instance, audit: TriangleAudit | None = None) -> Tour:
     if n <= 3:
         return _trivial_tour(inst)
     forest = rooted_msf(inst, range(n), {0})
-    matching = min_cost_perfect_matching(inst, _odd_vertices(n, forest.edges))
+    matching = min_cost_perfect_matching(
+        inst, _odd_vertices(n, forest.edges), verify=verify
+    )
     # a spanning tree plus its parity matching is already Eulerian
     h = assemble_skeleton(n, forest, matching, range(n))
     walk = euler_tour(h)
@@ -239,7 +244,7 @@ def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
         return SolveReport(_trivial_tour(inst), audit.k, audit.k_t, "trivial")
 
     if audit.k == 0:
-        tour = christofides(inst, audit)
+        tour = christofides(inst, audit, opts.verify_matchings)
         return SolveReport(tour, 0, 0, "metric")
 
     if audit.k_t > opts.max_bad:

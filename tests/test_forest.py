@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tritsp.forest
 from tritsp.errors import ContractViolationError
 from tritsp.forest import rooted_msf
 from tritsp.instance import Instance
@@ -93,3 +94,49 @@ class TestRootedMsf:
         f = rooted_msf(inst, range(n), roots)
         assert f.cost == brute_msf_cost(inst, range(n), roots)
         assert f.cost == sum(inst.cost[a][b] for a, b in f.edges)
+
+
+class TestNumpyPrim:
+    """From _FOREST_NUMPY_MIN vertices on, Prim runs in numpy on int64 keys;
+    the forest, component_of included, must equal the Python loop's."""
+
+    @staticmethod
+    def both_paths(monkeypatch, inst, verts, roots):
+        out = []
+        for lo in (0, 10**9):
+            monkeypatch.setattr(tritsp.forest, "_FOREST_NUMPY_MIN", lo)
+            out.append(rooted_msf(inst, verts, roots))
+        return out
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=150)
+    def test_matches_python_prim(self, seed):
+        # small cost ranges tie many edges; random vertex and root subsets
+        rng = random.Random(seed)
+        n = rng.randint(2, 2 * tritsp.forest._FOREST_NUMPY_MIN)
+        inst = random_instance(rng, n, hi=rng.choice([0, 1, 2, 5, 1000]))
+        verts = rng.sample(range(n), rng.randint(1, n))
+        roots = rng.sample(verts, rng.randint(1, min(len(verts), 4)))
+        with pytest.MonkeyPatch.context() as mp:
+            fast, slow = self.both_paths(mp, inst, verts, roots)
+        assert fast == slow
+        assert list(fast.component_of.items()) == list(slow.component_of.items())
+        # the default threshold picks one of the two: the same forest
+        assert rooted_msf(inst, verts, roots) == slow
+
+    def test_costs_past_int64_keys(self, monkeypatch):
+        # keys cost * n**2 + pair fit int64 up to 2**50 here; past that, or
+        # past int64 costs, the Python loop runs instead
+        rng = random.Random(2)
+        n = 40
+        for hi, fits in ((2**50, True), (2**57, False), (2**62, False), (2**70, False)):
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rows[i][j] = rows[j][i] = hi - rng.randint(0, 3)
+            inst = Instance.from_rows("huge", rows)
+            found = tritsp.forest._prim_numpy(inst.cost, n, list(range(n)), [0, 7])
+            assert (found is not None) == fits
+            fast, slow = self.both_paths(monkeypatch, inst, range(n), {0, 7})
+            assert fast == slow
+            assert fast.cost == sum(inst.cost[a][b] for a, b in fast.edges)

@@ -12,6 +12,7 @@ from tritsp.errors import ContractViolationError, SizeRefusalError
 from tritsp.forest import rooted_msf
 from tritsp.instance import Instance
 from tritsp.matching import brute_matching, min_cost_perfect_matching
+from tritsp.solver import christofides
 
 
 def random_instance(rng, n, hi=60):
@@ -42,6 +43,31 @@ class TestBlossom:
     def test_two_vertices(self, inst4):
         m = min_cost_perfect_matching(inst4, [1, 3])
         assert m.pairs == ((1, 3),) and m.cost == 6
+
+    def test_two_vertices_skip_search(self, monkeypatch):
+        # a pair has one matching: no search runs, and verify=True still
+        # checks the certificate the search would have returned
+        search = tritsp.matching._blossom_search
+        verify = tritsp.matching.verify_matching_certificate
+        checked = []
+
+        def no_search(w):
+            raise AssertionError("search ran on two vertices")
+
+        def spy(w, mate, y2, blossoms):
+            checked.append((w, mate, y2, blossoms))
+            verify(w, mate, y2, blossoms)
+
+        monkeypatch.setattr(tritsp.matching, "_blossom_search", no_search)
+        monkeypatch.setattr(tritsp.matching, "verify_matching_certificate", spy)
+        rng = random.Random(4)
+        for _ in range(40):
+            inst = random_instance(rng, 6, rng.choice([0, 1, 50, 2**70]))
+            a, b = sorted(rng.sample(range(6), 2))
+            m = min_cost_perfect_matching(inst, [b, a], verify=True)
+            assert m == brute_matching(inst, [a, b])
+            w, mate, y2, blossoms = checked[-1]
+            assert (mate, y2, blossoms) == search(w)
 
     def test_forces_blossom(self):
         # triangle of cheap edges plus three satellites: any perfect
@@ -118,8 +144,8 @@ def ceil2d_instance(n, seed):
 
 
 class TestSiftedScan:
-    """Scans of large searches act only on the edges numpy selects; the
-    results must equal those of the full per-edge scan."""
+    """Large searches scan their queued rows in numpy batches between
+    events; the results must equal those of the full per-edge scan."""
 
     def test_fingerprint_at_scale(self, monkeypatch):
         # the odd-degree vertices of a spanning tree of n = 400, as christofides
@@ -183,3 +209,30 @@ class TestSiftedScan:
             m = min_cost_perfect_matching(inst, odd, verify=True)
             assert m.cost == brute_matching(inst, odd).cost
             assert all(type(x) is int for pair in m.pairs for x in pair)
+
+    def test_batched_any_batch_size(self, monkeypatch):
+        # one row per batch, and batches an event interrupts early or late
+        rng = random.Random(6)
+        for trial in range(60):
+            m = 2 * rng.randint(2, 16)
+            w = [[0] * m for _ in range(m)]
+            hi = rng.choice([1, 2, 5, 20])
+            for i in range(m):
+                for j in range(i + 1, m):
+                    w[i][j] = w[j][i] = rng.randint(0, hi)
+            monkeypatch.setattr(tritsp.matching, "SIFT_MIN", 10**9)
+            full = tritsp.matching._blossom_search(w)
+            monkeypatch.setattr(tritsp.matching, "SIFT_MIN", 0)
+            for rows in (1, 2, 5, 64):
+                monkeypatch.setattr(tritsp.matching, "BATCH_ROWS", rows)
+                assert tritsp.matching._blossom_search(w) == full, (trial, rows)
+
+    @pytest.mark.parametrize(
+        "seed, cost, digest",
+        [(1, 1654143, "703cdec68e7d59d0"), (2, 1665574, "5aa23b9d13893caa")],
+    )
+    def test_christofides_fingerprint(self, seed, cost, digest):
+        # the whole metric regime at n = 400: forest, batched matching, tour
+        tour = christofides(ceil2d_instance(400, seed))
+        got = hashlib.sha256(repr(tour.order).encode()).hexdigest()[:16]
+        assert (tour.cost, got) == (cost, digest)

@@ -12,6 +12,7 @@ from tritsp.layouts import ChainLayout, enumerate_layouts
 from tritsp.matching import Matching
 from tritsp.oracles import held_karp
 from tritsp.shortcut import walk_cost
+import tritsp.matching
 import tritsp.solver
 from tritsp.solver import SolveOptions, christofides, evaluate_layout, solve
 
@@ -348,6 +349,25 @@ class TestChristofides:
         inst = Instance.from_rows("pair", [[0, 3], [3, 0]])
         tour = christofides(inst)
         assert tour.order == (0, 1) and tour.cost == 6
+
+    def test_verify_checks_the_certificate(self, monkeypatch):
+        # --cert / verify_matchings reaches the metric regime's matching
+        checked = []
+        verify = tritsp.matching.verify_matching_certificate
+
+        def spy(*args):
+            checked.append(len(args[0]))
+            verify(*args)
+
+        monkeypatch.setattr(tritsp.matching, "verify_matching_certificate", spy)
+        inst = gen_metric(12, seed=3)
+        plain = solve(inst)
+        assert checked == []
+        rep = solve(inst, SolveOptions(verify_matchings=True))
+        assert len(checked) == 1 and checked[0] > 0
+        assert rep == plain
+        assert christofides(inst, verify=True) == plain.tour
+        assert len(checked) == 2
 
     def test_ratio_on_generated_metrics(self):
         for seed in range(15):
