@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import ContractViolationError, SizeRefusalError
 from .instance import Instance, load_instance
-from .oracles import held_karp
+from .oracles import _HK_MAX, held_karp
 from .solver import SolveOptions, solve
 
 __all__ = [
@@ -44,9 +44,6 @@ ROW_FIELDS = [
     "time_ms",
     "seed",
 ]
-
-_HK_LIMIT = 18
-
 
 @dataclass(frozen=True)
 class BenchRow:
@@ -90,7 +87,7 @@ def bench_instance(
     report = solve(inst, opts)
     elapsed = int(round((time.perf_counter() - t0) * 1000))
     opt = ratio_num = ratio_den = None
-    if inst.n <= _HK_LIMIT:
+    if inst.n <= _HK_MAX:
         opt = held_karp(inst).cost
         if opt > 0:
             g = math.gcd(report.tour.cost, opt)

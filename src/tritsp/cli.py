@@ -40,8 +40,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="approximate tour via chain layouts")
     p.add_argument("file")
-    p.add_argument("--max-bad", type=int, default=9, metavar="N")
-    p.add_argument("--jobs", type=int, default=1, metavar="J")
+    p.add_argument("--max-bad", type=int, default=SolveOptions.max_bad, metavar="N")
+    p.add_argument("--jobs", type=int, default=SolveOptions.jobs, metavar="J")
     p.add_argument("--cert", action="store_true",
                    help="verify every matching certificate along the way")
 
@@ -61,8 +61,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="solve + exact over a corpus directory")
     p.add_argument("--dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-bad", type=int, default=9, metavar="N")
-    p.add_argument("--jobs", type=int, default=1, metavar="J")
+    p.add_argument("--max-bad", type=int, default=SolveOptions.max_bad, metavar="N")
+    p.add_argument("--jobs", type=int, default=SolveOptions.jobs, metavar="J")
     p.add_argument("--top", type=int, default=0, metavar="K",
                    help="also list the K instances with the worst ratio")
     return parser

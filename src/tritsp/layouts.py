@@ -1,15 +1,17 @@
 """Chain layouts over the bad-vertex set and the cycle they induce.
 
 A layout is an ordered partition of the bad vertices into non-empty chains.
-Enumeration is canonical: the smallest bad vertex leads the first chain
-(rotating the chain list never changes the induced cycle or the chain-end
-set, so each equivalence class is emitted once), and layouts needing more
-chains than there are good vertices are pruned.
+Its chain ends (its end set) alone fix the solver's good skeleton, so the
+layouts come end set by end set (`end_sets`, `enumerate_layouts`).  The
+smallest bad vertex leads the first chain (rotating the chains changes
+neither the induced cycle nor the end set, so each class is emitted once),
+and end sets larger than the number of good vertices are pruned whole.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -17,7 +19,9 @@ from .errors import ContractViolationError
 from .instance import Instance, TriangleAudit
 from .multigraph import MultiGraph
 
-__all__ = ["ChainLayout", "enumerate_layouts", "build_bad_cycle"]
+__all__ = [
+    "ChainLayout", "end_sets", "count_layouts", "enumerate_layouts", "build_bad_cycle"
+]
 
 
 @dataclass(frozen=True)
@@ -52,34 +56,47 @@ class ChainLayout:
         return "|".join(",".join(map(str, c)) for c in self.chains)
 
 
-def enumerate_layouts(
-    audit: TriangleAudit, good_count: int
-) -> Iterator[ChainLayout]:
-    """Yield every canonical layout of audit.bad once, deterministically:
-    permutations with the smallest bad vertex first, crossed with all
-    2^(m-1) cut masks; layouts with more chains than good_count are skipped
-    (a layout mirroring an optimal tour needs a good vertex between
-    consecutive chains)."""
+def end_sets(audit: TriangleAudit, good_count: int) -> Iterator[frozenset[int]]:
+    """Yield the end sets of the canonical layouts, by size and then
+    lexicographically: every set of bad vertices but the smallest alone,
+    which never ends the last chain.  Sets of more than good_count are
+    skipped: a layout mirroring an optimal tour needs a good vertex
+    between consecutive chains."""
     bad = audit.bad
-    if not bad:
-        raise ContractViolationError("no bad vertices to lay out")
-    m = len(bad)
-    first = bad[0]
-    rest = bad[1:]
-    for perm in itertools.permutations(rest):
-        order = (first,) + perm
-        for mask in range(1 << (m - 1)):
-            t = bin(mask).count("1") + 1
-            if t > good_count:
-                continue
-            chains: list[tuple[int, ...]] = []
-            begin = 0
-            for i in range(m - 1):
-                if mask >> i & 1:
-                    chains.append(order[begin : i + 1])
-                    begin = i + 1
-            chains.append(order[begin:])
-            yield ChainLayout(tuple(chains))
+    if len(bad) < 2:
+        raise ContractViolationError(f"layouts need 2 bad vertices, got {len(bad)}")
+    for size in range(1, min(len(bad), good_count) + 1):
+        for ends in itertools.combinations(bad, size):
+            if ends != bad[:1]:
+                yield frozenset(ends)
+
+
+def count_layouts(audit: TriangleAudit, good_count: int) -> int:
+    """How many layouts enumerate_layouts yields: (m-2)! for each choice
+    of an end set and its last vertex, which is not the smallest."""
+    lasts = sum(len(ends - {audit.bad[0]}) for ends in end_sets(audit, good_count))
+    return lasts * math.factorial(len(audit.bad) - 2)
+
+
+def enumerate_layouts(
+    audit: TriangleAudit, good_count: int, ends: frozenset[int] | None = None
+) -> Iterator[ChainLayout]:
+    """Yield every canonical layout of audit.bad once, deterministically,
+    end set by end set in `end_sets` order, or only the layouts of `ends`.
+    The layouts of an end set E are the permutations that start with the
+    smallest bad vertex and end in E, by last vertex and then
+    lexicographically, each cut after every member of E."""
+    bad = audit.bad
+    for ends in end_sets(audit, good_count) if ends is None else (ends,):
+        for last in sorted(ends - {bad[0]}):
+            for middle in itertools.permutations(v for v in bad[1:] if v != last):
+                order = (bad[0], *middle, last)
+                chains, begin = [], 0
+                for i, v in enumerate(order, 1):
+                    if v in ends:
+                        chains.append(order[begin:i])
+                        begin = i
+                yield ChainLayout(tuple(chains))
 
 
 def build_bad_cycle(layout: ChainLayout, inst: Instance) -> MultiGraph:

@@ -712,10 +712,17 @@ def verify_matching_certificate(w, mate, y2, blossoms) -> None:
     for u in range(m):
         if mate[u] == -1 or mate[mate[u]] != u or mate[u] == u:
             raise ContractViolationError("mate array is not a perfect matching")
+    # zsum[u][v], u < v: the summed duals of the blossoms holding u and v
+    zsum = [[0] * m for _ in range(m)]
+    for mem, z in blossoms:
+        members = sorted(set(mem))
+        for i, u in enumerate(members):
+            row = zsum[u]
+            for v in members[i + 1 :]:
+                row[v] += z
     for u in range(m):
         for v in range(u + 1, m):
-            zsum = sum(z for mem, z in blossoms if u in mem and v in mem)
-            s = 2 * w[u][v] - y2[u] - y2[v] + 2 * zsum
+            s = 2 * w[u][v] - y2[u] - y2[v] + 2 * zsum[u][v]
             if s < 0:
                 raise ContractViolationError(
                     f"negative reduced slack {s} on ({u},{v})"

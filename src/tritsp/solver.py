@@ -4,19 +4,18 @@ Every chain layout of the bad vertices is evaluated: bad cycle, rooted
 spanning forest over the good vertices, parity matching, then the
 shortcut pipeline.  The bad cycle gives every vertex even degree, so the
 forest (rooted at the chain ends E) and its odd-degree set, and with them
-the matching, depend on E alone.  This "good skeleton" (forest, matching
-and their union multigraph, whose parity and reach to E are checked
-there) is built once per end set and shared by every layout with that
-end set.  Per layout only the overlay and the walk run: a copy of the
-skeleton gets the bad cycle's edges, then the repair, the Euler tour and
-the splices, each step's cost traced as a delta.  The cheapest resulting
-tour wins; ties break on the lexicographically smallest rotation, then on
-the first layout in enumeration order.
+the matching, depend on E alone.  So layouts are taken end set by end
+set: E's "good skeleton" (forest, matching and their union multigraph,
+whose parity and reach to E are checked there) is built, shared by E's
+layouts and dropped.  Per layout only the overlay and the walk run: a
+copy of the skeleton gets the bad cycle's edges, then the repair, the
+Euler tour and the splices, each step's cost traced as a delta.  The
+cheapest resulting tour wins; ties break on the lexicographically
+smallest rotation, then on the first layout in enumeration order.
 
-Under --jobs the end sets are split into shards, one per worker: each
-worker enumerates every layout, keeps those whose end set falls in its
-shard and builds their skeletons itself.  A serial solve is the same
-evaluation run on the only shard, so both return the same report.
+Under --jobs each worker takes every jobs-th end set and enumerates only
+the layouts of those.  A serial solve is the same evaluation run on the
+only shard, so both return the same report.
 
 Special regimes short-circuit the enumeration: n <= 3 has a unique tour,
 instances with no violating triangle go through the tree-plus-matching
@@ -28,7 +27,6 @@ already is a Hamiltonian cycle.
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -36,7 +34,8 @@ from dataclasses import dataclass, field
 from .errors import ContractViolationError, SizeRefusalError
 from .forest import RootedForest, rooted_msf
 from .instance import Instance, TriangleAudit, audit_triangles
-from .layouts import ChainLayout, build_bad_cycle, enumerate_layouts
+from .layouts import ChainLayout, build_bad_cycle, count_layouts
+from .layouts import end_sets, enumerate_layouts
 from .matching import Matching, min_cost_perfect_matching
 from .multigraph import MultiGraph
 from .shortcut import (
@@ -133,23 +132,20 @@ def evaluate_layout(
     layout: ChainLayout,
     verify: bool = False,
     keep_graph: bool = False,
-    skeletons: dict | None = None,
+    skeleton: tuple | None = None,
 ):
     """Run one chain layout through the whole pipeline.
 
     Returns a LayoutResult, or a (LayoutResult, repaired multigraph) pair
     when keep_graph is set (the bound checks need the post-repair graph).
-    `skeletons` maps an end set to its (forest, matching, union); pass one
-    dict for all layouts of one instance to build each skeleton once.
+    `skeleton` is the layout's end set's (forest, matching, union) from
+    `_good_skeleton`; it is built here when not given.
     """
     cycle = build_bad_cycle(layout, inst)
-    ends = frozenset(layout.ends)
-    if skeletons is None:
-        skeletons = {}
-    if ends not in skeletons:
-        skeletons[ends] = _good_skeleton(inst, audit, ends, verify)
-    forest, matching, skeleton = skeletons[ends]
-    h = assemble_eulerian(cycle, skeleton)
+    if skeleton is None:
+        skeleton = _good_skeleton(inst, audit, frozenset(layout.ends), verify)
+    forest, matching, union = skeleton
+    h = assemble_eulerian(cycle, union)
     # the bad cycle is the closed walk over the layout's vertex order
     cycle_cost = walk_cost(inst, layout.vertices)
     steps = [cycle_cost + forest.cost + matching.cost]
@@ -172,38 +168,33 @@ def evaluate_layout(
     return result
 
 
-def _evaluate_shard(inst, audit, verify, shard=0, jobs=1, layouts=None):
-    """Evaluate the layouts whose end set lies in shard `shard` of `jobs`
-    and return their partial aggregate (best, layouts, certified,
-    monotone, hamiltonian); best is ((cost, order, enumeration index),
-    LayoutResult) of the cheapest layout, or None for an empty shard.
-
-    An end set's shard is its first-seen rank in the enumeration modulo
-    `jobs`.  The enumeration is deterministic, so every worker derives the
-    same shards and each skeleton is built by one worker only; the index
-    in the key makes equal (cost, order) keep the layout a serial run
-    keeps.  `layouts` defaults to a fresh enumeration.
+def _evaluate_shard(inst, audit, verify, shard=0, jobs=1):
+    """Evaluate the layouts of the end sets whose rank in `end_sets` is
+    `shard` modulo `jobs`, building each end set's skeleton once, and
+    return (best, layouts, certified, monotone, hamiltonian).  best is
+    ((cost, order, rank, position), LayoutResult) of the cheapest layout,
+    or None for an empty shard; (rank, position) is the layout's place in
+    a serial enumeration, so ties keep the layout a serial run keeps.
     """
-    if layouts is None:
-        layouts = enumerate_layouts(audit, len(audit.good))
+    good_count = len(audit.good)
     expected = tuple(range(inst.n))
-    ranks: dict = {}
-    skeletons: dict = {}
     best = None
     count = certified = 0
     monotone = hamiltonian = True
-    for index, lay in enumerate(layouts):
-        if ranks.setdefault(frozenset(lay.ends), len(ranks)) % jobs != shard:
+    for rank, ends in enumerate(end_sets(audit, good_count)):
+        if rank % jobs != shard:
             continue
-        res = evaluate_layout(inst, audit, lay, verify, skeletons=skeletons)
-        count += 1
-        if res.certified:
-            certified += 1
-            monotone = monotone and res.steps_monotone
-        hamiltonian = hamiltonian and tuple(sorted(res.order)) == expected
-        key = (res.cost, res.order, index)
-        if best is None or key < best[0]:
-            best = (key, res)
+        skeleton = _good_skeleton(inst, audit, ends, verify)
+        for position, lay in enumerate(enumerate_layouts(audit, good_count, ends)):
+            res = evaluate_layout(inst, audit, lay, verify, skeleton=skeleton)
+            count += 1
+            if res.certified:
+                certified += 1
+                monotone = monotone and res.steps_monotone
+            hamiltonian = hamiltonian and tuple(sorted(res.order)) == expected
+            key = (res.cost, res.order, rank, position)
+            if best is None or key < best[0]:
+                best = (key, res)
     return best, count, certified, monotone, hamiltonian
 
 
@@ -255,25 +246,16 @@ def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
     if not audit.good:
         # every layout's bad cycle is already a Hamiltonian cycle; the
         # single-chain layouts alone cover all of them up to rotation
-        best = None
-        count = 0
-        for lay in enumerate_layouts(audit, good_count=1):
-            count += 1
-            order = canonical_rotation(lay.vertices)
-            key = (walk_cost(inst, order), order)
-            if best is None or key < best:
-                best = key
-                best_id = lay.layout_id
-        tour = Tour(best[1], best[0], best_id)
+        layouts = enumerate_layouts(audit, good_count=1)
+        rings = ((canonical_rotation(lay.vertices), lay.layout_id) for lay in layouts)
+        order, best_id = min(rings, key=lambda r: (walk_cost(inst, r[0]), r[0]))
+        tour = Tour(order, walk_cost(inst, order), best_id)
+        count = count_layouts(audit, good_count=1)
         return SolveReport(tour, audit.k, audit.k_t, "all-bad", count, count)
 
-    layouts = enumerate_layouts(audit, len(audit.good))
-    # peek one layout past _SERIAL_MAX to know whether a pool pays off
-    head = list(itertools.islice(layouts, _SERIAL_MAX + 1))
     jobs = min(opts.jobs, os.cpu_count() or 1)
-    if jobs <= 1 or len(head) <= _SERIAL_MAX:
-        layouts = itertools.chain(head, layouts)
-        parts = [_evaluate_shard(inst, audit, opts.verify_matchings, layouts=layouts)]
+    if jobs <= 1 or count_layouts(audit, len(audit.good)) <= _SERIAL_MAX:
+        parts = [_evaluate_shard(inst, audit, opts.verify_matchings)]
     else:
         shard = functools.partial(
             _evaluate_shard, inst, audit, opts.verify_matchings, jobs=jobs

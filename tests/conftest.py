@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -7,6 +10,13 @@ settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
 
 DATA = __file__.rsplit("/", 1)[0] + "/data"
+
+# the CLI tests' `python -m tritsp` subprocesses import the tree under test,
+# as pytest itself does through `pythonpath` in pyproject.toml
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])
+)
 
 # per bad-set size: how many corpus instances to plant
 CORPUS_MIX = {3: 100, 4: 90, 5: 70, 6: 40}

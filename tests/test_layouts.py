@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from tritsp.errors import ContractViolationError
 from tritsp.instance import Instance, TriangleAudit, audit_triangles
-from tritsp.layouts import ChainLayout, build_bad_cycle, enumerate_layouts
+from tritsp.layouts import (
+    ChainLayout,
+    build_bad_cycle,
+    count_layouts,
+    end_sets,
+    enumerate_layouts,
+)
 from tritsp.shortcut import graph_cost
 
 
@@ -78,6 +84,52 @@ class TestEnumeration:
                 if len(chains) <= good_count:
                     ref.add(tuple(tuple(ch) for ch in chains))
         assert got == ref
+
+
+class TestEndSetOrder:
+    """Layouts come end set by end set, in `end_sets` order."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_end_sets_are_contiguous_blocks(self, m):
+        audit = fake_audit(range(10, 10 + m))
+        for g in range(1, m + 1):
+            blocks = [
+                ends
+                for ends, _ in itertools.groupby(
+                    frozenset(lay.ends) for lay in enumerate_layouts(audit, g)
+                )
+            ]
+            assert blocks == list(end_sets(audit, g))
+
+    def test_end_set_order(self):
+        audit = fake_audit([1, 4, 6])
+        assert [sorted(e) for e in end_sets(audit, 3)] == [
+            [4], [6], [1, 4], [1, 6], [4, 6], [1, 4, 6]
+        ]
+        assert [sorted(e) for e in end_sets(audit, 1)] == [[4], [6]]
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_one_end_set_equals_filtered_enumeration(self, m):
+        audit = fake_audit(range(m))
+        for g in range(1, m + 1):
+            full = list(enumerate_layouts(audit, g))
+            for ends in end_sets(audit, g):
+                got = list(enumerate_layouts(audit, g, ends))
+                assert got == [l for l in full if frozenset(l.ends) == ends]
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+    def test_count_formula(self, m):
+        audit = fake_audit(range(m))
+        for g in range(1, m + 1):
+            count = sum(1 for _ in enumerate_layouts(audit, g))
+            assert count_layouts(audit, g) == count
+            assert count == math.factorial(m - 2) * sum(
+                len(ends - {0}) for ends in end_sets(audit, g)
+            )
+
+    def test_too_few_bad_vertices(self):
+        with pytest.raises(ContractViolationError, match="need 2 bad vertices"):
+            list(end_sets(fake_audit([3]), 1))
 
 
 class TestBadCycle:

@@ -11,7 +11,11 @@ import tritsp.matching
 from tritsp.errors import ContractViolationError, SizeRefusalError
 from tritsp.forest import rooted_msf
 from tritsp.instance import Instance
-from tritsp.matching import brute_matching, min_cost_perfect_matching
+from tritsp.matching import (
+    brute_matching,
+    min_cost_perfect_matching,
+    verify_matching_certificate,
+)
 from tritsp.solver import christofides
 
 
@@ -127,6 +131,84 @@ class TestBruteMatching:
         inst = random_instance(rng, 18)
         with pytest.raises(SizeRefusalError):
             brute_matching(inst, range(18))
+
+
+def _cert_with_blossom():
+    """A valid search certificate (w, mate, y2, blossoms) on 8 vertices
+    with a positive-dual blossom."""
+    rng = random.Random(1)
+    while True:
+        w = [list(row) for row in random_instance(rng, 8).cost]
+        mate, y2, blossoms = tritsp.matching._blossom_search(w)
+        if any(z > 0 for _, z in blossoms):
+            return w, mate, y2, blossoms
+
+
+def _negative_dual(w, mate, y2, blossoms):
+    blossoms[0] = (blossoms[0][0], -1)
+
+
+def _even_blossom(w, mate, y2, blossoms):
+    blossoms.append(((0, 1, 2, 3), 0))
+
+
+def _self_mate(w, mate, y2, blossoms):
+    mate[0] = 0
+
+
+def _negative_slack(w, mate, y2, blossoms):
+    v = next(v for v in range(1, 8) if v != mate[0])
+    w[0][v] = w[v][0] = -(10**6)
+
+
+def _matched_slack(w, mate, y2, blossoms):
+    v = mate[0]
+    w[0][v] += 1
+    w[v][0] += 1
+
+
+def _open_blossom(w, mate, y2, blossoms):
+    # one vertex of each of three matched pairs: no pair inside is matched,
+    # and its dual only adds slack
+    inside, seen = [], set()
+    for u in range(8):
+        if u not in seen and len(inside) < 3:
+            inside.append(u)
+            seen.update((u, mate[u]))
+    blossoms.append((tuple(inside), 1))
+
+
+def _asymmetric_cost(w, mate, y2, blossoms):
+    # given the other clauses, primal = dual follows for a symmetric w; the
+    # slack scan reads w[u][v] for u < v only, the primal both entries
+    u = 0
+    w[max(u, mate[u])][min(u, mate[u])] += 1
+
+
+class TestCertificateChecks:
+    """Each clause of verify_matching_certificate rejects a certificate
+    that breaks it alone."""
+
+    def test_search_certificate_passes(self):
+        verify_matching_certificate(*_cert_with_blossom())
+
+    @pytest.mark.parametrize(
+        "mutate,message",
+        [
+            (_negative_dual, "negative blossom dual -1"),
+            (_even_blossom, r"blossom over non-odd set \(0, 1, 2, 3\)"),
+            (_self_mate, "mate array is not a perfect matching"),
+            (_negative_slack, r"negative reduced slack -\d+ on \(0,"),
+            (_matched_slack, r"matched edge \(0,\d\) has slack 2"),
+            (_open_blossom, "positive-dual blossom is not fully matched inside"),
+            (_asymmetric_cost, r"primal 2\*cost \d+ != dual objective \d+"),
+        ],
+    )
+    def test_rejects_broken_clause(self, mutate, message):
+        w, mate, y2, blossoms = _cert_with_blossom()
+        mutate(w, mate, y2, blossoms)
+        with pytest.raises(ContractViolationError, match=message):
+            verify_matching_certificate(w, mate, y2, blossoms)
 
 
 def ceil2d_instance(n, seed):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tritsp.errors import ContractViolationError, SizeRefusalError
 from tritsp.forest import RootedForest
 from tritsp.instance import Instance, audit_triangles, gen_metric, gen_planted
-from tritsp.layouts import ChainLayout, enumerate_layouts
+from tritsp.layouts import ChainLayout, count_layouts, end_sets, enumerate_layouts
 from tritsp.matching import Matching
 from tritsp.oracles import held_karp
 from tritsp.shortcut import walk_cost
@@ -177,6 +177,33 @@ class TestSolveRegimes:
         (pool,) = pools
         assert [layouts > 0 for _, layouts, *_ in pool.results] == [True, True]
         assert par == seq and par.best == seq.best
+
+    def test_workers_enumerate_only_their_end_sets(self, monkeypatch):
+        # each shard asks for the layouts of its own end sets, one set at a
+        # time: those whose rank in end_sets is the shard modulo jobs
+        monkeypatch.setattr(tritsp.solver, "_SERIAL_MAX", 64)
+        inst = gen_planted(11, 5, seed=7)
+        audit = audit_triangles(inst)
+        ranked = list(end_sets(audit, len(audit.good)))
+        asked = {}
+        real_shard = tritsp.solver._evaluate_shard
+        real_enumerate = tritsp.solver.enumerate_layouts
+
+        def shard(inst, audit, verify, shard=0, jobs=1):
+            asked[shard] = []
+            return real_shard(inst, audit, verify, shard, jobs)
+
+        def enumerate_spy(audit, good_count, ends=None):
+            asked[max(asked)].append(ends)  # the shard running now
+            return real_enumerate(audit, good_count, ends)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(tritsp.solver, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(tritsp.solver, "_evaluate_shard", shard)
+        monkeypatch.setattr(tritsp.solver, "enumerate_layouts", enumerate_spy)
+        rep = solve(inst, SolveOptions(jobs=2))
+        assert asked == {0: ranked[0::2], 1: ranked[1::2]}
+        assert rep.layouts == count_layouts(audit, len(audit.good))
 
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):
         inst = gen_planted(11, 5, seed=7)
