@@ -189,7 +189,7 @@ class TestSolveRegimes:
         real_shard = tritsp.solver._evaluate_shard
         real_enumerate = tritsp.solver.enumerate_layouts
 
-        def shard(inst, audit, verify, shard=0, jobs=1):
+        def spy_shard(inst, audit, verify, shard=0, jobs=1):
             asked[shard] = []
             return real_shard(inst, audit, verify, shard, jobs)
 
@@ -199,7 +199,7 @@ class TestSolveRegimes:
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(tritsp.solver, "ProcessPoolExecutor", _InlinePool)
-        monkeypatch.setattr(tritsp.solver, "_evaluate_shard", shard)
+        monkeypatch.setattr(tritsp.solver, "_evaluate_shard", spy_shard)
         monkeypatch.setattr(tritsp.solver, "enumerate_layouts", enumerate_spy)
         rep = solve(inst, SolveOptions(jobs=2))
         assert asked == {0: ranked[0::2], 1: ranked[1::2]}
