@@ -126,20 +126,21 @@ class TriangleAudit:
         return len(self.bad)
 
 
-# from this many vertices on, the blocked numpy test is faster than the
-# triple loop (measured crossover: 14 to 16); smaller audits leave numpy
-# unloaded
+# from this many vertices on, the numpy search is faster than the triple
+# loop (measured crossover: 13-15 on CEIL_2D, 15-17 on planted inputs);
+# smaller audits leave numpy unloaded
 _AUDIT_NUMPY_MIN = 16
-# cells (pairs x third vertices) the numpy test handles at once; bounds its
-# temporary arrays to about a megabyte whatever n is
-_AUDIT_BLOCK = 1 << 15
+# cells per numpy block: about a megabyte of temporaries whatever n is
+_AUDIT_BLOCK = 1 << 18
 
 
 def audit_triangles(inst: Instance) -> TriangleAudit:
     """Enumerate every violating triple of `inst` and classify vertices.
 
+    A triple violates when its largest side is strictly longer than the
+    other two combined, i.e. has a strict shortcut through the third vertex.
     Triples come out in (u, v, w) lexicographic order, from a triple loop
-    below _AUDIT_NUMPY_MIN vertices and from a blocked numpy test above.
+    below _AUDIT_NUMPY_MIN vertices and from a numpy search above.
     """
     if inst.n < _AUDIT_NUMPY_MIN:
         violating = _violations_by_loops(inst.cost)
@@ -173,44 +174,43 @@ def _violations_by_loops(c) -> list[tuple[int, int, int]]:
 
 
 def _violations_by_blocks(c) -> list[tuple[int, int, int]]:
-    """With sides duv = c(u, v), a = c(u, w) and b = c(v, w), the triple
-    (u, v, w) violates exactly when b > duv + a or b < |duv - a|.  Each
-    block tests consecutive pairs u < v against every w > v.  The dtype
+    """(x, y) is a shortcut pair when some w gives c(x, w) + c(w, y) < c(x, y).
+    A violating triple's largest side is unique (two tied largest sides
+    leave the third below 0) and is its only side with a strict shortcut
+    through the third vertex, so each violating triple is listed once, as
+    a shortcut pair and one witness.  Step 1 finds the shortcut pairs by a
+    row-by-row min-plus search, which ends a metric audit; step 2 lists
+    their witnesses in blocks of pairs and sorts the triples.  The dtype
     comes from the largest cost C: no value formed exceeds 2C, so int32
-    when 2C < 2**31, int64 when 2C < 2**63, and exact Python ints
-    (dtype=object) beyond that."""
+    when 2C < 2**31, int64 when 2C < 2**63, else exact Python ints."""
     import numpy as np  # loaded on first use: importing tritsp stays light
 
     n = len(c)
-    top = max(map(max, c))
-    if 2 * top < 2**31:
-        dtype = np.int32
-    elif 2 * top < 2**63:
-        dtype = np.int64
-    else:
-        dtype = object
+    top = 2 * max(map(max, c))
+    dtype = np.int32 if top < 2**31 else np.int64 if top < 2**63 else object
     cost = np.array(c, dtype=dtype)
-    # flat index of the first pair (u, u + 1) of each row u, pairs in
-    # lexicographic order
-    row_len = np.arange(n - 1, 0, -1)
-    row_start = np.cumsum(row_len) - row_len
-    pairs = n * (n - 1) // 2
+    # hop: least two-hop cost (w = u gives c itself), by blocks of whole rows
+    # while they fit, else of a row's columns; triu keeps the pairs u < v
     per_block = max(1, _AUDIT_BLOCK // n)
-    violating: list[tuple[int, int, int]] = []
-    for first in range(0, pairs, per_block):
-        k = np.arange(first, min(first + per_block, pairs))
-        us = np.searchsorted(row_start, k, side="right") - 1
-        vs = k - row_start[us] + us + 1
-        lo = int(us[0]) + 2  # no w in the block is smaller
-        b = cost[vs, lo:]
-        a = cost[us, lo:]
-        duv = cost[us, vs][:, None]
-        bad = (b > duv + a) | (b < abs(duv - a))
-        bad &= np.arange(lo, n) > vs[:, None]
-        rows, cols = np.nonzero(bad)
-        ws = cols + lo
-        violating.extend(zip(us[rows].tolist(), vs[rows].tolist(), ws.tolist()))
-    return violating
+    rows = max(1, per_block // n)
+    cols = max(1, per_block // rows)
+    hop = cost.copy()
+    for u in range(0, n - 1, rows):
+        for lo in range(u + 1, n, cols):
+            block = cost[u : u + rows, None] + cost[lo : lo + cols]
+            np.min(block, axis=2, out=hop[u : u + rows, lo : lo + cols])
+    xs, ys = np.nonzero(np.triu(hop < cost))
+    if not len(xs):
+        return []
+    keys = []
+    for lo in range(0, len(xs), per_block):
+        x, y = xs[lo : lo + per_block], ys[lo : lo + per_block]
+        p, w = np.nonzero(cost[x] + cost[y] < cost[x, y][:, None])
+        x, y = x[p], y[p]
+        first, last = np.minimum(x, w), np.maximum(y, w)
+        keys.append((first * n + x + y + w - first - last) * n + last)
+    first, rest = np.divmod(np.sort(np.concatenate(keys)), n * n)
+    return list(zip(first.tolist(), *(a.tolist() for a in np.divmod(rest, n))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -291,6 +293,91 @@ class TestAudit:
         assert set(audit.bad) | set(audit.good) == set(range(inst.n))
         assert audit.k == len(audit.violating)
         assert audit.k_t == len(audit.bad)
+
+
+
+def shortcut_pairs(inst):
+    """Every pair x < y with some w giving c(x, w) + c(w, y) < c(x, y)."""
+    n, c = inst.n, inst.cost
+    return [
+        (x, y)
+        for x in range(n)
+        for y in range(x + 1, n)
+        if any(c[x][w] + c[w][y] < c[x][y] for w in range(n))
+    ]
+
+
+class TestShortcutSearch:
+    """From _AUDIT_NUMPY_MIN vertices on, the audit finds the shortcut pairs
+    by a min-plus search and lists each one's witnesses."""
+
+    @pytest.mark.parametrize("hi", [3, 1000])
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_matches_triple_loop_past_the_crossover(self, hi, data):
+        # costs 0-3 make zero costs and ties common
+        inst = data.draw(symmetric_matrix(n_min=16, n_max=40, hi=hi))
+        audit = audit_triangles(inst)
+        assert (audit.violating, audit.bad, audit.good) == audit_by_loops(inst)
+
+    @given(symmetric_matrix(n_min=16, n_max=24, scale=2**62))
+    @settings(max_examples=20)
+    def test_matches_triple_loop_beyond_int64_past_the_crossover(self, inst):
+        audit = audit_triangles(inst)
+        assert (audit.violating, audit.bad, audit.good) == audit_by_loops(inst)
+        assert all(type(x) is int for t in audit.violating for x in t)
+
+    def test_sparse_violations_in_a_metric_instance(self):
+        # three CEIL_2D edges inflated past their shortest detours, each
+        # with a few witnesses
+        rows = [list(r) for r in gen_metric(120, seed=3).cost]
+        for u, v in ((5, 77), (40, 41), (90, 12)):
+            detour = min(rows[u][w] + rows[w][v] for w in range(120) if w not in (u, v))
+            rows[u][v] = rows[v][u] = detour + 500
+        inst = Instance.from_rows("inflated", rows)
+        audit = audit_triangles(inst)
+        assert 3 < audit.k < 50
+        assert (audit.violating, audit.bad, audit.good) == audit_by_loops(inst)
+
+    @pytest.mark.parametrize("block", [1, 64, 700])
+    def test_rows_span_several_blocks(self, monkeypatch, block):
+        # a tiny block splits every row into many column blocks and the
+        # witness search into many blocks of pairs
+        monkeypatch.setattr(instance_module, "_AUDIT_BLOCK", block)
+        rng = random.Random(block)
+        n = 30
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.randint(0, 25)
+        inst = Instance.from_rows("tiny-blocks", rows)
+        audit = audit_triangles(inst)
+        assert audit.k > 100
+        assert (audit.violating, audit.bad, audit.good) == audit_by_loops(inst)
+
+    @given(symmetric_matrix(hi=12))
+    @settings(max_examples=120)
+    def test_each_violation_has_one_shortcut_side(self, inst):
+        c = inst.cost
+        for u, v, w in audit_triangles(inst).violating:
+            sides = ((u, v, w), (u, w, v), (v, w, u))
+            shortcuts = [s for x, y, s in sides if c[x][s] + c[s][y] < c[x][y]]
+            assert len(shortcuts) == 1
+
+    @given(symmetric_matrix(hi=12))
+    @settings(max_examples=120)
+    def test_shortcut_pair_endpoints_are_bad(self, inst):
+        bad = set(audit_triangles(inst).bad)
+        assert all(x in bad and y in bad for x, y in shortcut_pairs(inst))
+
+    def test_small_audits_leave_numpy_unloaded(self):
+        # every corpus instance (n <= 12) takes the triple loop
+        code = (
+            "import sys; from tritsp.instance import audit_triangles, gen_planted;"
+            "assert audit_triangles(gen_planted(12, 5, 1)).k;"
+            "assert 'numpy' not in sys.modules"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestFormats:
