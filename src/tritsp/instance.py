@@ -207,7 +207,7 @@ def _violations_by_blocks(c) -> list[tuple[int, int, int]]:
         x, y = xs[lo : lo + per_block], ys[lo : lo + per_block]
         p, w = np.nonzero(cost[x] + cost[y] < cost[x, y][:, None])
         x, y = x[p], y[p]
-        first, last = np.minimum(x, w), np.maximum(y, w)
+        first, last = np.minimum(x, w), np.maximum(y, w)  # as x < y
         keys.append((first * n + x + y + w - first - last) * n + last)
     first, rest = np.divmod(np.sort(np.concatenate(keys)), n * n)
     return list(zip(first.tolist(), *(a.tolist() for a in np.divmod(rest, n))))
