@@ -7,10 +7,9 @@ root its super-edge used, so components never share a root.
 
 Edges compare by the strict key (cost, (min endpoint, max endpoint)), so
 the contracted MSF is unique.  From _FOREST_NUMPY_MIN vertices on, Prim
-scans its rows in numpy on the key encoded as the int64 cost * n**2 +
+scans its rows in numpy on the key encoded as the integer cost * n**2 +
 min * n + max, which orders edges the same way; every step then picks the
 vertex the Python loop picks, and edges, cost and component_of are equal.
-Keys that would overflow int64 keep the Python loop.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractViolationError
-from .instance import Instance
+from .instance import Instance, int_array
 
 __all__ = ["RootedForest", "rooted_msf"]
 
@@ -47,10 +46,10 @@ def rooted_msf(inst: Instance, vertices, roots) -> RootedForest:
         raise ContractViolationError(f"vertices {verts} out of range for n={inst.n}")
 
     c = inst.cost
-    found = None
     if len(verts) >= _FOREST_NUMPY_MIN:
-        found = _prim_numpy(c, inst.n, verts, rts)
-    edges, comp = found or _prim_python(c, verts, rts)
+        edges, comp = _prim_numpy(c, inst.n, verts, rts)
+    else:
+        edges, comp = _prim_python(c, verts, rts)
     edges.sort()
     total = sum(c[a][b] for a, b in edges)
     return RootedForest(tuple(edges), tuple(rts), total, comp)
@@ -84,26 +83,21 @@ def _prim_python(c, verts, rts):
 
 
 def _prim_numpy(c, n, verts, rts):
-    """_prim_python with each (cost, (min, max)) key encoded as the int64
-    cost * n**2 + min * n + max, which orders edges the same way.  Keys are
-    distinct, so every step picks the vertex the Python loop picks.  None
-    when some key would not fit in int64."""
+    """_prim_python with each (cost, (min, max)) key encoded as cost * n**2
+    + min * n + max, which orders edges the same way.  Keys are distinct,
+    so every step picks the vertex the Python loop picks."""
     import numpy as np  # loaded on first use: small forests never load it
 
-    vs = np.array(verts)
-    try:
-        cost = np.array([c[v] for v in verts], dtype=np.int64)
-    except OverflowError:
-        return None
-    if len(verts) < n:
-        cost = cost[:, vs]
+    rows = [c[v] for v in verts]
     n2 = n * n
-    if (int(cost.max()) + 1) * n2 >= 1 << 63:
-        return None
+    never = (max(map(max, rows)) + 1) * n2  # above every key
+    cost = int_array(rows, never)
+    if len(verts) < n:
+        cost = cost[:, verts]
     cost *= n2
+    vs = int_array(verts, never)
     vn = vs * n
-    never = np.iinfo(np.int64).max
-    key = np.full(len(verts), never, dtype=np.int64)
+    key = np.full(len(verts), never, dtype=cost.dtype)
     attach = np.zeros(len(verts), dtype=np.int64)
     out = np.ones(len(verts), dtype=bool)
     comp = {r: r for r in rts}

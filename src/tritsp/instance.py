@@ -32,7 +32,18 @@ __all__ = [
     "gen_metric",
     "gen_planted",
     "planted_corpus",
+    "int_array",
 ]
+
+
+def int_array(rows, largest: int):
+    """`rows` as a numpy array of the narrowest of int32, int64 and exact
+    Python ints (dtype=object) that holds every value of magnitude up to
+    `largest`.  Each numpy kernel passes the largest value it forms."""
+    import numpy as np  # loaded on first use: importing tritsp stays light
+
+    dtype = np.int32 if largest < 2**31 else np.int64 if largest < 2**63 else object
+    return np.array(rows, dtype=dtype)
 
 
 def _check_int(x: object) -> bool:
@@ -146,9 +157,7 @@ def audit_triangles(inst: Instance) -> TriangleAudit:
         violating = _violations_by_loops(inst.cost)
     else:
         violating = _violations_by_blocks(inst.cost)
-    bad: set[int] = set()
-    for t in violating:
-        bad.update(t)
+    bad = set(itertools.chain.from_iterable(violating))
     good = tuple(v for v in range(inst.n) if v not in bad)
     return TriangleAudit(tuple(violating), tuple(sorted(bad)), good)
 
@@ -180,15 +189,12 @@ def _violations_by_blocks(c) -> list[tuple[int, int, int]]:
     through the third vertex, so each violating triple is listed once, as
     a shortcut pair and one witness.  Step 1 finds the shortcut pairs by a
     row-by-row min-plus search, which ends a metric audit; step 2 lists
-    their witnesses in blocks of pairs and sorts the triples.  The dtype
-    comes from the largest cost C: no value formed exceeds 2C, so int32
-    when 2C < 2**31, int64 when 2C < 2**63, else exact Python ints."""
-    import numpy as np  # loaded on first use: importing tritsp stays light
+    their witnesses in blocks of pairs and sorts the triples.  No value
+    formed exceeds twice the largest cost."""
+    import numpy as np
 
     n = len(c)
-    top = 2 * max(map(max, c))
-    dtype = np.int32 if top < 2**31 else np.int64 if top < 2**63 else object
-    cost = np.array(c, dtype=dtype)
+    cost = int_array(c, 2 * max(map(max, c)))
     # hop: least two-hop cost (w = u gives c itself), by blocks of whole rows
     # while they fit, else of a row's columns; triu keeps the pairs u < v
     per_block = max(1, _AUDIT_BLOCK // n)

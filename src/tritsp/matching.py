@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractViolationError, SizeRefusalError
-from .instance import Instance
+from .instance import Instance, int_array
 
 __all__ = [
     "Matching",
@@ -114,16 +114,12 @@ def _blossom_search(w):
     # free vertices, which stay S and equal, and two of them always sit in
     # different top blossoms, where y2 + y2 <= 2 * top.  So the deltas sum to
     # at most top - minw and every |y2| <= top; slacks between tops lie in
-    # [0, 4 * top] and the frame values below in [0, 6 * top].  int64 holds
-    # all of them when 8 * top < 2**63; larger costs use exact Python ints.
+    # [0, 4 * top] and the frame values below in [0, 6 * top], all below
+    # `never`; the edge keys stay below m * m.
     #
     # Batched searches keep their per-edge state in numpy; smaller searches
     # keep it in lists, scan every edge and leave numpy unloaded.
     batched = m >= SIFT_MIN
-    if batched:
-        import numpy as np
-
-        dtype = np.int64 if top < 1 << 60 else object
 
     y2 = [minw] * m
     mate = [-1] * m
@@ -154,13 +150,15 @@ def _blossom_search(w):
     shift = 0
     never = 8 * top + 1
     if batched:
+        import numpy as np
+
+        w2a = int_array(w2, max(never, m * m))
+        y2a = np.full_like(w2a, minw, shape=m)
         # free tops' entries first, then S tops': apply_quiet lowers both
-        frames = np.full(4 * m, never, dtype=dtype)
-        keys = np.zeros(4 * m, dtype=dtype)
+        frames = np.full_like(w2a, never, shape=4 * m)
+        keys = np.zeros_like(frames)
         free_frame, ss_frame = frames[: 2 * m], frames[2 * m :]
         free_key, ss_key = keys[: 2 * m], keys[2 * m :]
-        w2a = np.array(w2, dtype=dtype)
-        y2a = np.array(y2, dtype=dtype)
     else:
         free_frame = [never] * (2 * m)
         ss_frame = [never] * (2 * m)
@@ -476,10 +474,10 @@ def _blossom_search(w):
         at = least < never
         parts.append((ib[us[at]] + 2 * m, least[at] + 2 * shift, us[at] * m + v[at]))
         groups, f, k = (np.concatenate(p) for p in zip(*parts))
-        fmin = np.full(4 * m, never, dtype=dtype)
+        fmin = np.full_like(frames, never)
         np.minimum.at(fmin, groups, f)
         tie = f == fmin[groups]
-        kmin = np.full(4 * m, m * m, dtype=dtype)
+        kmin = np.full_like(frames, m * m)
         np.minimum.at(kmin, groups[tie], k[tie])
         # a stale S top's -1 is below every f: its rescan covers these edges
         better = (fmin < frames) | ((fmin == frames) & (kmin < keys))
@@ -612,7 +610,7 @@ def _blossom_search(w):
             ri, ci = np.nonzero(s == smin)
             ss_frame[b] = smin + 2 * shift
             ss_key[b] = (mem[ri] * m + cols[ci]).min()
-        value = np.full(len(tops), never, dtype=dtype)
+        value = np.full_like(frames, never, shape=len(tops))
         free = (lab == 0) & (free_frame[ta] != never)
         value[free] = free_frame[ta[free]] - shift
         ss = (lab == 1) & (ss_frame[ta] != never)

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ContractViolationError, SizeRefusalError
-from .instance import Instance, TriangleAudit, audit_triangles
+from .instance import Instance, TriangleAudit, audit_triangles, int_array
 from .layouts import ChainLayout
 from .shortcut import Tour
 from .solver import LayoutResult, evaluate_layout
@@ -37,8 +37,8 @@ def held_karp(inst: Instance) -> Tour:
     """Exact minimum tour by dynamic programming over vertex subsets.
 
     States are (visited subset of 1..n-1, last vertex); transitions are
-    batched with numpy per (subset size, from, to) triple.  Memory is
-    O(2^n * n), so n is capped at 18.
+    batched with numpy per (subset size, from, to) triple, exactly at any
+    cost.  Memory is O(2^n * n), so n is capped at 18.
     """
     import numpy as np  # loaded on first use: importing tritsp stays light
 
@@ -48,10 +48,10 @@ def held_karp(inst: Instance) -> Tour:
     if n == 1:
         return Tour((0,), 0, "held-karp")
     m = n - 1  # vertices 1..n-1, bit i <-> vertex i+1
-    c = np.array(inst.cost, dtype=np.int64)
+    inf = n * max(map(max, inst.cost)) + 1  # above every path sum
+    c = int_array(inst.cost, inf)
     full = 1 << m
-    inf = np.int64(1) << 62
-    dp = np.full((full, m), inf, dtype=np.int64)
+    dp = np.full_like(c, inf, shape=(full, m))
     parent = np.full((full, m), -1, dtype=np.int8)
     for j in range(m):
         dp[1 << j, j] = c[0, j + 1]

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import subprocess
 import sys
@@ -78,6 +79,23 @@ class TestExact:
     def test_tsplib_input(self, data_dir):
         res = run_cli("exact", f"{data_dir}/sq4.tsp")
         assert json.loads(res.stdout)["cost"] == 8
+
+    def test_cost_past_int64(self, tmp_path):
+        # one cost of 2**63 does not fit int64: the DP runs on exact ints
+        n = 5
+        rows = [[0 if i == j else 1 + (i * j) % 4 for j in range(n)] for i in range(n)]
+        rows[1][3] = rows[3][1] = 2**63
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"name": "huge", "n": n, "cost": rows}))
+        res = run_cli("exact", str(path))
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(res.stdout)
+        best = min(
+            sum(rows[a][b] for a, b in zip(t, t[1:] + t[:1]))
+            for t in ((0, *p) for p in itertools.permutations(range(1, n)))
+        )
+        assert payload["cost"] == best
+        assert sorted(payload["tour"]) == list(range(n))
 
     def test_size_refusal(self, tmp_path):
         res = run_cli("gen", "--metric", "--n", "20", "--seed", "3",

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 import tritsp.forest
 from tritsp.errors import ContractViolationError
 from tritsp.forest import rooted_msf
-from tritsp.instance import Instance
+from tritsp.instance import Instance, int_array
 from tritsp.oracles import brute_msf_cost
 
 
@@ -97,8 +98,8 @@ class TestRootedMsf:
 
 
 class TestNumpyPrim:
-    """From _FOREST_NUMPY_MIN vertices on, Prim runs in numpy on int64 keys;
-    the forest, component_of included, must equal the Python loop's."""
+    """From _FOREST_NUMPY_MIN vertices on, Prim runs in numpy on integer
+    keys; the forest, component_of included, must equal the Python loop's."""
 
     @staticmethod
     def both_paths(monkeypatch, inst, verts, roots):
@@ -125,18 +126,27 @@ class TestNumpyPrim:
         assert rooted_msf(inst, verts, roots) == slow
 
     def test_costs_past_int64_keys(self, monkeypatch):
-        # keys cost * n**2 + pair fit int64 up to 2**50 here; past that, or
-        # past int64 costs, the Python loop runs instead
+        # keys cost * n**2 + pair fit int64 up to 2**50 here; past that the
+        # numpy path runs on exact Python int keys (dtype=object)
+        made = []
+
+        def recording(rows, largest):
+            arr = int_array(rows, largest)
+            made.append(arr.dtype)
+            return arr
+
+        monkeypatch.setattr(tritsp.forest, "int_array", recording)
         rng = random.Random(2)
         n = 40
-        for hi, fits in ((2**50, True), (2**57, False), (2**62, False), (2**70, False)):
+        for hi, dtype in ((2**50, np.int64), (2**57, object), (2**62, object), (2**70, object)):
             rows = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i + 1, n):
                     rows[i][j] = rows[j][i] = hi - rng.randint(0, 3)
             inst = Instance.from_rows("huge", rows)
-            found = tritsp.forest._prim_numpy(inst.cost, n, list(range(n)), [0, 7])
-            assert (found is not None) == fits
+            made.clear()
             fast, slow = self.both_paths(monkeypatch, inst, range(n), {0, 7})
+            assert set(made) == {np.dtype(dtype)}
             assert fast == slow
+            assert list(fast.component_of.items()) == list(slow.component_of.items())
             assert fast.cost == sum(inst.cost[a][b] for a, b in fast.edges)

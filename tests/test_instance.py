@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from tritsp.instance import (
     audit_triangles,
     gen_metric,
     gen_planted,
+    int_array,
     load_instance,
     planted_corpus,
     save_instance,
@@ -294,6 +296,24 @@ class TestAudit:
         assert audit.k == len(audit.violating)
         assert audit.k_t == len(audit.bad)
 
+
+
+class TestIntArray:
+    @pytest.mark.parametrize(
+        "largest, element",
+        [
+            (2**31 - 1, np.int32),
+            (2**31, np.int64),
+            (2**63 - 1, np.int64),
+            (2**63, int),
+        ],
+    )
+    def test_narrowest_dtype_at_the_boundaries(self, largest, element):
+        rows = [[largest, -largest], [0, 1]]
+        arr = int_array(rows, largest)
+        assert arr.dtype == np.dtype(object if element is int else element)
+        assert all(type(x) is element for x in arr.flat)
+        assert arr.tolist() == rows
 
 
 def shortcut_pairs(inst):

@@ -292,6 +292,22 @@ class TestSiftedScan:
             assert m.cost == brute_matching(inst, odd).cost
             assert all(type(x) is int for pair in m.pairs for x in pair)
 
+    @pytest.mark.parametrize("scale", [2**22, 2**28, 2**62])
+    def test_batched_matches_full_scan_at_each_dtype(self, monkeypatch, scale):
+        # 8 * top below 2**31, below 2**63 and past it: int32, int64, object
+        rng = random.Random(scale.bit_length())
+        for trial in range(10):
+            m = 2 * rng.randint(2, 14)
+            w = [[0] * m for _ in range(m)]
+            for i in range(m):
+                for j in range(i + 1, m):
+                    w[i][j] = w[j][i] = rng.randint(1, 40) * scale + rng.randrange(scale)
+            runs = []
+            for sift_min in (0, 10**9):
+                monkeypatch.setattr(tritsp.matching, "SIFT_MIN", sift_min)
+                runs.append(tritsp.matching._blossom_search(w))
+            assert runs[0] == runs[1], trial
+
     def test_batched_any_batch_size(self, monkeypatch):
         # one row per batch, and batches an event interrupts early or late
         rng = random.Random(6)

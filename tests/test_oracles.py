@@ -80,6 +80,27 @@ class TestHeldKarp:
         assert walk_cost(inst, tour.order) == tour.cost
         assert sorted(tour.order) == list(range(n))
 
+    @pytest.mark.parametrize("big", [2**59, 2**60, 2**62, 2**63, 2**70])
+    def test_matches_exhaustive_search_at_large_costs(self, big):
+        # path sums reach past 2**62 and 2**63: the DP's sentinel and dtype
+        # follow the costs, so the tour stays exact
+        rng = random.Random(big.bit_length())
+        for n in range(4, 9):
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rows[i][j] = rows[j][i] = big + rng.randint(-3, 3)
+            inst = Instance.from_rows(f"hk{n}", rows)
+            tour = held_karp(inst)
+            best = min(
+                walk_cost(inst, (0,) + p)
+                for p in itertools.permutations(range(1, n))
+            )
+            assert tour.cost == best
+            assert walk_cost(inst, tour.order) == tour.cost
+            assert sorted(tour.order) == list(range(n))
+            assert type(tour.cost) is int
+
 
 class TestExtractLayout:
     def test_single_run(self, inst4):
