@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,22 +61,10 @@ class BenchRow:
     seed: str
 
     def as_record(self) -> dict[str, str]:
-        def blank(x):
-            return "" if x is None else str(x)
-
+        """The CSV row: ROW_FIELDS lists the fields in declaration order."""
         return {
-            "instance": self.instance,
-            "n": str(self.n),
-            "k": str(self.k),
-            "k_T": str(self.k_t),
-            "alg_cost": str(self.alg_cost),
-            "opt_cost": blank(self.opt_cost),
-            "ratio_num": blank(self.ratio_num),
-            "ratio_den": blank(self.ratio_den),
-            "layouts": str(self.layouts),
-            "certified": str(self.certified),
-            "time_ms": str(self.time_ms),
-            "seed": self.seed,
+            key: "" if x is None else str(x)
+            for key, x in zip(ROW_FIELDS, astuple(self))
         }
 
 

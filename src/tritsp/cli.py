@@ -42,8 +42,6 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--max-bad", type=int, default=SolveOptions.max_bad, metavar="N")
     p.add_argument("--jobs", type=int, default=SolveOptions.jobs, metavar="J")
-    p.add_argument("--cert", action="store_true",
-                   help="verify every matching certificate along the way")
 
     p = sub.add_parser("exact", help="optimal tour by dynamic programming")
     p.add_argument("file")
@@ -91,8 +89,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.file)
-    opts = SolveOptions(max_bad=args.max_bad, jobs=args.jobs,
-                        verify_matchings=args.cert)
+    opts = SolveOptions(max_bad=args.max_bad, jobs=args.jobs)
     t0 = time.perf_counter()
     report = solve(inst, opts)
     elapsed = (time.perf_counter() - t0) * 1000

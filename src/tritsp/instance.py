@@ -283,6 +283,7 @@ _TSPLIB_KEYS = {
 def _load_tsplib(text: str) -> Instance:
     lines = text.splitlines()
     fields: dict[str, str] = {}
+    field_lines: dict[str, int] = {}
     name = "tsplib"
     i = 0
     section = None
@@ -305,13 +306,16 @@ def _load_tsplib(text: str) -> Instance:
             if key not in _TSPLIB_KEYS:
                 raise ParseError(f"unsupported keyword {key!r}", line=i)
             fields[key] = val
+            field_lines[key] = i
             if key == "NAME":
                 name = val
         else:
             raise ParseError(f"unrecognized line {raw!r}", line=i)
 
-    if fields.get("TYPE", "TSP").split()[0] != "TSP":
-        raise ParseError(f"unsupported TYPE {fields.get('TYPE')!r}")
+    if fields.get("TYPE", "TSP").split()[:1] != ["TSP"]:
+        raise ParseError(
+            f"unsupported TYPE {fields['TYPE']!r}", line=field_lines["TYPE"]
+        )
     if "DIMENSION" not in fields:
         raise ParseError("missing DIMENSION")
     try:
@@ -359,23 +363,24 @@ def _load_tsplib(text: str) -> Instance:
         if section != "NODE_COORD_SECTION":
             raise ParseError("EUC_2D needs NODE_COORD_SECTION", line=section_line)
         coords: dict[int, tuple[float, float]] = {}
+        coord_lines: dict[int, int] = {}
         for off, raw in enumerate(body):
+            line = section_line + 1 + off
             toks = raw.split()
             if len(toks) != 3:
-                raise ParseError(
-                    f"coord line needs 'id x y', got {raw!r}",
-                    line=section_line + 1 + off,
-                )
+                raise ParseError(f"coord line needs 'id x y', got {raw!r}", line=line)
             try:
                 idx = int(toks[0])
                 x = float(toks[1])
                 y = float(toks[2])
             except ValueError:
-                raise ParseError(
-                    f"bad coord line {raw!r}", line=section_line + 1 + off
-                ) from None
+                raise ParseError(f"bad coord line {raw!r}", line=line) from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ParseError(f"non-finite coordinate in {raw!r}", line=line)
             coords[idx] = (x, y)
-        if sorted(coords) != list(range(1, n + 1)):
+            coord_lines[idx] = line
+        # the count first: a huge DIMENSION must not build a huge id list
+        if len(coords) != n or sorted(coords) != list(range(1, n + 1)):
             raise DimensionMismatchError(
                 f"need coords for ids 1..{n}, got {sorted(coords)}"
             )
@@ -385,7 +390,13 @@ def _load_tsplib(text: str) -> Instance:
             for b in range(a + 1, n):
                 dx = pts[a][0] - pts[b][0]
                 dy = pts[a][1] - pts[b][1]
-                d = int(math.sqrt(dx * dx + dy * dy) + 0.5)  # TSPLIB nint
+                try:
+                    d = int(math.sqrt(dx * dx + dy * dy) + 0.5)  # TSPLIB nint
+                except OverflowError:
+                    raise ParseError(
+                        f"distance from node {a + 1} to node {b + 1} overflows",
+                        line=coord_lines[b + 1],
+                    ) from None
                 rows[a][b] = rows[b][a] = d
         return Instance.from_rows(name, rows)
 

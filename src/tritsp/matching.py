@@ -33,8 +33,11 @@ the stored frames in numpy.  The (mate, y2, blossoms) result is the full
 per-edge scan's, which stays as the path for smaller searches and as the
 reference in tests.
 
-A bitmask-DP oracle (brute_matching) and an LP-certificate check
-(verify_matching_certificate) keep the search honest in tests.
+Every search result is checked against its LP certificate
+(verify_matching_certificate) before it is returned, so a matching that
+is not minimum raises instead of silently weakening the 2·M <= OPT bound
+behind the 2.5 guarantee.  A bitmask-DP oracle (brute_matching) checks
+the search in tests.
 """
 
 from __future__ import annotations
@@ -71,10 +74,11 @@ def _checked_vertices(inst: Instance, odd) -> list[int]:
     return verts
 
 
-def min_cost_perfect_matching(inst: Instance, odd, verify: bool = False) -> Matching:
+def min_cost_perfect_matching(inst: Instance, odd) -> Matching:
     """Minimum-cost perfect matching on the subgraph induced by `odd`,
-    using original instance costs.  With verify=True the dual certificate
-    is checked before returning (raises on any violation)."""
+    using original instance costs.  Its dual certificate is checked before
+    it returns (raises on any violation), so every matching is proved
+    minimum."""
     verts = _checked_vertices(inst, odd)
     m = len(verts)
     if m == 0:
@@ -85,8 +89,7 @@ def min_cost_perfect_matching(inst: Instance, odd, verify: bool = False) -> Matc
         mate, y2, blossoms = [1, 0], [w[0][1]] * 2, []
     else:
         mate, y2, blossoms = _blossom_search(w)
-    if verify:
-        verify_matching_certificate(w, mate, y2, blossoms)
+    verify_matching_certificate(w, mate, y2, blossoms)
     pairs = tuple(
         (verts[i], verts[mate[i]]) for i in range(m) if i < mate[i]
     )

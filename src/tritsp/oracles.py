@@ -36,9 +36,12 @@ _MSF_MAX = 8
 def held_karp(inst: Instance) -> Tour:
     """Exact minimum tour by dynamic programming over vertex subsets.
 
-    States are (visited subset of 1..n-1, last vertex); transitions are
-    batched with numpy per (subset size, from, to) triple, exactly at any
-    cost.  Memory is O(2^n * n), so n is capped at 18.
+    dp[S, j] is the cheapest path from vertex 0 through exactly the
+    vertices of S (bit j <-> vertex j + 1) ending at j.  Each subset-size
+    layer pulls from the one below, one numpy min per (size, j), exactly
+    at any cost.  The tour is rebuilt backwards: at each state the
+    predecessor is the first that attains its minimum.  Memory is
+    O(2^n * n), so n is capped at 18.
     """
     import numpy as np  # loaded on first use: importing tritsp stays light
 
@@ -48,11 +51,12 @@ def held_karp(inst: Instance) -> Tour:
     if n == 1:
         return Tour((0,), 0, "held-karp")
     m = n - 1  # vertices 1..n-1, bit i <-> vertex i+1
-    inf = n * max(map(max, inst.cost)) + 1  # above every path sum
-    c = int_array(inst.cost, inf)
+    top = max(map(max, inst.cost))
+    inf = n * top + 1  # above every path sum
+    c = int_array(inst.cost, inf + top)  # an unreached state plus one edge
+    inner = c[1:, 1:]
     full = 1 << m
     dp = np.full_like(c, inf, shape=(full, m))
-    parent = np.full((full, m), -1, dtype=np.int8)
     for j in range(m):
         dp[1 << j, j] = c[0, j + 1]
 
@@ -60,46 +64,26 @@ def held_karp(inst: Instance) -> Tour:
     pop = np.zeros(full, dtype=np.int64)
     for b in range(m):
         pop += (masks >> b) & 1
-    by_size = [masks[pop == s] for s in range(m + 1)]
-
-    for size in range(1, m):
-        layer = by_size[size]
-        for i in range(m):
-            rows = layer[(layer >> i) & 1 == 1]
-            if rows.size == 0:
-                continue
-            base = dp[rows, i]
-            live = base < inf
-            rows = rows[live]
-            if rows.size == 0:
-                continue
-            base = base[live]
-            for j in range(m):
-                if j == i:
-                    continue
-                sel = (rows >> j) & 1 == 0
-                tgt = rows[sel] | (1 << j)
-                cand = base[sel] + c[i + 1, j + 1]
-                cur = dp[tgt, j]
-                win = cand < cur
-                if win.any():
-                    dp[tgt[win], j] = cand[win]
-                    parent[tgt[win], j] = i
+    for size in range(2, m + 1):
+        layer = masks[pop == size]
+        for j in range(m):
+            rows = layer[(layer >> j) & 1 == 1]
+            # dp[prev, j] is inf (j is not in prev), so j never wins
+            dp[rows, j] = (dp[rows ^ (1 << j)] + inner[:, j]).min(axis=1)
 
     closing = dp[full - 1] + c[1:, 0]
     j = int(np.argmin(closing))
     cost = int(closing[j])
     mask = full - 1
-    tail: list[int] = []
-    while mask:
+    tail = [j + 1]
+    while mask != 1 << j:
+        prev = mask ^ (1 << j)
+        sums = dp[prev] + inner[:, j]
+        i = int(np.argmin(sums))
+        if sums[i] != dp[mask, j]:
+            raise ContractViolationError("tour reconstruction lost its path")
+        mask, j = prev, i
         tail.append(j + 1)
-        i = int(parent[mask, j])
-        mask ^= 1 << j
-        if i < 0:
-            if mask != 0:
-                raise ContractViolationError("tour reconstruction lost its path")
-            break
-        j = i
     tail.reverse()
     order = (0, *tail)
     rev = (0, *tail[::-1])  # same cycle walked backwards, also rooted at 0

@@ -7,11 +7,14 @@ forest (rooted at the chain ends E) and its odd-degree set, and with them
 the matching, depend on E alone.  So layouts are taken end set by end
 set: E's "good skeleton" (forest, matching and their union multigraph,
 whose parity and reach to E are checked there) is built, shared by E's
-layouts and dropped.  Per layout only the overlay and the walk run: a
-copy of the skeleton gets the bad cycle's edges, then the repair, the
-Euler tour and the splices, each step's cost traced as a delta.  The
-cheapest resulting tour wins; ties break on the lexicographically
-smallest rotation, then on the first layout in enumeration order.
+layouts and dropped.  Every matching is proved minimum by its LP
+certificate before it is used, as the 2·M <= OPT step of the guarantee
+needs; there is no unchecked configuration.  Per layout only the overlay
+and the walk run: a copy of the skeleton gets the bad cycle's edges, then
+the repair, the Euler tour and the splices, each step's cost traced as a
+delta.  The cheapest resulting tour wins; ties break on the
+lexicographically smallest rotation, then on the first layout in
+enumeration order.
 
 Under --jobs each worker takes every jobs-th end set and enumerates only
 the layouts of those.  A serial solve is the same evaluation run on the
@@ -19,7 +22,8 @@ only shard, so both return the same report.
 
 Special regimes short-circuit the enumeration: n <= 3 has a unique tour,
 instances with no violating triangle go through the tree-plus-matching
-1.5-approximation, and instances where every vertex is bad reduce to
+1.5-approximation (the good skeleton of the end set {0}, since every
+vertex is good there), and instances where every vertex is bad reduce to
 exact search over the (m-1)! single-chain layouts, whose bad cycle
 already is a Hamiltonian cycle.
 """
@@ -69,7 +73,6 @@ _SERIAL_MAX = 400
 class SolveOptions:
     max_bad: int = 9
     jobs: int = 1
-    verify_matchings: bool = False
 
 
 @dataclass(frozen=True)
@@ -114,14 +117,16 @@ def _odd_vertices(n: int, edges) -> list[int]:
 
 
 def _good_skeleton(
-    inst: Instance, audit: TriangleAudit, ends: frozenset[int], verify: bool
+    inst: Instance, audit: TriangleAudit, ends: frozenset[int]
 ) -> tuple[RootedForest, Matching, MultiGraph]:
     """Forest over the good vertices rooted at the chain ends, the matching
     on its odd-degree vertices, and their checked union.  The bad cycle
-    has even degree everywhere, so odd(cycle + forest) = odd(forest)."""
+    has even degree everywhere, so odd(cycle + forest) = odd(forest).  On
+    a metric instance every vertex is good, and ends {0} give the spanning
+    tree and parity matching of Christofides."""
     forest = rooted_msf(inst, set(audit.good) | ends, ends)
     odd_vertices = _odd_vertices(inst.n, forest.edges)
-    matching = min_cost_perfect_matching(inst, odd_vertices, verify=verify)
+    matching = min_cost_perfect_matching(inst, odd_vertices)
     skeleton = assemble_skeleton(inst.n, forest, matching, audit.good)
     return forest, matching, skeleton
 
@@ -130,7 +135,6 @@ def evaluate_layout(
     inst: Instance,
     audit: TriangleAudit,
     layout: ChainLayout,
-    verify: bool = False,
     keep_graph: bool = False,
     skeleton: tuple | None = None,
 ):
@@ -143,7 +147,7 @@ def evaluate_layout(
     """
     cycle = build_bad_cycle(layout, inst)
     if skeleton is None:
-        skeleton = _good_skeleton(inst, audit, frozenset(layout.ends), verify)
+        skeleton = _good_skeleton(inst, audit, frozenset(layout.ends))
     forest, matching, union = skeleton
     h = assemble_eulerian(cycle, union)
     # the bad cycle is the closed walk over the layout's vertex order
@@ -168,7 +172,7 @@ def evaluate_layout(
     return result
 
 
-def _evaluate_shard(inst, audit, verify, shard=0, jobs=1):
+def _evaluate_shard(inst, audit, shard=0, jobs=1):
     """Evaluate the layouts of the end sets whose rank in `end_sets` is
     `shard` modulo `jobs`, building each end set's skeleton once, and
     return (best, layouts, certified, monotone, hamiltonian).  best is
@@ -184,9 +188,9 @@ def _evaluate_shard(inst, audit, verify, shard=0, jobs=1):
     for rank, ends in enumerate(end_sets(audit, good_count)):
         if rank % jobs != shard:
             continue
-        skeleton = _good_skeleton(inst, audit, ends, verify)
+        skeleton = _good_skeleton(inst, audit, ends)
         for position, lay in enumerate(enumerate_layouts(audit, good_count, ends)):
-            res = evaluate_layout(inst, audit, lay, verify, skeleton=skeleton)
+            res = evaluate_layout(inst, audit, lay, skeleton=skeleton)
             count += 1
             if res.certified:
                 certified += 1
@@ -203,24 +207,16 @@ def _trivial_tour(inst: Instance) -> Tour:
     return Tour(order, walk_cost(inst, order), "trivial")
 
 
-def christofides(
-    inst: Instance, audit: TriangleAudit | None = None, verify: bool = False
-) -> Tour:
-    """Tree + matching 1.5-approximation; the cost matrix must be metric.
-    With verify=True the matching's dual certificate is checked."""
+def christofides(inst: Instance, audit: TriangleAudit | None = None) -> Tour:
+    """Tree + matching 1.5-approximation; the cost matrix must be metric."""
     if audit is None:
         audit = audit_triangles(inst)
     if audit.k != 0:
         raise ContractViolationError("christofides needs a metric instance")
-    n = inst.n
-    if n <= 3:
+    if inst.n <= 3:
         return _trivial_tour(inst)
-    forest = rooted_msf(inst, range(n), {0})
-    matching = min_cost_perfect_matching(
-        inst, _odd_vertices(n, forest.edges), verify=verify
-    )
     # a spanning tree plus its parity matching is already Eulerian
-    h = assemble_skeleton(n, forest, matching, range(n))
+    _, _, h = _good_skeleton(inst, audit, frozenset({0}))
     walk = euler_tour(h)
     walk = splice_good(walk, audit, inst)
     return Tour(canonical_rotation(walk), walk_cost(inst, walk), "christofides")
@@ -235,7 +231,7 @@ def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
         return SolveReport(_trivial_tour(inst), audit.k, audit.k_t, "trivial")
 
     if audit.k == 0:
-        tour = christofides(inst, audit, opts.verify_matchings)
+        tour = christofides(inst, audit)
         return SolveReport(tour, 0, 0, "metric")
 
     if audit.k_t > opts.max_bad:
@@ -255,11 +251,9 @@ def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
 
     jobs = min(opts.jobs, os.cpu_count() or 1)
     if jobs <= 1 or count_layouts(audit, len(audit.good)) <= _SERIAL_MAX:
-        parts = [_evaluate_shard(inst, audit, opts.verify_matchings)]
+        parts = [_evaluate_shard(inst, audit)]
     else:
-        shard = functools.partial(
-            _evaluate_shard, inst, audit, opts.verify_matchings, jobs=jobs
-        )
+        shard = functools.partial(_evaluate_shard, inst, audit, jobs=jobs)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(shard, range(jobs)))
 

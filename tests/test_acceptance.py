@@ -67,7 +67,7 @@ def test_matching_against_brute_force():
             for j in range(i + 1, n):
                 rows[i][j] = rows[j][i] = rng.randint(0, hi)
         inst = Instance(f"pm{checked}", tuple(tuple(r) for r in rows))
-        got = min_cost_perfect_matching(inst, odd, verify=True)
+        got = min_cost_perfect_matching(inst, odd)
         assert got.cost == brute_matching(inst, odd).cost
         checked += 1
     _announce("matching oracle", f"{checked} random graphs, |odd| <= 12")

@@ -34,6 +34,28 @@ class TestAudit:
         assert res.stderr.strip()
         assert res.stdout == ""
 
+    @pytest.mark.parametrize(
+        "header, coord, line",
+        [
+            ("TYPE:", "1 0", 2),  # an empty TYPE
+            ("TYPE: TSP", "nan 0", 7),
+            ("TYPE: TSP", "inf 0", 7),
+            ("TYPE: TSP", "1e200 1e200", 7),  # the squared distance overflows
+        ],
+    )
+    def test_malformed_tsplib_is_a_parse_error(self, tmp_path, header, coord, line):
+        text = "\n".join(
+            ["NAME: x", header, "DIMENSION: 2", "EDGE_WEIGHT_TYPE: EUC_2D",
+             "NODE_COORD_SECTION", "1 0 0", f"2 {coord}", "EOF"]
+        )
+        path = tmp_path / "bad.tsp"
+        path.write_text(text)
+        res = run_cli("audit", str(path))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"tritsp: line {line}: ")
+        assert "Traceback" not in res.stderr
+
 
 class TestSolve:
     def test_inst4_payload(self, data_dir):
@@ -64,9 +86,11 @@ class TestSolve:
         assert res.stdout == ""
 
     def test_cert_flag(self, data_dir):
+        # every solve checks its matchings' certificates; the flag is gone
         res = run_cli("solve", f"{data_dir}/inst4.json", "--cert")
-        assert res.returncode == 0
-        assert json.loads(res.stdout)["cost"] == 13
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "unrecognized arguments: --cert" in res.stderr
 
 
 class TestExact:

@@ -449,6 +449,41 @@ class TestFormats:
         with pytest.raises(ParseError, match="line 6"):
             load_instance("\n".join(lines).encode())
 
+    def test_tsplib_empty_type(self):
+        lines = ["NAME: x", "TYPE:", "DIMENSION: 2", "EDGE_WEIGHT_TYPE: EUC_2D",
+                 "NODE_COORD_SECTION", "1 0 0", "2 1 0", "EOF"]
+        with pytest.raises(ParseError, match="line 2: unsupported TYPE ''"):
+            load_instance("\n".join(lines).encode())
+
+    @pytest.mark.parametrize("coord", ["nan", "-inf", "inf", "NaN"])
+    def test_tsplib_non_finite_coordinate(self, coord):
+        lines = ["NAME: x", "DIMENSION: 2", "EDGE_WEIGHT_TYPE: EUC_2D",
+                 "NODE_COORD_SECTION", "1 0 0", f"2 {coord} 0", "EOF"]
+        with pytest.raises(ParseError, match="line 6: non-finite coordinate"):
+            load_instance("\n".join(lines).encode())
+
+    @pytest.mark.parametrize("x", ["1e200", "-1.7e308"])
+    def test_tsplib_distance_overflow(self, x):
+        # each coordinate is finite; the squared distance is not
+        lines = ["NAME: x", "DIMENSION: 3", "EDGE_WEIGHT_TYPE: EUC_2D",
+                 "NODE_COORD_SECTION", "1 0 0", "2 1 1", f"3 {x} 1.7e308", "EOF"]
+        with pytest.raises(ParseError, match="line 7: distance from node 1 to node 3"):
+            load_instance("\n".join(lines).encode())
+
+    def test_tsplib_huge_coordinates_that_fit(self):
+        # large but representable squared distances keep TSPLIB rounding
+        lines = ["NAME: x", "DIMENSION: 2", "EDGE_WEIGHT_TYPE: EUC_2D",
+                 "NODE_COORD_SECTION", "1 0 0", "2 1e150 0", "EOF"]
+        inst = load_instance("\n".join(lines).encode())
+        assert inst.cost[0][1] == int(1e150)
+
+    def test_tsplib_huge_dimension(self):
+        # rejected by the coordinate count, before any per-vertex work
+        lines = ["NAME: x", "DIMENSION: 1000000000000", "EDGE_WEIGHT_TYPE: EUC_2D",
+                 "NODE_COORD_SECTION", "1 0 0", "2 1 0", "EOF"]
+        with pytest.raises(DimensionMismatchError, match="ids 1..1000000000000"):
+            load_instance("\n".join(lines).encode())
+
 
 class TestGenerators:
     def test_metric_contract(self):

@@ -36,7 +36,7 @@ class TestBlossom:
             [10, 10, 1, 0],
         ]
         inst = Instance.from_rows("k4", rows)
-        m = min_cost_perfect_matching(inst, [0, 1, 2, 3], verify=True)
+        m = min_cost_perfect_matching(inst, [0, 1, 2, 3])
         assert m.pairs == ((0, 1), (2, 3))
         assert m.cost == 2
 
@@ -49,8 +49,8 @@ class TestBlossom:
         assert m.pairs == ((1, 3),) and m.cost == 6
 
     def test_two_vertices_skip_search(self, monkeypatch):
-        # a pair has one matching: no search runs, and verify=True still
-        # checks the certificate the search would have returned
+        # a pair has one matching: no search runs, and the certificate the
+        # search would have returned is still checked
         search = tritsp.matching._blossom_search
         verify = tritsp.matching.verify_matching_certificate
         checked = []
@@ -68,7 +68,7 @@ class TestBlossom:
         for _ in range(40):
             inst = random_instance(rng, 6, rng.choice([0, 1, 50, 2**70]))
             a, b = sorted(rng.sample(range(6), 2))
-            m = min_cost_perfect_matching(inst, [b, a], verify=True)
+            m = min_cost_perfect_matching(inst, [b, a])
             assert m == brute_matching(inst, [a, b])
             w, mate, y2, blossoms = checked[-1]
             assert (mate, y2, blossoms) == search(w)
@@ -85,7 +85,7 @@ class TestBlossom:
                 if rows[i][j] == 0 and i != j:
                     rows[i][j] = rows[j][i] = 50
         inst = Instance.from_rows("blossom", rows)
-        m = min_cost_perfect_matching(inst, range(6), verify=True)
+        m = min_cost_perfect_matching(inst, range(6))
         assert m.cost == brute_matching(inst, range(6)).cost == 6
 
     def test_rejects_odd_count(self, inst4):
@@ -115,7 +115,7 @@ class TestBlossom:
         odd = rng.sample(range(n), 2 * rng.randint(1, n // 2))
         hi = rng.choice([1, 3, 10, 100])
         inst = random_instance(rng, n, hi)
-        m = min_cost_perfect_matching(inst, odd, verify=True)
+        m = min_cost_perfect_matching(inst, odd)
         assert m.cost == brute_matching(inst, odd).cost
         assert m.cost == sum(inst.cost[a][b] for a, b in m.pairs)
 
@@ -238,7 +238,7 @@ class TestSiftedScan:
         assert len(odd) == 180 >= tritsp.matching.SIFT_MIN
         for sift_min in (tritsp.matching.SIFT_MIN, len(odd) + 1):
             monkeypatch.setattr(tritsp.matching, "SIFT_MIN", sift_min)
-            m = min_cost_perfect_matching(inst, odd, verify=True)
+            m = min_cost_perfect_matching(inst, odd)
             digest = hashlib.sha256(repr(m.pairs).encode()).hexdigest()[:16]
             assert (len(m.pairs), m.cost, digest) == (90, 474287, "468eb9182607ce16")
 
@@ -252,7 +252,7 @@ class TestSiftedScan:
         saved = tritsp.matching.SIFT_MIN
         tritsp.matching.SIFT_MIN = 0
         try:
-            m = min_cost_perfect_matching(inst, odd, verify=True)
+            m = min_cost_perfect_matching(inst, odd)
         finally:
             tritsp.matching.SIFT_MIN = saved
         assert m.cost == brute_matching(inst, odd).cost
@@ -288,7 +288,7 @@ class TestSiftedScan:
                     rows[i][j] = rows[j][i] = x
             inst = Instance.from_rows("huge", rows)
             odd = rng.sample(range(n), 2 * rng.randint(1, n // 2))
-            m = min_cost_perfect_matching(inst, odd, verify=True)
+            m = min_cost_perfect_matching(inst, odd)
             assert m.cost == brute_matching(inst, odd).cost
             assert all(type(x) is int for pair in m.pairs for x in pair)
 

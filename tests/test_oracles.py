@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -100,6 +101,26 @@ class TestHeldKarp:
             assert walk_cost(inst, tour.order) == tour.cost
             assert sorted(tour.order) == list(range(n))
             assert type(tour.cost) is int
+
+
+    def test_tie_heavy_tours_are_pinned(self):
+        # costs 0-2 tie almost every subset minimum, so the tours rest on
+        # the tie rule (the first predecessor that attains a minimum); the
+        # fingerprint pins the tours `exact` prints
+        rng = random.Random(20261018)
+        tours = []
+        for i in range(198):
+            n = 4 + i % 9
+            rows = [[0] * n for _ in range(n)]
+            for a in range(n):
+                for b in range(a + 1, n):
+                    rows[a][b] = rows[b][a] = rng.randint(0, 2)
+            tour = held_karp(Instance.from_rows(f"tie{i}", rows))
+            tours.append((tour.order, tour.cost))
+        digest = hashlib.sha256(repr(tours).encode()).hexdigest()
+        assert digest == (
+            "b5235f92949701cedefbbb5ce468e3bd21f4b5cd32bac8bd6d49975fef9b009f"
+        )
 
 
 class TestExtractLayout:

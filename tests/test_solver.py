@@ -189,9 +189,9 @@ class TestSolveRegimes:
         real_shard = tritsp.solver._evaluate_shard
         real_enumerate = tritsp.solver.enumerate_layouts
 
-        def spy_shard(inst, audit, verify, shard=0, jobs=1):
+        def spy_shard(inst, audit, shard=0, jobs=1):
             asked[shard] = []
-            return real_shard(inst, audit, verify, shard, jobs)
+            return real_shard(inst, audit, shard, jobs)
 
         def enumerate_spy(audit, good_count, ends=None):
             asked[max(asked)].append(ends)  # the shard running now
@@ -274,8 +274,7 @@ class TestSkeletonCache:
         assert (rep.layouts, rep.certified) == (layouts, certified)
         assert rep.steps_monotone == monotone
 
-    @pytest.mark.parametrize("verify", [False, True])
-    def test_one_skeleton_per_end_set(self, monkeypatch, verify):
+    def test_one_skeleton_per_end_set(self, monkeypatch):
         forests = []
         matchings = []
         real_msf = tritsp.solver.rooted_msf
@@ -285,9 +284,9 @@ class TestSkeletonCache:
             forests.append(frozenset(roots))
             return real_msf(inst, vertices, roots)
 
-        def counting_matching(inst, odd, verify=False):
-            matchings.append(verify)
-            return real_matching(inst, odd, verify=verify)
+        def counting_matching(inst, odd):
+            matchings.append(odd)
+            return real_matching(inst, odd)
 
         monkeypatch.setattr(tritsp.solver, "rooted_msf", counting_msf)
         monkeypatch.setattr(
@@ -302,11 +301,11 @@ class TestSkeletonCache:
             }
             forests.clear()
             matchings.clear()
-            rep = solve(inst, SolveOptions(verify_matchings=verify))
+            rep = solve(inst)
             assert rep.layouts > len(end_sets)
             assert len(forests) == len(end_sets)
             assert set(forests) == end_sets
-            assert matchings == [verify] * len(end_sets)
+            assert len(matchings) == len(end_sets)
 
 
 class TestSkeletonChecks:
@@ -335,7 +334,7 @@ class TestSkeletonChecks:
         monkeypatch.setattr(
             tritsp.solver,
             "min_cost_perfect_matching",
-            lambda inst, odd, verify=False: Matching((), 0),
+            lambda inst, odd: Matching((), 0),
         )
         audit = audit_triangles(inst4)
         with pytest.raises(ContractViolationError, match="odd degree"):
@@ -378,7 +377,8 @@ class TestChristofides:
         assert tour.order == (0, 1) and tour.cost == 6
 
     def test_verify_checks_the_certificate(self, monkeypatch):
-        # --cert / verify_matchings reaches the metric regime's matching
+        # a plain solve of a metric instance checks its matching's
+        # certificate, and so does a direct christofides call
         checked = []
         verify = tritsp.matching.verify_matching_certificate
 
@@ -388,13 +388,26 @@ class TestChristofides:
 
         monkeypatch.setattr(tritsp.matching, "verify_matching_certificate", spy)
         inst = gen_metric(12, seed=3)
-        plain = solve(inst)
-        assert checked == []
-        rep = solve(inst, SolveOptions(verify_matchings=True))
+        rep = solve(inst)
         assert len(checked) == 1 and checked[0] > 0
-        assert rep == plain
-        assert christofides(inst, verify=True) == plain.tour
+        assert christofides(inst) == rep.tour
         assert len(checked) == 2
+
+    def test_builds_the_skeleton_of_end_zero(self, monkeypatch):
+        # the metric regime reuses the chain regime's skeleton builder:
+        # every vertex is good, and the single end is vertex 0
+        built = []
+        real = tritsp.solver._good_skeleton
+
+        def spy(inst, audit, ends):
+            built.append((audit.good, ends))
+            return real(inst, audit, ends)
+
+        monkeypatch.setattr(tritsp.solver, "_good_skeleton", spy)
+        inst = gen_metric(12, seed=4)
+        tour = christofides(inst)
+        assert built == [(tuple(range(12)), frozenset({0}))]
+        assert sorted(tour.order) == list(range(12))
 
     def test_ratio_on_generated_metrics(self):
         for seed in range(15):
@@ -431,3 +444,37 @@ class TestGuarantee:
             assert rep.certified == rep.layouts
             assert rep.steps_monotone
             assert rep.tours_hamiltonian
+
+
+class TestCertifiedMatchings:
+    """Every solve proves each matching minimum: a search that returns
+    feasible duals which do not certify its matching makes solve raise."""
+
+    @staticmethod
+    def _perturbed_search(monkeypatch):
+        searched = []
+        search = tritsp.matching._blossom_search
+
+        def perturbed(w):
+            mate, y2, blossoms = search(w)
+            searched.append(len(w))
+            y2 = list(y2)
+            y2[0] -= 2  # every slack stays >= 0, the matched edge's is 2
+            return mate, y2, blossoms
+
+        monkeypatch.setattr(tritsp.matching, "_blossom_search", perturbed)
+        return searched
+
+    def test_metric_solve_raises(self, monkeypatch):
+        searched = self._perturbed_search(monkeypatch)
+        with pytest.raises(ContractViolationError, match="matched edge"):
+            solve(gen_metric(12, seed=4))
+        assert searched and searched[0] >= 4
+
+    def test_planted_solve_raises(self, monkeypatch):
+        searched = self._perturbed_search(monkeypatch)
+        inst = gen_planted(12, 4, seed=5)
+        with pytest.raises(ContractViolationError, match="matched edge"):
+            solve(inst)
+        assert audit_triangles(inst).k > 0
+        assert searched and searched[0] >= 4
