@@ -180,11 +180,7 @@ def format_summary(summary: dict) -> str:
         mean = "-" if g["mean_ratio"] is None else f"{g['mean_ratio']:.4f}"
         mx = "-" if g["max_ratio"] is None else f"{g['max_ratio']:.4f}"
         lines.append(f"{g['n']:>4} {g['k']:>4} {g['count']:>6} {mean:>11} {mx:>10}")
-    lines.append(
-        f"instances={summary['instances']} "
-        f"time_ms p50={summary['time_p50_ms']} "
-        f"p90={summary['time_p90_ms']} max={summary['time_max_ms']}"
-    )
+    lines.append(f"instances={summary['instances']}")
     return "\n".join(lines)
 
 

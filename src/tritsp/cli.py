@@ -155,6 +155,11 @@ def _cmd_bench(args) -> int:
     if args.top > 0:
         print()
         print(format_worst(rows, args.top))
+    print(
+        f"time_ms p50={summary['time_p50_ms']} "
+        f"p90={summary['time_p90_ms']} max={summary['time_max_ms']}",
+        file=sys.stderr,
+    )
     print(f"csv written to {args.out}", file=sys.stderr)
     return 0
 

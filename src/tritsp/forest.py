@@ -47,7 +47,7 @@ def rooted_msf(inst: Instance, vertices, roots) -> RootedForest:
 
     c = inst.cost
     if len(verts) >= _FOREST_NUMPY_MIN:
-        edges, comp = _prim_numpy(c, inst.n, verts, rts)
+        edges, comp = _prim_numpy(c, inst.n, verts, rts, inst.max_cost)
     else:
         edges, comp = _prim_python(c, verts, rts)
     edges.sort()
@@ -82,15 +82,16 @@ def _prim_python(c, verts, rts):
     return edges, comp
 
 
-def _prim_numpy(c, n, verts, rts):
+def _prim_numpy(c, n, verts, rts, top):
     """_prim_python with each (cost, (min, max)) key encoded as cost * n**2
     + min * n + max, which orders edges the same way.  Keys are distinct,
-    so every step picks the vertex the Python loop picks."""
+    so every step picks the vertex the Python loop picks.  `top` is the
+    largest cost of `c`."""
     import numpy as np  # loaded on first use: small forests never load it
 
     rows = [c[v] for v in verts]
     n2 = n * n
-    never = (max(map(max, rows)) + 1) * n2  # above every key
+    never = (top + 1) * n2  # above every key
     cost = int_array(rows, never)
     if len(verts) < n:
         cost = cost[:, verts]

@@ -12,6 +12,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import (
@@ -110,6 +111,12 @@ class Instance:
     def n(self) -> int:
         return len(self.cost)
 
+    @cached_property
+    def max_cost(self) -> int:
+        """The largest cost, scanned for once per instance; the numpy
+        kernels size their dtypes from it."""
+        return max(map(max, self.cost))
+
     @classmethod
     def from_rows(cls, name: str, rows) -> "Instance":
         return cls(name, tuple(tuple(row) for row in rows))
@@ -156,7 +163,7 @@ def audit_triangles(inst: Instance) -> TriangleAudit:
     if inst.n < _AUDIT_NUMPY_MIN:
         violating = _violations_by_loops(inst.cost)
     else:
-        violating = _violations_by_blocks(inst.cost)
+        violating = _violations_by_blocks(inst.cost, inst.max_cost)
     bad = set(itertools.chain.from_iterable(violating))
     good = tuple(v for v in range(inst.n) if v not in bad)
     return TriangleAudit(tuple(violating), tuple(sorted(bad)), good)
@@ -182,7 +189,7 @@ def _violations_by_loops(c) -> list[tuple[int, int, int]]:
     return violating
 
 
-def _violations_by_blocks(c) -> list[tuple[int, int, int]]:
+def _violations_by_blocks(c, top: int) -> list[tuple[int, int, int]]:
     """(x, y) is a shortcut pair when some w gives c(x, w) + c(w, y) < c(x, y).
     A violating triple's largest side is unique (two tied largest sides
     leave the third below 0) and is its only side with a strict shortcut
@@ -190,11 +197,11 @@ def _violations_by_blocks(c) -> list[tuple[int, int, int]]:
     a shortcut pair and one witness.  Step 1 finds the shortcut pairs by a
     row-by-row min-plus search, which ends a metric audit; step 2 lists
     their witnesses in blocks of pairs and sorts the triples.  No value
-    formed exceeds twice the largest cost."""
+    formed exceeds twice `top`, the largest cost."""
     import numpy as np
 
     n = len(c)
-    cost = int_array(c, 2 * max(map(max, c)))
+    cost = int_array(c, 2 * top)
     # hop: least two-hop cost (w = u gives c itself), by blocks of whole rows
     # while they fit, else of a row's columns; triu keeps the pairs u < v
     per_block = max(1, _AUDIT_BLOCK // n)

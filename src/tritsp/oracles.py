@@ -51,7 +51,7 @@ def held_karp(inst: Instance) -> Tour:
     if n == 1:
         return Tour((0,), 0, "held-karp")
     m = n - 1  # vertices 1..n-1, bit i <-> vertex i+1
-    top = max(map(max, inst.cost))
+    top = inst.max_cost
     inf = n * top + 1  # above every path sum
     c = int_array(inst.cost, inf + top)  # an unreached state plus one edge
     inner = c[1:, 1:]

@@ -247,7 +247,7 @@ class TestAudit:
         ref = audit_by_loops(inst)
         audit = audit_triangles(inst)
         assert (audit.violating, audit.bad, audit.good) == ref
-        assert tuple(_violations_by_blocks(inst.cost)) == ref[0]
+        assert tuple(_violations_by_blocks(inst.cost, inst.max_cost)) == ref[0]
 
     @given(symmetric_matrix(n_min=1, n_max=9, scale=2**62))
     @settings(max_examples=60)
@@ -256,7 +256,7 @@ class TestAudit:
         ref = audit_by_loops(inst)
         audit = audit_triangles(inst)
         assert (audit.violating, audit.bad, audit.good) == ref
-        blocks = _violations_by_blocks(inst.cost)
+        blocks = _violations_by_blocks(inst.cost, inst.max_cost)
         assert tuple(blocks) == ref[0]
         assert all(type(x) is int for t in blocks for x in t)
 
@@ -269,7 +269,7 @@ class TestAudit:
         inst = Instance.from_rows("wrap", [[0, big, big], [big, 0, b], [big, b, 0]])
         ref = audit_by_loops(inst)
         assert ref[0] == (((0, 1, 2),) if slack > 0 else ())
-        assert tuple(_violations_by_blocks(inst.cost)) == ref[0]
+        assert tuple(_violations_by_blocks(inst.cost, inst.max_cost)) == ref[0]
 
     def test_matches_triple_loop_across_blocks(self):
         # n = 90 spans several blocks of pairs, and the blocks split rows

@@ -73,6 +73,50 @@ class TestBlossom:
             w, mate, y2, blossoms = checked[-1]
             assert (mate, y2, blossoms) == search(w)
 
+    @pytest.mark.parametrize("sift_min", [0, 10**9])
+    @pytest.mark.parametrize(
+        "w, y2",
+        [
+            # two mutually nearest pairs: every dual is the pair's cost
+            ([[0, 3, 20, 20], [3, 0, 20, 20], [20, 20, 0, 5], [20, 20, 5, 0]],
+             [3, 3, 5, 5]),
+            # 1's nearest is 2: 0 raises to 2 * 4 - 2 and takes 1; 2's
+            # least slack leads to the matched 1, so 2 stays free until 3
+            # raises to 2 * 3 - 2 and takes it
+            ([[0, 4, 10, 10], [4, 0, 2, 10], [10, 2, 0, 3], [10, 10, 3, 0]],
+             [6, 2, 2, 4]),
+        ],
+    )
+    def test_perfect_greedy_start_is_the_result(self, monkeypatch, sift_min, w, y2):
+        # the greedy start matches every vertex, so no stage runs: the
+        # start's duals come back as they are, odd ones unrounded
+        monkeypatch.setattr(tritsp.matching, "SIFT_MIN", sift_min)
+        assert tritsp.matching._blossom_search(w) == ([1, 0, 3, 2], y2, [])
+
+    @given(st.integers(0, 100000))
+    @settings(max_examples=150)
+    def test_zero_one_costs_match_brute_force(self, seed):
+        # costs 0-1, mostly 1: a free vertex's least slack often leads to a
+        # matched vertex of dual 1 and raises its own dual to 2 * 1 - 1, so
+        # the start rounds odd free duals down to even
+        rng = random.Random(seed)
+        n = rng.randint(4, 14)
+        odd = rng.sample(range(n), 2 * rng.randint(2, n // 2))
+        zeros = rng.choice([0.02, 0.05, 0.1, 0.2, 0.5])
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = int(rng.random() >= zeros)
+        inst = Instance.from_rows(f"zo{seed}", rows)
+        expect = brute_matching(inst, odd).cost
+        saved = tritsp.matching.SIFT_MIN
+        try:
+            for sift_min in (0, 10**9):
+                tritsp.matching.SIFT_MIN = sift_min
+                assert min_cost_perfect_matching(inst, odd).cost == expect
+        finally:
+            tritsp.matching.SIFT_MIN = saved
+
     def test_forces_blossom(self):
         # triangle of cheap edges plus three satellites: any perfect
         # matching must leave the odd cycle, exercising blossom handling
@@ -292,9 +336,11 @@ class TestSiftedScan:
             assert m.cost == brute_matching(inst, odd).cost
             assert all(type(x) is int for pair in m.pairs for x in pair)
 
-    @pytest.mark.parametrize("scale", [2**22, 2**28, 2**62])
+    @pytest.mark.parametrize("scale", [2**22, 2**24, 2**28, 2**62])
     def test_batched_matches_full_scan_at_each_dtype(self, monkeypatch, scale):
-        # 8 * top below 2**31, below 2**63 and past it: int32, int64, object
+        # never = 8 * top + 1 below 2**31, below 2**63 and past it: int32,
+        # int64, object; at 2**24 every doubled cost fits int32 but never
+        # does not, and a start dual can reach 2 * top
         rng = random.Random(scale.bit_length())
         for trial in range(10):
             m = 2 * rng.randint(2, 14)

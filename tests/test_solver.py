@@ -455,8 +455,8 @@ class TestCertifiedMatchings:
         searched = []
         search = tritsp.matching._blossom_search
 
-        def perturbed(w):
-            mate, y2, blossoms = search(w)
+        def perturbed(w, *rest):
+            mate, y2, blossoms = search(w, *rest)
             searched.append(len(w))
             y2 = list(y2)
             y2[0] -= 2  # every slack stays >= 0, the matched edge's is 2
