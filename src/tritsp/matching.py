@@ -21,24 +21,18 @@ rather than asymptotically best:
     instead of surgically relabeling the expanded path.
 
 Odd-degree sets are not small: a metric instance of n = 400 gives about 170
-vertices.  So the scan of a new S-vertex, the search's inner loop, compares
-each edge's slack with stored numbers only: least-slack edges keep their
-slacks in a frame that dual updates leave unchanged.
-
-From SIFT_MIN vertices on, scans run in numpy batches (Galil's dense
-primal-dual search, ACM Comput. Surv. 1986, with bookkeeping vectorized as
-Blossom V does in C, Kolmogorov 2009).  A search makes thousands of row
-scans but only hundreds of events (a T-label, a blossom, an augmentation,
-a dual update).  Between two events labels, blossoms, duals and the pop
-order of the queue stay fixed, and every other edge only lowers a stored
-least-slack edge or marks a tight edge allowed; those updates commute.  So
-a batch takes the next queued rows in pop order, finds the first edge that
-acts in numpy, and runs the per-edge event code on it alone; the updates
-of the edges before it wait until the duals next move and then run as one
-grouped min-reduction (apply_quiet).  Dual updates pick their delta from
-the stored frames in numpy.  The (mate, y2, blossoms) result is the full
-per-edge scan's, which stays as the path for smaller searches and as the
-reference in tests.
+vertices.  Production codes do not search the complete graph (Cook and
+Rohe; Blossom V), and neither does this one: each vertex scans a candidate
+list, its CANDIDATES cheapest partners, made symmetric, plus the pairs
+(2i, 2i + 1), so that the candidate graph has a perfect matching.  The
+search's duals are then feasible on candidate pairs only, so every pair is
+priced against them, blossom duals included; the pairs that price negative
+join the lists and the search runs again from the jump start, until no
+pair prices negative.  An odd set of at most CANDIDATES + 1 vertices scans
+every edge and needs no pricing.  The scan of a new S-vertex, the search's
+inner loop, compares each edge's slack with stored numbers only:
+least-slack edges keep their slacks in a frame that dual updates leave
+unchanged.
 
 Every search result is checked against its LP certificate
 (verify_matching_certificate) before it is returned, so a matching that
@@ -50,10 +44,11 @@ the search in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from operator import sub
 
 from .errors import ContractViolationError, SizeRefusalError
-from .instance import Instance, int_array
+from .instance import Instance
 
 __all__ = [
     "Matching",
@@ -96,7 +91,7 @@ def min_cost_perfect_matching(inst: Instance, odd) -> Matching:
         # one possible matching; both duals at the edge's cost certify it
         mate, y2, blossoms = [1, 0], [w[0][1]] * 2, []
     else:
-        mate, y2, blossoms = _blossom_search(w, inst.max_cost)
+        mate, y2, blossoms = _priced_search(w)
     verify_matching_certificate(w, mate, y2, blossoms)
     pairs = tuple(
         (verts[i], verts[mate[i]]) for i in range(m) if i < mate[i]
@@ -104,25 +99,77 @@ def min_cost_perfect_matching(inst: Instance, odd) -> Matching:
     return Matching(pairs, sum(inst.cost[a][b] for a, b in pairs))
 
 
-# odd-set size from which batched numpy scans beat the per-edge scan
-# (measured crossover on CEIL_2D odd-degree sets: 62 to 66 vertices)
-SIFT_MIN = 64
-# queued rows a batched scan examines at once; an event ends a batch early
-# and returns the unexamined rows to the queue (at n = 400, batches of 8
-# and of 32 rows were both slower)
-BATCH_ROWS = 16
+# partners per vertex in a search's candidate graph: on CEIL_2D odd-degree
+# sets of 166-186 vertices, 15 needed one pricing round on every set
+# measured, 10 and 6 needed a second round on some, and 25 was slower
+CANDIDATES = 15
 
 
-def _blossom_search(w, top=None):
+def _priced_search(w):
+    """_blossom_search on candidate lists, run again from the jump start
+    with every pair that prices negative against its duals added to the
+    lists, until no pair does.  A negative pair that is a candidate already
+    breaks the search's invariant and raises."""
+    m = len(w)
+    if m - 1 <= CANDIDATES:
+        # every pair is a candidate; the certificate prices them all
+        return _blossom_search(w)
+    cand = _candidate_lists(w)
+    while True:
+        mate, y2, blossoms = _blossom_search(w, cand)
+        negative = _negative_pairs(w, y2, blossoms)
+        if not negative:
+            return mate, y2, blossoms
+        for u, v in negative:
+            if v in cand[u]:
+                raise ContractViolationError(
+                    f"candidate pair ({u},{v}) prices negative after the search"
+                )
+            cand[u].append(v)
+            cand[v].append(u)
+        for row in cand:
+            row.sort()
+
+
+def _candidate_lists(w):
+    """Each vertex's CANDIDATES cheapest partners by (cost, index), made
+    symmetric, plus the pairs (2i, 2i + 1), so that the lists hold a
+    perfect matching; each list in index order."""
+    m = len(w)
+    near = [{u ^ 1} for u in range(m)]
+    for u, row in enumerate(w):
+        best = sorted(range(m), key=row.__getitem__)[: CANDIDATES + 1]
+        for v in [v for v in best if v != u][:CANDIDATES]:
+            near[u].add(v)
+            near[v].add(u)
+    return [sorted(vs) for vs in near]
+
+
+def _negative_pairs(w, y2, blossoms):
+    """Every pair (u, v), u < v, whose reduced slack, blossom duals
+    included, is negative: priced as verify_matching_certificate does."""
+    m = len(w)
+    held, z2 = _pair_blossom_duals(m, blossoms)
+    out = []
+    for u in range(m):
+        wu, yu, zu = w[u], y2[u], z2[held[u]]
+        out.extend(
+            (u, v) for v in range(u + 1, m) if 2 * wu[v] - yu - y2[v] + zu[held[v]] < 0
+        )
+    return out
+
+
+def _blossom_search(w, cand=None):
     """Returns (mate, y2, blossoms) over internal indices 0..m-1:
     mate[i] = matched partner; y2[i] = doubled vertex dual; blossoms =
     [(sorted member tuple, dual)] for every blossom alive at termination.
-    `top` is the largest cost of w, or any bound above it; without it, w
-    is scanned for it."""
+    `cand[u]` lists the partners u scans (symmetric, with a perfect
+    matching among them); without it, every vertex scans every other.
+    The duals are feasible on the pairs scanned."""
     m = len(w)
     w2 = [[2 * x for x in row] for row in w]
-    if top is None:
-        top = max(map(max, w))
+    if cand is None:
+        cand = [range(m)] * m
 
     # Jump start: every vertex's doubled dual is its cheapest edge, which is
     # feasible; then each vertex still free, in index order, raises its
@@ -146,22 +193,6 @@ def _blossom_search(w, top=None):
     for v in range(m):
         if mate[v] == -1:
             y2[v] -= y2[v] % 2
-    # Bounds, with top the largest cost.  The start gives 0 <= y2 <= 2 * top
-    # (a raised dual is 2 * w[v][u] - y2[u] with y2[u] >= 0).  Free vertices
-    # are roots, S for good: their duals only rise, by shift, the sum of all
-    # deltas.  Two of them always sit in different top blossoms, where no
-    # blossom dual counts, so y2[a] + y2[b] <= 2 * top gives shift <= top,
-    # and every vertex v outside a free a's top has y2[v] <= 2 * top -
-    # y2[a] <= 2 * top.  A matched edge stays tight and blossom duals (each
-    # at most shift) are >= 0, so y2[v] >= -y2[mate[v]] >= -2 * top.  So
-    # every slack lies in [-4 * top, 6 * top], slacks between tops in [0,
-    # 6 * top], and the frame values below in [0, 8 * top], all below
-    # `never`; the edge keys stay below m * m.
-    #
-    # Batched searches keep their per-edge state in numpy; smaller searches
-    # keep it in lists, scan every edge and leave numpy unloaded.
-    batched = m >= SIFT_MIN
-
     # ids m..2m-1 name non-trivial blossoms; a live id has childs != None
     inblossom = list(range(m)) + [-1] * m
     parent = [-1] * (2 * m)
@@ -182,35 +213,15 @@ def _blossom_search(w, top=None):
     # shift and slack + 2 * shift stay fixed, shift being the sum of all
     # deltas so far.  An edge (u, v), u the S-vertex it was scanned from, is
     # stored as the key u * m + v, so keys order edges as (u, v) tuples do.
-    # A frame value of `never` (above every real one) means no edge; an
-    # ss_frame of -1 marks a stale S top, whose edge is rebuilt by a rescan
-    # when next asked for, and which no scan updates.
+    # A frame value of `never` (infinity, above every real one) means no
+    # edge; an ss_frame of -1 marks a stale S top, whose edge is rebuilt by
+    # a rescan when next asked for, and which no scan updates.
     shift = 0
-    never = 8 * top + 1
-    if batched:
-        import numpy as np
-
-        w2a = int_array(w2, max(never, m * m))
-        y2a = np.array(y2, dtype=w2a.dtype)
-        # free tops' entries first, then S tops': apply_quiet lowers both
-        frames = np.full_like(w2a, never, shape=4 * m)
-        keys = np.zeros_like(frames)
-        free_frame, ss_frame = frames[: 2 * m], frames[2 * m :]
-        free_key, ss_key = keys[: 2 * m], keys[2 * m :]
-    else:
-        free_frame = [never] * (2 * m)
-        ss_frame = [never] * (2 * m)
-        free_key = [0] * (2 * m)
-        ss_key = [0] * (2 * m)
-    # batched searches keep every slack, and which edges are tight or
-    # allowed, from one dual update to the next (refresh)
-    slacks = open_edges = None
-    # the scanned rows whose quiet updates wait for apply_quiet: (rows,
-    # live edges, tops and top labels as scanned, row count)
-    quiet: list = []
-    # numpy copies of inblossom[:m] and of the label of each vertex's top,
-    # made on demand; every change of a label or a blossom clears them
-    tops_now: list = [None]
+    never = inf
+    free_frame = [never] * (2 * m)
+    ss_frame = [never] * (2 * m)
+    free_key = [0] * (2 * m)
+    ss_key = [0] * (2 * m)
 
     def slack2(u, v):
         return w2[u][v] - y2[u] - y2[v]
@@ -234,7 +245,6 @@ def _blossom_search(w, top=None):
         label[b] = 1
         tree_edge[b] = te
         free_frame[b] = never
-        tops_now[0] = None
         queue.extend(members(b))
 
     def assign_t(b, te):
@@ -249,31 +259,16 @@ def _blossom_search(w, top=None):
 
     def restart_stage():
         nonlocal allowed
-        tops_now[0] = None
         for i in range(2 * m):
             label[i] = 0
             tree_edge[i] = None
         queue.clear()
-        quiet.clear()
-        if batched:
-            allowed = np.zeros((m, m), dtype=bool)
-        else:
-            allowed = [bytearray(m) for _ in range(m)]
+        allowed = [bytearray(m) for _ in range(m)]
         free_frame[:] = [never] * (2 * m)
         ss_frame[:] = [never] * (2 * m)
         for v in range(m):
             if mate[v] == -1 and label[inblossom[v]] == 0:
                 assign_s(inblossom[v], None)
-        if batched:
-            refresh()
-
-    def refresh():
-        """Recompute the slacks after the duals moved, and the edges that
-        are tight or allowed: within a scan only tight edges turn allowed,
-        so this set stays fixed until the next dual update."""
-        nonlocal slacks, open_edges
-        slacks = w2a - y2a[:, None] - y2a
-        open_edges = (slacks == 0) | allowed
 
     def scan_blossom(u, v):
         """Common ancestor base vertex of u's and v's tree paths, or -1."""
@@ -301,7 +296,6 @@ def _blossom_search(w, top=None):
         return found
 
     def add_blossom(base_v, u, v):
-        tops_now[0] = None
         bb = inblossom[base_v]
         kids = [bb]
         edges = []
@@ -343,7 +337,6 @@ def _blossom_search(w, top=None):
         ss_frame[nb] = -1
 
     def expand_blossom(b, endstage):
-        tops_now[0] = None
         for c in childs[b]:
             parent[c] = -1
             if c < m:
@@ -434,7 +427,7 @@ def _blossom_search(w, top=None):
             w2u = w2[u]
             yu = y2[u]
             al = allowed[u]
-            for v in range(m):
+            for v in cand[u]:
                 bv = inblossom[v]
                 if bv == bu:
                     continue
@@ -464,117 +457,11 @@ def _blossom_search(w, top=None):
                             ss_key[side] = u * m + v
         return False
 
-    def tops_arrays():
-        if tops_now[0] is None:
-            ib = np.array(inblossom[:m])
-            tops_now[0] = (ib, np.array(label)[ib])
-        return tops_now[0]
-
-    def apply_quiet():
-        """Apply the quiet updates of the batches scanned since the last
-        dual update, as one grouped min-reduction.
-
-        A quiet edge's update commutes with every other until the duals
-        move, except that labeling a free top or merging a top resets its
-        stored edge.  So an update counts only if its top is the same top,
-        with the same label, now: a free top still free, an S top not yet
-        merged (a new blossom is stale and rescans its own edges)."""
-        if not quiet:
-            return
-        us, live, ibs, lts, counts = zip(*quiet)
-        quiet.clear()
-        us = np.concatenate(us)
-        s = slacks[us]
-        live = np.concatenate(live)
-        scanned_ib = np.repeat(np.stack(ibs), counts, axis=0)
-        scanned_lt = np.repeat(np.stack(lts), counts, axis=0)
-        ib, lt = tops_arrays()
-        # tight S-T edges become allowed
-        ri, vi = np.nonzero(live & (s == 0))
-        allowed[us[ri], vi] = allowed[vi, us[ri]] = True
-        cols = np.arange(m)
-        s_edge = live & (scanned_lt == 1)
-        same = scanned_ib == ib
-        same_u = same[np.arange(len(us)), us]
-        # per group, the least (slack, key) among its edges: a column's
-        # least slack over the rows with the least u, for free and S tops
-        # on v's side; a row's least slack with the least v, on u's side
-        parts = []
-        for side, valid in ((0, live & (scanned_lt == 0) & (lt == 0)), (1, s_edge & same)):
-            x = np.where(valid, s, never)
-            least = x.min(axis=0)
-            u = np.where(x == least, us[:, None], m).min(axis=0)
-            at = least < never
-            parts.append((ib[at] + 2 * m * side, least[at] + shift * (1 + side), u[at] * m + cols[at]))
-        x = np.where(s_edge & same_u[:, None], s, never)
-        least = x.min(axis=1)
-        v = np.where(x == least[:, None], cols, m).min(axis=1)
-        at = least < never
-        parts.append((ib[us[at]] + 2 * m, least[at] + 2 * shift, us[at] * m + v[at]))
-        groups, f, k = (np.concatenate(p) for p in zip(*parts))
-        fmin = np.full_like(frames, never)
-        np.minimum.at(fmin, groups, f)
-        tie = f == fmin[groups]
-        kmin = np.full_like(frames, m * m)
-        np.minimum.at(kmin, groups[tie], k[tie])
-        # a stale S top's -1 is below every f: its rescan covers these edges
-        better = (fmin < frames) | ((fmin == frames) & (kmin < keys))
-        frames[better] = fmin[better]
-        keys[better] = kmin[better]
-
-    def scan_queue_batched():
-        """scan_queue in batches of rows between events, same trajectory.
-
-        Between two events labels, blossoms, duals and the pop order stay
-        fixed, and every other edge only lowers stored least-slack edges or
-        marks a tight S-T edge allowed: updates that commute.  So a batch
-        takes the next queued rows in pop order, finds the first edge that
-        acts (an allowed edge into a free or S top), keeps the edges before
-        it for apply_quiet, and runs the per-edge event code on it."""
-        row, first = -1, 0  # the row an event interrupted, resumed at first
-        while row != -1 or queue:
-            ib, lt = tops_arrays()
-            popped = queue[-BATCH_ROWS:]
-            del queue[-BATCH_ROWS:]
-            popped.reverse()
-            rows = [row] if row != -1 else []
-            taken = [-1] * len(rows)  # each row's position in popped
-            for i, x in enumerate(popped):
-                if lt[x] == 1:
-                    rows.append(x)
-                    taken.append(i)
-            if not rows:
-                continue
-            us = np.array(rows)
-            live = ib != ib[us, None]
-            live[0, :first] = False
-            acts = live & open_edges[us] & (lt != 2)
-            at = int(acts.argmax())
-            event = bool(acts.flat[at])
-            if event:
-                live.flat[at:] = False
-            quiet.append((us, live, ib, lt, len(rows)))
-            row, first = -1, 0
-            if not event:
-                continue
-            r, v = divmod(at, m)
-            u = rows[r]
-            rest = popped[taken[r] + 1 :]
-            rest.reverse()
-            queue.extend(rest)  # unexamined rows go back in pop order
-            if slacks[u, v] == 0:
-                allowed[u][v] = allowed[v][u] = 1
-            if grow(u, v, label[inblossom[v]]):
-                return True
-            if v + 1 < m:
-                row, first = u, v + 1
-        return False
-
     def best_ss_edge(b):
         if ss_frame[b] == -1:
             found = None
             for t in members(b):
-                for o in range(m):
+                for o in cand[t]:
                     ob = inblossom[o]
                     if ob == b or label[ob] != 1:
                         continue
@@ -626,69 +513,19 @@ def _blossom_search(w, top=None):
             raise ContractViolationError("no dual adjustment available")
         return delta, kind, dedge
 
-    def least_delta_batched(tops):
-        """least_delta from the stored frames in numpy; stale S tops are
-        rescanned a whole member block at a time."""
-        ib, lt = tops_arrays()
-        ta = np.array(tops)
-        lab = np.array(label)[ta]
-        # an S top whose edge a merge made internal is stale as well
-        s_tops = ta[lab == 1]
-        kept = s_tops[(ss_frame[s_tops] != -1) & (ss_frame[s_tops] != never)]
-        key = ss_key[kept].astype(np.int64)
-        ss_frame[kept[ib[key // m] == ib[key % m]]] = -1
-        for b in s_tops[ss_frame[s_tops] == -1].tolist():
-            cols = np.flatnonzero((ib != b) & (lt == 1))
-            if not cols.size:
-                ss_frame[b] = never
-                continue
-            mem = np.array(members(b))
-            s = slacks[np.ix_(mem, cols)]
-            smin = s.min()
-            ri, ci = np.nonzero(s == smin)
-            ss_frame[b] = smin + 2 * shift
-            ss_key[b] = (mem[ri] * m + cols[ci]).min()
-        value = np.full_like(frames, never, shape=len(tops))
-        free = (lab == 0) & (free_frame[ta] != never)
-        value[free] = free_frame[ta[free]] - shift
-        ss = (lab == 1) & (ss_frame[ta] != never)
-        s = ss_frame[ta[ss]] - 2 * shift
-        if (s % 2 != 0).any():
-            raise ContractViolationError("odd S-S slack; dual parity invariant broken")
-        value[ss] = s // 2
-        tb = (lab == 2) & (ta >= m)
-        value[tb] = [zdual[b] for b in ta[tb].tolist()]
-        i = int(value.argmin())
-        if value[i] == never:
-            raise ContractViolationError("no dual adjustment available")
-        b = int(ta[i])
-        kind = 2 if lab[i] == 0 else 3 if lab[i] == 1 else 4
-        if kind == 4:
-            return zdual[b], 4, b
-        e = divmod(int((free_key if kind == 2 else ss_key)[b]), m)
-        return int(value[i]), kind, e
-
     def update_duals():
         nonlocal shift
         tops = sorted(set(inblossom[:m]))  # every top holds a vertex
-        if batched:
-            apply_quiet()
-        delta, kind, dedge = (least_delta_batched if batched else least_delta)(tops)
+        delta, kind, dedge = least_delta(tops)
         if delta < 0:
             raise ContractViolationError("negative dual adjustment")
         shift += delta
-        if batched:
-            ib, lt = tops_arrays()
-            y2a[lt == 1] += delta
-            y2a[lt == 2] -= delta
-            y2[:] = y2a.tolist()
-        else:
-            for t in range(m):
-                lt = label[inblossom[t]]
-                if lt == 1:
-                    y2[t] += delta
-                elif lt == 2:
-                    y2[t] -= delta
+        for t in range(m):
+            lt = label[inblossom[t]]
+            if lt == 1:
+                y2[t] += delta
+            elif lt == 2:
+                y2[t] -= delta
         for b in tops:
             if b >= m:
                 if label[b] == 1:
@@ -702,14 +539,11 @@ def _blossom_search(w, top=None):
             u, v = dedge
             allowed[u][v] = allowed[v][u] = 1
             queue.append(u)
-            if batched:
-                refresh()
 
-    scan = scan_queue_batched if batched else scan_queue
     for _stage in range(mate.count(-1) // 2):
         restart_stage()
         guard = 0
-        while not scan():
+        while not scan_queue():
             guard += 1
             if guard > 50 * m * m + 100:
                 raise ContractViolationError("matching search stalled")
@@ -734,29 +568,18 @@ def _blossom_search(w, top=None):
     return mate, y2, blossoms
 
 
-def verify_matching_certificate(w, mate, y2, blossoms) -> None:
-    """LP optimality certificate: reduced slacks non-negative everywhere,
-    zero on matched edges; blossom duals non-negative on odd sets; every
-    positive-dual blossom fully matched inside; primal cost equals the dual
-    objective.  Raises ContractViolationError on the first violation."""
-    m = len(w)
-    for mem, z in blossoms:
-        if z < 0:
-            raise ContractViolationError(f"negative blossom dual {z}")
-        if len(mem) < 3 or len(mem) % 2 == 0:
-            raise ContractViolationError(f"blossom over non-odd set {mem}")
-    for u in range(m):
-        if mate[u] == -1 or mate[mate[u]] != u or mate[u] == u:
-            raise ContractViolationError("mate array is not a perfect matching")
-    # A pair's reduced slack counts the duals of the blossoms holding both
-    # ends.  That sum depends only on the set of blossoms holding each end
-    # (`held`, a bit mask; in a laminar family, one set per innermost
-    # blossom), so it is tabled, doubled, once per pair of distinct sets
-    # (z2), and each distinct intersection (in a laminar family, a chain of
-    # nested blossoms) is summed once.
+def _pair_blossom_duals(m, blossoms):
+    """(held, z2): held[u] is the bit mask of the blossoms holding u, and
+    z2[held[u]][held[v]] is twice the dual sum of the blossoms holding both
+    u and v, the part of the pair's reduced slack that blossoms add.
+
+    That sum depends only on the set of blossoms holding each end (in a
+    laminar family, one set per innermost blossom), so it is tabled once
+    per pair of distinct sets, and each distinct intersection (in a laminar
+    family, a chain of nested blossoms) is summed once."""
     held = [0] * m
     for i, (mem, _) in enumerate(blossoms):
-        for u in set(mem):
+        for u in mem:
             held[u] |= 1 << i
     kinds = dict.fromkeys(held)
     sums = {0: 0}
@@ -768,6 +591,28 @@ def verify_matching_certificate(w, mate, y2, blossoms) -> None:
             if x not in sums:
                 sums[x] = 2 * sum(z for i, (_, z) in enumerate(blossoms) if x >> i & 1)
             row[b] = sums[x]
+    return held, z2
+
+
+def verify_matching_certificate(w, mate, y2, blossoms) -> None:
+    """LP optimality certificate: reduced slacks non-negative everywhere,
+    zero on matched edges; blossom duals non-negative on odd sets; every
+    positive-dual blossom fully matched inside; primal cost equals the dual
+    objective.  Raises ContractViolationError on the first violation."""
+    m = len(w)
+    for mem, z in blossoms:
+        if z < 0:
+            raise ContractViolationError(f"negative blossom dual {z}")
+        if not all(0 <= x < m for x in mem):
+            raise ContractViolationError(f"blossom {mem} has a member outside 0..{m - 1}")
+        if len(set(mem)) != len(mem):
+            raise ContractViolationError(f"blossom {mem} repeats a member")
+        if len(mem) < 3 or len(mem) % 2 == 0:
+            raise ContractViolationError(f"blossom over non-odd set {mem}")
+    for u in range(m):
+        if mate[u] == -1 or mate[mate[u]] != u or mate[u] == u:
+            raise ContractViolationError("mate array is not a perfect matching")
+    held, z2 = _pair_blossom_duals(m, blossoms)
     for u in range(m):
         wu, yu, zu, mu = w[u], y2[u], z2[held[u]], mate[u]
         for v in range(u + 1, m):

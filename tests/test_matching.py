@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -73,7 +75,7 @@ class TestBlossom:
             w, mate, y2, blossoms = checked[-1]
             assert (mate, y2, blossoms) == search(w)
 
-    @pytest.mark.parametrize("sift_min", [0, 10**9])
+    @pytest.mark.parametrize("candidates", [0, 10**9])
     @pytest.mark.parametrize(
         "w, y2",
         [
@@ -87,11 +89,14 @@ class TestBlossom:
              [6, 2, 2, 4]),
         ],
     )
-    def test_perfect_greedy_start_is_the_result(self, monkeypatch, sift_min, w, y2):
+    def test_perfect_greedy_start_is_the_result(self, monkeypatch, candidates, w, y2):
         # the greedy start matches every vertex, so no stage runs: the
-        # start's duals come back as they are, odd ones unrounded
-        monkeypatch.setattr(tritsp.matching, "SIFT_MIN", sift_min)
-        assert tritsp.matching._blossom_search(w) == ([1, 0, 3, 2], y2, [])
+        # start's duals come back as they are, odd ones unrounded.  The
+        # start reads whole rows, so lists of the pairs (2i, 2i + 1) alone
+        # give the same start as lists of every partner.
+        monkeypatch.setattr(tritsp.matching, "CANDIDATES", candidates)
+        cand = tritsp.matching._candidate_lists(w)
+        assert tritsp.matching._blossom_search(w, cand) == ([1, 0, 3, 2], y2, [])
 
     @given(st.integers(0, 100000))
     @settings(max_examples=150)
@@ -108,14 +113,7 @@ class TestBlossom:
             for j in range(i + 1, n):
                 rows[i][j] = rows[j][i] = int(rng.random() >= zeros)
         inst = Instance.from_rows(f"zo{seed}", rows)
-        expect = brute_matching(inst, odd).cost
-        saved = tritsp.matching.SIFT_MIN
-        try:
-            for sift_min in (0, 10**9):
-                tritsp.matching.SIFT_MIN = sift_min
-                assert min_cost_perfect_matching(inst, odd).cost == expect
-        finally:
-            tritsp.matching.SIFT_MIN = saved
+        assert min_cost_perfect_matching(inst, odd).cost == brute_matching(inst, odd).cost
 
     def test_forces_blossom(self):
         # triangle of cheap edges plus three satellites: any perfect
@@ -222,6 +220,20 @@ def _open_blossom(w, mate, y2, blossoms):
     blossoms.append((tuple(inside), 1))
 
 
+def _member_beyond_m(w, mate, y2, blossoms):
+    blossoms.append(((0, 1, 8), 0))
+
+
+def _negative_member(w, mate, y2, blossoms):
+    # -1 indexes vertex 7 from the end of a list
+    blossoms.append(((-1, 0, 1), 0))
+
+
+def _repeated_member(w, mate, y2, blossoms):
+    # three entries, two vertices: odd in length only
+    blossoms.append(((0, 0, 1), 0))
+
+
 def _asymmetric_cost(w, mate, y2, blossoms):
     # given the other clauses, primal = dual follows for a symmetric w; the
     # slack scan reads w[u][v] for u < v only, the primal both entries
@@ -242,6 +254,9 @@ class TestCertificateChecks:
             (_negative_dual, "negative blossom dual -1"),
             (_even_blossom, r"blossom over non-odd set \(0, 1, 2, 3\)"),
             (_self_mate, "mate array is not a perfect matching"),
+            (_member_beyond_m, r"blossom \(0, 1, 8\) has a member outside 0..7"),
+            (_negative_member, r"blossom \(-1, 0, 1\) has a member outside 0..7"),
+            (_repeated_member, r"blossom \(0, 0, 1\) repeats a member"),
             (_negative_slack, r"negative reduced slack -\d+ on \(0,"),
             (_matched_slack, r"matched edge \(0,\d\) has slack 2"),
             (_open_blossom, "positive-dual blossom is not fully matched inside"),
@@ -269,59 +284,99 @@ def ceil2d_instance(n, seed):
     return Instance.from_rows(f"ceil2d-n{n}-s{seed}", rows)
 
 
-class TestSiftedScan:
-    """Large searches scan their queued rows in numpy batches between
-    events; the results must equal those of the full per-edge scan."""
+def _symmetric(m, draw):
+    w = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            w[i][j] = w[j][i] = draw()
+    return w
 
-    def test_fingerprint_at_scale(self, monkeypatch):
+
+def tie_heavy_matrices():
+    """Small cost ranges make many equal slacks, where the order of the
+    per-edge updates decides which least-slack edge is kept; large scales
+    take exact ints past int64."""
+    out = []
+    rng = random.Random(5)
+    for _ in range(300):
+        m = 2 * rng.randint(2, 20)
+        hi = rng.choice([1, 2, 3, 5, 20])
+        out.append(_symmetric(m, lambda: rng.randint(0, hi)))
+    for scale in (2**22, 2**24, 2**28, 2**62):
+        rng = random.Random(scale.bit_length())
+        for _ in range(10):
+            m = 2 * rng.randint(2, 14)
+            out.append(_symmetric(m, lambda: rng.randint(1, 40) * scale + rng.randrange(scale)))
+    rng = random.Random(6)
+    for _ in range(60):
+        m = 2 * rng.randint(2, 16)
+        hi = rng.choice([1, 2, 5, 20])
+        out.append(_symmetric(m, lambda: rng.randint(0, hi)))
+    return out
+
+
+def two_clusters():
+    """Two clusters of 17 vertices, 1 apart inside and 100 across, except
+    one pair 50 apart: every vertex's 15 cheapest partners lie in its own
+    cluster, so the candidate lists cross only at the pair (16, 17), while
+    the minimum matching crosses at the cheap pair (0, 33)."""
+    m = 34
+    rows = [[0 if i == j else 1 if (i < 17) == (j < 17) else 100 for j in range(m)]
+            for i in range(m)]
+    rows[0][33] = rows[33][0] = 50
+    return Instance.from_rows("two-clusters", rows)
+
+
+class TestSiftedScan:
+    """Odd sets of more than CANDIDATES + 1 vertices are searched on sifted
+    candidate lists, then every pair is priced against the duals and the
+    negative ones join the lists for another search; smaller ones scan
+    every edge."""
+
+    def test_fingerprint_at_scale(self):
         # the odd-degree vertices of a spanning tree of n = 400, as christofides
-        # matches them; the fingerprint is that of the full per-edge scan
+        # matches them; the fingerprint was recorded from the full per-edge
+        # scan, and the candidate lists need one round to reproduce it
         inst = ceil2d_instance(400, 7)
         deg = Counter(v for e in rooted_msf(inst, range(inst.n), {0}).edges for v in e)
         odd = [v for v in range(inst.n) if deg[v] % 2]
-        assert len(odd) == 180 >= tritsp.matching.SIFT_MIN
-        for sift_min in (tritsp.matching.SIFT_MIN, len(odd) + 1):
-            monkeypatch.setattr(tritsp.matching, "SIFT_MIN", sift_min)
-            m = min_cost_perfect_matching(inst, odd)
-            digest = hashlib.sha256(repr(m.pairs).encode()).hexdigest()[:16]
-            assert (len(m.pairs), m.cost, digest) == (90, 474287, "468eb9182607ce16")
+        assert len(odd) == 180 > tritsp.matching.CANDIDATES + 1
+        m = min_cost_perfect_matching(inst, odd)
+        digest = hashlib.sha256(repr(m.pairs).encode()).hexdigest()[:16]
+        assert (len(m.pairs), m.cost, digest) == (90, 474287, "468eb9182607ce16")
 
     @given(st.integers(0, 100000))
     @settings(max_examples=150)
     def test_sifted_matches_brute_force(self, seed):
+        # lists of 1, 2 or 4 partners leave out most pairs, so pricing
+        # rounds repair what the first search missed
         rng = random.Random(seed)
-        n = rng.randint(4, 12)
+        n = rng.randint(4, 14)
         odd = rng.sample(range(n), 2 * rng.randint(1, n // 2))
         inst = random_instance(rng, n, rng.choice([1, 3, 10, 100]))
-        saved = tritsp.matching.SIFT_MIN
-        tritsp.matching.SIFT_MIN = 0
+        expect = brute_matching(inst, odd).cost
+        saved = tritsp.matching.CANDIDATES
         try:
-            m = min_cost_perfect_matching(inst, odd)
+            for candidates in (1, 2, 4):
+                tritsp.matching.CANDIDATES = candidates
+                assert min_cost_perfect_matching(inst, odd).cost == expect
         finally:
-            tritsp.matching.SIFT_MIN = saved
-        assert m.cost == brute_matching(inst, odd).cost
+            tritsp.matching.CANDIDATES = saved
 
-    def test_sifted_equals_full_scan_with_ties(self, monkeypatch):
-        # small cost ranges make many equal slacks, where the order of the
-        # per-edge updates decides which least-slack edge is kept
-        rng = random.Random(5)
-        for trial in range(300):
-            m = 2 * rng.randint(2, 20)
-            w = [[0] * m for _ in range(m)]
-            hi = rng.choice([1, 2, 3, 5, 20])
-            for i in range(m):
-                for j in range(i + 1, m):
-                    w[i][j] = w[j][i] = rng.randint(0, hi)
-            runs = []
-            for sift_min in (0, 10**9):
-                monkeypatch.setattr(tritsp.matching, "SIFT_MIN", sift_min)
-                runs.append(tritsp.matching._blossom_search(w))
-            assert runs[0] == runs[1], trial
+    def test_full_lists_keep_the_per_edge_results(self):
+        # every vertex scanning every partner is the per-edge search before
+        # candidate lists, trajectory for trajectory: the digest of its
+        # (mate, y2, blossoms) on these inputs was recorded from that search
+        # (and from the numpy batched scan, which gave the same results)
+        results = [tritsp.matching._blossom_search(w) for w in tie_heavy_matrices()]
+        digest = hashlib.sha256(repr(results).encode()).hexdigest()[:16]
+        assert (len(results), digest) == (400, "04d8e48cac286cdc")
 
-    @pytest.mark.parametrize("sift_min", [0, 10**9])
-    def test_costs_beyond_int64(self, monkeypatch, sift_min):
-        # costs of 2**62 and more overflow int64 sums: the exact-int path
-        monkeypatch.setattr(tritsp.matching, "SIFT_MIN", sift_min)
+    @pytest.mark.parametrize("candidates", [0, 10**9])
+    def test_costs_beyond_int64(self, monkeypatch, candidates):
+        # costs of 2**62 and more are exact ints, on lists of the pairs
+        # (2i, 2i + 1) alone, repaired by pricing, and on full lists
+        monkeypatch.setattr(tritsp.matching, "CANDIDATES", candidates)
         rng = random.Random(11)
         for _ in range(30):
             n = rng.randint(4, 12)
@@ -336,47 +391,65 @@ class TestSiftedScan:
             assert m.cost == brute_matching(inst, odd).cost
             assert all(type(x) is int for pair in m.pairs for x in pair)
 
-    @pytest.mark.parametrize("scale", [2**22, 2**24, 2**28, 2**62])
-    def test_batched_matches_full_scan_at_each_dtype(self, monkeypatch, scale):
-        # never = 8 * top + 1 below 2**31, below 2**63 and past it: int32,
-        # int64, object; at 2**24 every doubled cost fits int32 but never
-        # does not, and a start dual can reach 2 * top
-        rng = random.Random(scale.bit_length())
-        for trial in range(10):
-            m = 2 * rng.randint(2, 14)
-            w = [[0] * m for _ in range(m)]
-            for i in range(m):
-                for j in range(i + 1, m):
-                    w[i][j] = w[j][i] = rng.randint(1, 40) * scale + rng.randrange(scale)
-            runs = []
-            for sift_min in (0, 10**9):
-                monkeypatch.setattr(tritsp.matching, "SIFT_MIN", sift_min)
-                runs.append(tritsp.matching._blossom_search(w))
-            assert runs[0] == runs[1], trial
+    def test_second_pricing_round(self, monkeypatch):
+        # the first search's duals price the pair (0, 33) negative; the
+        # second search, with it on the lists, finds the minimum
+        search = tritsp.matching._blossom_search
+        lists = []
 
-    def test_batched_any_batch_size(self, monkeypatch):
-        # one row per batch, and batches an event interrupts early or late
-        rng = random.Random(6)
-        for trial in range(60):
-            m = 2 * rng.randint(2, 16)
-            w = [[0] * m for _ in range(m)]
-            hi = rng.choice([1, 2, 5, 20])
-            for i in range(m):
-                for j in range(i + 1, m):
-                    w[i][j] = w[j][i] = rng.randint(0, hi)
-            monkeypatch.setattr(tritsp.matching, "SIFT_MIN", 10**9)
-            full = tritsp.matching._blossom_search(w)
-            monkeypatch.setattr(tritsp.matching, "SIFT_MIN", 0)
-            for rows in (1, 2, 5, 64):
-                monkeypatch.setattr(tritsp.matching, "BATCH_ROWS", rows)
-                assert tritsp.matching._blossom_search(w) == full, (trial, rows)
+        def spy(w, cand=None):
+            lists.append([list(vs) for vs in cand])
+            return search(w, cand)
+
+        monkeypatch.setattr(tritsp.matching, "_blossom_search", spy)
+        inst = two_clusters()
+        m = min_cost_perfect_matching(inst, range(inst.n))
+        assert m.cost == 16 * 1 + 50 and (0, 33) in m.pairs
+        assert len(lists) == 2
+        assert 33 not in lists[0][0] and 33 in lists[1][0]
+
+    def test_negative_candidate_pair_raises(self, monkeypatch):
+        # a search whose duals leave a pair it scanned negative broke its
+        # own invariant: pricing raises before adding it to the lists
+        search = tritsp.matching._blossom_search
+
+        def raised(w, cand=None):
+            mate, y2, blossoms = search(w, cand)
+            y2[0] += 10**6
+            return mate, y2, blossoms
+
+        monkeypatch.setattr(tritsp.matching, "_blossom_search", raised)
+        inst = ceil2d_instance(40, 3)
+        with pytest.raises(ContractViolationError, match=r"candidate pair \(0,\d+\) prices negative"):
+            min_cost_perfect_matching(inst, range(40))
 
     @pytest.mark.parametrize(
         "seed, cost, digest",
         [(1, 1654143, "703cdec68e7d59d0"), (2, 1665574, "5aa23b9d13893caa")],
     )
     def test_christofides_fingerprint(self, seed, cost, digest):
-        # the whole metric regime at n = 400: forest, batched matching, tour
+        # the whole metric regime at n = 400: forest, priced matching, tour
         tour = christofides(ceil2d_instance(400, seed))
         got = hashlib.sha256(repr(tour.order).encode()).hexdigest()[:16]
         assert (tour.cost, got) == (cost, digest)
+
+
+def test_numpy_stays_unloaded():
+    # a candidate-list matching and a small planted solve run in pure Python
+    code = """
+import random, sys
+from tritsp.instance import Instance, gen_planted
+from tritsp.matching import CANDIDATES, min_cost_perfect_matching
+from tritsp.solver import solve
+rng = random.Random(2)
+rows = [[0] * 40 for _ in range(40)]
+for i in range(40):
+    for j in range(i + 1, 40):
+        rows[i][j] = rows[j][i] = rng.randint(1, 1000)
+assert 40 - 1 > CANDIDATES
+min_cost_perfect_matching(Instance.from_rows("r40", rows), range(40))
+solve(gen_planted(12, 5, 1))
+print("numpy" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -471,6 +471,15 @@ class TestCertifiedMatchings:
             solve(gen_metric(12, seed=4))
         assert searched and searched[0] >= 4
 
+    def test_candidate_path_solve_raises(self, monkeypatch):
+        # 24 odd vertices: the search runs on candidate lists and the
+        # lowered dual prices no pair negative, so only the certificate
+        # stands between the search and the tour
+        searched = self._perturbed_search(monkeypatch)
+        with pytest.raises(ContractViolationError, match="matched edge"):
+            solve(gen_metric(50, seed=2))
+        assert searched and searched[0] >= 20 > tritsp.matching.CANDIDATES + 1
+
     def test_planted_solve_raises(self, monkeypatch):
         searched = self._perturbed_search(monkeypatch)
         inst = gen_planted(12, 4, seed=5)
