@@ -292,27 +292,48 @@ def _symmetric(m, draw):
     return w
 
 
-def tie_heavy_matrices():
+def tie_matrices(seed, trials, half_max, his):
     """Small cost ranges make many equal slacks, where the order of the
-    per-edge updates decides which least-slack edge is kept; large scales
-    take exact ints past int64."""
+    per-edge updates decides which least-slack edge is kept."""
+    rng = random.Random(seed)
     out = []
-    rng = random.Random(5)
-    for _ in range(300):
-        m = 2 * rng.randint(2, 20)
-        hi = rng.choice([1, 2, 3, 5, 20])
-        out.append(_symmetric(m, lambda: rng.randint(0, hi)))
-    for scale in (2**22, 2**24, 2**28, 2**62):
-        rng = random.Random(scale.bit_length())
-        for _ in range(10):
-            m = 2 * rng.randint(2, 14)
-            out.append(_symmetric(m, lambda: rng.randint(1, 40) * scale + rng.randrange(scale)))
-    rng = random.Random(6)
-    for _ in range(60):
-        m = 2 * rng.randint(2, 16)
-        hi = rng.choice([1, 2, 5, 20])
+    for _ in range(trials):
+        m = 2 * rng.randint(2, half_max)
+        hi = rng.choice(his)
         out.append(_symmetric(m, lambda: rng.randint(0, hi)))
     return out
+
+
+def scaled_matrices(scale):
+    """Costs of 40 magnitudes of `scale`; at 2**62 they are exact ints
+    past int64."""
+    rng = random.Random(scale.bit_length())
+    out = []
+    for _ in range(10):
+        m = 2 * rng.randint(2, 14)
+        out.append(_symmetric(m, lambda: rng.randint(1, 40) * scale + rng.randrange(scale)))
+    return out
+
+
+def full_and_sifted(monkeypatch, ws, candidates):
+    """Each matrix's full-list search and the certified cost of its search
+    on candidate lists of `candidates` partners, checked equal to the full
+    search's cost; the full results are returned."""
+    full = [tritsp.matching._blossom_search(w) for w in ws]
+    monkeypatch.setattr(tritsp.matching, "CANDIDATES", candidates)
+    for trial, (w, (mate, _, _)) in enumerate(zip(ws, full)):
+        sifted = tritsp.matching._priced_search(w)
+        verify_matching_certificate(w, *sifted)
+        cost = sum(w[i][mate[i]] for i in range(len(w)))
+        assert sum(w[i][sifted[0][i]] for i in range(len(w))) == cost, (trial, candidates)
+        if len(w) - 1 <= candidates:
+            # every pair is a candidate: the full search itself
+            assert sifted == full[trial], (trial, candidates)
+    return full
+
+
+def results_digest(results):
+    return hashlib.sha256(repr(results).encode()).hexdigest()[:16]
 
 
 def two_clusters():
@@ -363,14 +384,39 @@ class TestSiftedScan:
         finally:
             tritsp.matching.CANDIDATES = saved
 
-    def test_full_lists_keep_the_per_edge_results(self):
-        # every vertex scanning every partner is the per-edge search before
-        # candidate lists, trajectory for trajectory: the digest of its
-        # (mate, y2, blossoms) on these inputs was recorded from that search
-        # (and from the numpy batched scan, which gave the same results)
-        results = [tritsp.matching._blossom_search(w) for w in tie_heavy_matrices()]
-        digest = hashlib.sha256(repr(results).encode()).hexdigest()[:16]
-        assert (len(results), digest) == (400, "04d8e48cac286cdc")
+    # Full lists, where every vertex scans every partner, are the per-edge
+    # search trajectory for trajectory: each digest of (mate, y2, blossoms)
+    # below was recorded from the per-edge search (and equals that of the
+    # numpy batched scan it once shared the work with).
+
+    def test_sifted_equals_full_scan_with_ties(self, monkeypatch):
+        ws = tie_matrices(5, 300, 20, [1, 2, 3, 5, 20])
+        for candidates in (2, tritsp.matching.CANDIDATES):
+            full = full_and_sifted(monkeypatch, ws, candidates)
+        assert results_digest(full) == "0e6b10a39afa8f39"
+
+    @pytest.mark.parametrize("scale", [2**22, 2**24, 2**28, 2**62])
+    def test_batched_matches_full_scan_at_each_dtype(self, monkeypatch, scale):
+        # scales whose doubled costs, sums and duals fit int32, fit int64
+        # and pass it: every search stays in exact ints
+        ws = scaled_matrices(scale)
+        for candidates in (0, 4):
+            full = full_and_sifted(monkeypatch, ws, candidates)
+        assert all(type(y) is int for _, y2, _ in full for y in y2)
+        digest = {
+            2**22: "84fcb535044d45fa",
+            2**24: "cddfff3de3e1eb5d",
+            2**28: "d22bc6e01c3a8e6e",
+            2**62: "1338a1583ddd3eb2",
+        }[scale]
+        assert results_digest(full) == digest
+
+    def test_batched_any_batch_size(self, monkeypatch):
+        # lists of one partner, of a few, and of every partner
+        ws = tie_matrices(6, 60, 16, [1, 2, 5, 20])
+        for candidates in (1, 2, 5, 64):
+            full = full_and_sifted(monkeypatch, ws, candidates)
+        assert results_digest(full) == "9ea57f287b866b6e"
 
     @pytest.mark.parametrize("candidates", [0, 10**9])
     def test_costs_beyond_int64(self, monkeypatch, candidates):
