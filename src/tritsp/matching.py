@@ -25,20 +25,21 @@ vertices.  Production codes do not search the complete graph (Cook and
 Rohe; Blossom V), and neither does this one: each vertex scans a candidate
 list, its CANDIDATES cheapest partners, made symmetric, plus the pairs
 (2i, 2i + 1), so that the candidate graph has a perfect matching.  The
-search's duals are then feasible on candidate pairs only, so every pair is
-priced against them, blossom duals included; the pairs that price negative
-join the lists and the search runs again from the jump start, until no
-pair prices negative.  An odd set of at most CANDIDATES + 1 vertices scans
-every edge and needs no pricing.  The scan of a new S-vertex, the search's
-inner loop, compares each edge's slack with stored numbers only:
-least-slack edges keep their slacks in a frame that dual updates leave
-unchanged.
+search's duals are then feasible on candidate pairs only.  Pricing is the
+LP certificate's scan (verify_matching_certificate), which computes every
+pair's reduced slack, blossom duals included: the pairs that price
+negative join the lists and the search runs again from the jump start,
+and a scan that finds none has certified the result.  An odd set of at
+most CANDIDATES + 1 vertices lists every partner, so its first scan
+certifies it.  The scan of a new S-vertex, the search's inner loop,
+compares each edge's slack with stored numbers only: tight edges are
+those of slack 0, and least-slack edges keep their slacks in a frame that
+dual updates leave unchanged.
 
-Every search result is checked against its LP certificate
-(verify_matching_certificate) before it is returned, so a matching that
-is not minimum raises instead of silently weakening the 2·M <= OPT bound
-behind the 2.5 guarantee.  A bitmask-DP oracle (brute_matching) checks
-the search in tests.
+Every matching is thus checked against its LP certificate before it is
+returned, so a matching that is not minimum raises instead of silently
+weakening the 2·M <= OPT bound behind the 2.5 guarantee.  A bitmask-DP
+oracle (brute_matching) checks the search in tests.
 """
 
 from __future__ import annotations
@@ -89,10 +90,10 @@ def min_cost_perfect_matching(inst: Instance, odd) -> Matching:
     w = [[inst.cost[a][b] for b in verts] for a in verts]
     if m == 2:
         # one possible matching; both duals at the edge's cost certify it
-        mate, y2, blossoms = [1, 0], [w[0][1]] * 2, []
+        mate = [1, 0]
+        verify_matching_certificate(w, mate, [w[0][1]] * 2, [])
     else:
-        mate, y2, blossoms = _priced_search(w)
-    verify_matching_certificate(w, mate, y2, blossoms)
+        mate = _priced_search(w)[0]  # its last certificate scan passed
     pairs = tuple(
         (verts[i], verts[mate[i]]) for i in range(m) if i < mate[i]
     )
@@ -106,18 +107,15 @@ CANDIDATES = 15
 
 
 def _priced_search(w):
-    """_blossom_search on candidate lists, run again from the jump start
-    with every pair that prices negative against its duals added to the
-    lists, until no pair does.  A negative pair that is a candidate already
-    breaks the search's invariant and raises."""
-    m = len(w)
-    if m - 1 <= CANDIDATES:
-        # every pair is a candidate; the certificate prices them all
-        return _blossom_search(w)
+    """_blossom_search on candidate lists, then the certificate scan, which
+    prices every pair against the search's duals; the pairs that price
+    negative join the lists and the search runs again from the jump start,
+    until none does.  A negative pair that is a candidate already breaks
+    the search's invariant and raises."""
     cand = _candidate_lists(w)
     while True:
         mate, y2, blossoms = _blossom_search(w, cand)
-        negative = _negative_pairs(w, y2, blossoms)
+        negative = _certificate_scan(w, mate, y2, blossoms, [])
         if not negative:
             return mate, y2, blossoms
         for u, v in negative:
@@ -143,20 +141,6 @@ def _candidate_lists(w):
             near[u].add(v)
             near[v].add(u)
     return [sorted(vs) for vs in near]
-
-
-def _negative_pairs(w, y2, blossoms):
-    """Every pair (u, v), u < v, whose reduced slack, blossom duals
-    included, is negative: priced as verify_matching_certificate does."""
-    m = len(w)
-    held, z2 = _pair_blossom_duals(m, blossoms)
-    out = []
-    for u in range(m):
-        wu, yu, zu = w[u], y2[u], z2[held[u]]
-        out.extend(
-            (u, v) for v in range(u + 1, m) if 2 * wu[v] - yu - y2[v] + zu[held[v]] < 0
-        )
-    return out
 
 
 def _blossom_search(w, cand=None):
@@ -205,7 +189,6 @@ def _blossom_search(w, cand=None):
     label = [0] * (2 * m)  # 0 free, 1 S, 2 T (top-level ids only)
     tree_edge: list = [None] * (2 * m)  # (vertex on parent side, vertex inside)
     queue: list[int] = []
-    allowed: list = []  # symmetric 0/1 rows, one per vertex
     # Least-slack edges per top: free edge of b from an S-vertex into free
     # top b, ss edge of b from S top b to another S top.  Their slacks are
     # kept in a frame that dual updates leave alone: a delta lowers every
@@ -258,12 +241,10 @@ def _blossom_search(w, cand=None):
         assign_s(inblossom[partner], (bb, partner))
 
     def restart_stage():
-        nonlocal allowed
         for i in range(2 * m):
             label[i] = 0
             tree_edge[i] = None
         queue.clear()
-        allowed = [bytearray(m) for _ in range(m)]
         free_frame[:] = [never] * (2 * m)
         ss_frame[:] = [never] * (2 * m)
         for v in range(m):
@@ -403,7 +384,7 @@ def _blossom_search(w, cand=None):
                 cur, partner = x, yv
 
     def grow(u, v, lv):
-        """Act on the allowed edge from S-vertex u to v, whose top has label
+        """Act on the tight edge from S-vertex u to v, whose top has label
         lv (free or S): label it T, or merge or augment.  True when the
         matching grew."""
         if lv == 0:
@@ -426,16 +407,13 @@ def _blossom_search(w, cand=None):
                 continue
             w2u = w2[u]
             yu = y2[u]
-            al = allowed[u]
             for v in cand[u]:
                 bv = inblossom[v]
                 if bv == bu:
                     continue
                 s = w2u[v] - yu - y2[v]
-                if s == 0 and not al[v]:
-                    al[v] = allowed[v][u] = 1
                 lv = label[bv]
-                if al[v]:
+                if s == 0:
                     if lv != 2:
                         if grow(u, v, lv):
                             return True
@@ -536,9 +514,7 @@ def _blossom_search(w, cand=None):
             expand_blossom(dedge, False)
             restart_stage()
         else:
-            u, v = dedge
-            allowed[u][v] = allowed[v][u] = 1
-            queue.append(u)
+            queue.append(dedge[0])  # rescanned at once: the edge is tight
 
     for _stage in range(mate.count(-1) // 2):
         restart_stage()
@@ -565,6 +541,9 @@ def _blossom_search(w, cand=None):
         for b in range(m, 2 * m)
         if childs[b] is not None
     ]
+    # the recursive helpers hold the search's state in reference cycles:
+    # unlinked, it is freed now, not at the next cyclic garbage collection
+    del expand_blossom, augment_blossom, best_ss_edge
     return mate, y2, blossoms
 
 
@@ -599,7 +578,19 @@ def verify_matching_certificate(w, mate, y2, blossoms) -> None:
     zero on matched edges; blossom duals non-negative on odd sets; every
     positive-dual blossom fully matched inside; primal cost equals the dual
     objective.  Raises ContractViolationError on the first violation."""
+    _certificate_scan(w, mate, y2, blossoms, None)
+
+
+def _certificate_scan(w, mate, y2, blossoms, negative):
+    """verify_matching_certificate's checks, except when `negative` is a
+    list: then each pair (u, v), u < v, of negative reduced slack is
+    appended to it in scan order instead of raising, and the list is
+    returned, after the pair scan if it is not empty (the search runs
+    again, and its next scan checks the rest).  The search prices its
+    candidate lists this way."""
     m = len(w)
+    if len(mate) != m or len(y2) != m:
+        raise ContractViolationError(f"mate and y2 need {m} entries, one per vertex")
     for mem, z in blossoms:
         if z < 0:
             raise ContractViolationError(f"negative blossom dual {z}")
@@ -610,7 +601,7 @@ def verify_matching_certificate(w, mate, y2, blossoms) -> None:
         if len(mem) < 3 or len(mem) % 2 == 0:
             raise ContractViolationError(f"blossom over non-odd set {mem}")
     for u in range(m):
-        if mate[u] == -1 or mate[mate[u]] != u or mate[u] == u:
+        if not 0 <= mate[u] < m or mate[mate[u]] != u or mate[u] == u:
             raise ContractViolationError("mate array is not a perfect matching")
     held, z2 = _pair_blossom_duals(m, blossoms)
     for u in range(m):
@@ -618,13 +609,17 @@ def verify_matching_certificate(w, mate, y2, blossoms) -> None:
         for v in range(u + 1, m):
             s = 2 * wu[v] - yu - y2[v] + zu[held[v]]
             if s < 0:
-                raise ContractViolationError(
-                    f"negative reduced slack {s} on ({u},{v})"
-                )
-            if mu == v and s != 0:
+                if negative is None:
+                    raise ContractViolationError(
+                        f"negative reduced slack {s} on ({u},{v})"
+                    )
+                negative.append((u, v))
+            elif mu == v and s != 0:
                 raise ContractViolationError(
                     f"matched edge ({u},{v}) has slack {s}"
                 )
+    if negative:
+        return negative
     for mem, z in blossoms:
         if z > 0:
             mem_set = set(mem)
@@ -639,6 +634,7 @@ def verify_matching_certificate(w, mate, y2, blossoms) -> None:
         raise ContractViolationError(
             f"primal 2*cost {cost} != dual objective {dual}"
         )
+    return negative
 
 
 def brute_matching(inst: Instance, odd) -> Matching:

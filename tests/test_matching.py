@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -198,6 +199,19 @@ def _self_mate(w, mate, y2, blossoms):
     mate[0] = 0
 
 
+def _mate_beyond_m(w, mate, y2, blossoms):
+    # vertex 0 is checked before its partner, so its own entry is read first
+    mate[0] = 8
+
+
+def _short_mate(w, mate, y2, blossoms):
+    mate.pop()
+
+
+def _short_duals(w, mate, y2, blossoms):
+    y2.pop()
+
+
 def _negative_slack(w, mate, y2, blossoms):
     v = next(v for v in range(1, 8) if v != mate[0])
     w[0][v] = w[v][0] = -(10**6)
@@ -254,6 +268,9 @@ class TestCertificateChecks:
             (_negative_dual, "negative blossom dual -1"),
             (_even_blossom, r"blossom over non-odd set \(0, 1, 2, 3\)"),
             (_self_mate, "mate array is not a perfect matching"),
+            (_mate_beyond_m, "mate array is not a perfect matching"),
+            (_short_mate, "mate and y2 need 8 entries, one per vertex"),
+            (_short_duals, "mate and y2 need 8 entries, one per vertex"),
             (_member_beyond_m, r"blossom \(0, 1, 8\) has a member outside 0..7"),
             (_negative_member, r"blossom \(-1, 0, 1\) has a member outside 0..7"),
             (_repeated_member, r"blossom \(0, 0, 1\) repeats a member"),
@@ -454,6 +471,30 @@ class TestSiftedScan:
         assert len(lists) == 2
         assert 33 not in lists[0][0] and 33 in lists[1][0]
 
+    def test_one_certificate_scan_per_round(self, monkeypatch):
+        # pricing is the certificate's scan: two rounds, two scans, the
+        # first returning (0, 33) and the last none
+        search = tritsp.matching._blossom_search
+        scan = tritsp.matching._certificate_scan
+        rounds, found = [], []
+
+        def search_spy(w, cand=None):
+            rounds.append(search(w, cand))
+            return rounds[-1]
+
+        def scan_spy(w, mate, y2, blossoms, negative):
+            found.append(scan(w, mate, y2, blossoms, negative))
+            return found[-1]
+
+        monkeypatch.setattr(tritsp.matching, "_blossom_search", search_spy)
+        monkeypatch.setattr(tritsp.matching, "_certificate_scan", scan_spy)
+        inst = two_clusters()
+        m = min_cost_perfect_matching(inst, range(inst.n))
+        assert len(rounds) == len(found) == 2
+        assert (0, 33) in found[0] and found[1] == []
+        assert m.cost == 16 * 1 + 50
+        verify_matching_certificate([list(row) for row in inst.cost], *rounds[1])
+
     def test_negative_candidate_pair_raises(self, monkeypatch):
         # a search whose duals leave a pair it scanned negative broke its
         # own invariant: pricing raises before adding it to the lists
@@ -478,6 +519,19 @@ class TestSiftedScan:
         tour = christofides(ceil2d_instance(400, seed))
         got = hashlib.sha256(repr(tour.order).encode()).hexdigest()[:16]
         assert (tour.cost, got) == (cost, digest)
+
+
+def test_search_leaves_no_cyclic_garbage():
+    # the search's state is freed when it returns, so a run's peak memory
+    # does not wait on the cyclic garbage collector
+    inst = ceil2d_instance(60, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        min_cost_perfect_matching(inst, range(60))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_numpy_stays_unloaded():

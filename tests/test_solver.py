@@ -9,7 +9,7 @@ from tritsp.errors import ContractViolationError, SizeRefusalError
 from tritsp.forest import RootedForest
 from tritsp.instance import Instance, audit_triangles, gen_metric, gen_planted
 from tritsp.layouts import ChainLayout, count_layouts, end_sets, enumerate_layouts
-from tritsp.matching import Matching
+from tritsp.matching import Matching, verify_matching_certificate
 from tritsp.oracles import held_karp
 from tritsp.shortcut import walk_cost
 import tritsp.matching
@@ -392,6 +392,54 @@ class TestChristofides:
         assert len(checked) == 1 and checked[0] > 0
         assert christofides(inst) == rep.tour
         assert len(checked) == 2
+
+    @staticmethod
+    def _spy_rounds(monkeypatch):
+        """Lists that fill with each search round's result, each certificate
+        scan's (w, (mate, y2, blossoms), returned negative pairs) and each
+        matching christofides gets."""
+        rounds, scans, matchings = [], [], []
+        search = tritsp.matching._blossom_search
+        scan = tritsp.matching._certificate_scan
+        match = tritsp.solver.min_cost_perfect_matching
+
+        def search_spy(w, *rest):
+            rounds.append(search(w, *rest))
+            return rounds[-1]
+
+        def scan_spy(w, mate, y2, blossoms, negative):
+            out = scan(w, mate, y2, blossoms, negative)
+            scans.append((w, (mate, y2, blossoms), out))
+            return out
+
+        def match_spy(inst, odd):
+            matchings.append(match(inst, odd))
+            return matchings[-1]
+
+        monkeypatch.setattr(tritsp.matching, "_blossom_search", search_spy)
+        monkeypatch.setattr(tritsp.matching, "_certificate_scan", scan_spy)
+        monkeypatch.setattr(tritsp.solver, "min_cost_perfect_matching", match_spy)
+        return rounds, scans, matchings
+
+    def test_one_certificate_scan_per_search_round(self, monkeypatch):
+        # 24 odd vertices, searched on candidate lists: the certificate's
+        # scan of each round's result is the round's only pair scan
+        rounds, scans, _ = self._spy_rounds(monkeypatch)
+        inst = gen_metric(50, seed=2)
+        rep = solve(inst)
+        assert christofides(inst) == rep.tour
+        assert len(rounds) == len(scans) >= 2
+        for result, (w, scanned, _) in zip(rounds, scans):
+            assert len(w) > tritsp.matching.CANDIDATES + 1
+            assert all(a is b for a, b in zip(result, scanned))
+
+    def test_last_scan_passes_on_the_returned_matching(self, monkeypatch):
+        _, scans, matchings = self._spy_rounds(monkeypatch)
+        christofides(gen_metric(50, seed=2))
+        w, (mate, y2, blossoms), negative = scans[-1]
+        assert negative == [] and len(matchings) == 1
+        verify_matching_certificate(w, mate, y2, blossoms)
+        assert 2 * matchings[0].cost == sum(w[u][mate[u]] for u in range(len(w)))
 
     def test_builds_the_skeleton_of_end_zero(self, monkeypatch):
         # the metric regime reuses the chain regime's skeleton builder:
