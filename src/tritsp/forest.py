@@ -5,11 +5,14 @@ dense Prim on the contracted complete graph; the super-edge to a non-root v
 costs min over roots r of c(r, v).  Re-expanding assigns every tree to the
 root its super-edge used, so components never share a root.
 
-Edges compare by the strict key (cost, (min endpoint, max endpoint)), so
-the contracted MSF is unique.  From _FOREST_NUMPY_MIN vertices on, Prim
-scans its rows in numpy on the key encoded as the integer cost * n**2 +
-min * n + max, which orders edges the same way; every step then picks the
-vertex the Python loop picks, and edges, cost and component_of are equal.
+Edges compare by the integer key cost * n**2 + min * n + max (n the
+instance's size, min and max the edge's endpoints), which orders them as
+(cost, (min, max)) tuples do.  Keys are distinct, so the contracted MSF is
+unique.  Prim holds each outside vertex's least key to the tree, moves the
+vertex of least key in and decodes its edge as divmod(key % n**2, n).
+Below _FOREST_NUMPY_MIN vertices the keys sit in a dict; from there on
+Prim scans its rows in numpy.  Both paths pick the same vertex at every
+step, so their edges and cost are equal.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ class RootedForest:
     edges: tuple[tuple[int, int], ...]
     roots: tuple[int, ...]
     cost: int
-    component_of: dict[int, int]
 
 
 def rooted_msf(inst: Instance, vertices, roots) -> RootedForest:
@@ -47,46 +49,38 @@ def rooted_msf(inst: Instance, vertices, roots) -> RootedForest:
 
     c = inst.cost
     if len(verts) >= _FOREST_NUMPY_MIN:
-        edges, comp = _prim_numpy(c, inst.n, verts, rts, inst.max_cost)
+        edges = _prim_numpy(c, inst.n, verts, rts, inst.max_cost)
     else:
-        edges, comp = _prim_python(c, verts, rts)
+        edges = _prim_python(c, inst.n, verts, rts)
     edges.sort()
     total = sum(c[a][b] for a, b in edges)
-    return RootedForest(tuple(edges), tuple(rts), total, comp)
+    return RootedForest(tuple(edges), tuple(rts), total)
 
 
-def _prim_python(c, verts, rts):
-    """(edges in selection order, component_of) of the rooted MSF."""
+def _prim_python(c, n, verts, rts):
+    """Edges of the rooted MSF in selection order."""
+    n2 = n * n
     root_set = set(rts)
-    nonroots = [v for v in verts if v not in root_set]
-    comp = {r: r for r in rts}
+    key = {
+        v: min(c[r][v] * n2 + min(r, v) * n + max(r, v) for r in rts)
+        for v in verts
+        if v not in root_set
+    }
     edges: list[tuple[int, int]] = []
-    if nonroots:
-        # Prim from the contracted super-vertex; ties resolved by the
-        # lexicographically smallest (min endpoint, max endpoint) pair
-        best: dict[int, tuple[int, tuple[int, int], int]] = {}
-        for v in nonroots:
-            key = min((c[r][v], (min(r, v), max(r, v)), r) for r in rts)
-            best[v] = key
-        out = set(nonroots)
-        while out:
-            v = min(out, key=lambda x: (best[x][0], best[x][1]))
-            out.remove(v)
-            cost_v, pair, attach = best[v]
-            edges.append(pair)
-            comp[v] = comp[attach]
-            for u in out:
-                cand = (c[v][u], (min(v, u), max(v, u)), v)
-                if (cand[0], cand[1]) < (best[u][0], best[u][1]):
-                    best[u] = cand
-    return edges, comp
+    while key:
+        v = min(key, key=key.__getitem__)
+        edges.append(divmod(key.pop(v) % n2, n))
+        cv = c[v]
+        for u, k in key.items():
+            cand = cv[u] * n2 + (v * n + u if v < u else u * n + v)
+            if cand < k:
+                key[u] = cand
+    return edges
 
 
 def _prim_numpy(c, n, verts, rts, top):
-    """_prim_python with each (cost, (min, max)) key encoded as cost * n**2
-    + min * n + max, which orders edges the same way.  Keys are distinct,
-    so every step picks the vertex the Python loop picks.  `top` is the
-    largest cost of `c`."""
+    """_prim_python with its keys in a numpy array, relaxed a cost row at a
+    time.  `top` is the largest cost of `c`."""
     import numpy as np  # loaded on first use: small forests never load it
 
     rows = [c[v] for v in verts]
@@ -99,18 +93,14 @@ def _prim_numpy(c, n, verts, rts, top):
     vs = int_array(verts, never)
     vn = vs * n
     key = np.full(len(verts), never, dtype=cost.dtype)
-    attach = np.zeros(len(verts), dtype=np.int64)
     out = np.ones(len(verts), dtype=bool)
-    comp = {r: r for r in rts}
     edges: list[tuple[int, int]] = []
 
     def relax(i):
         x = verts[i]
         # min * n + max is the smaller of v * n + x and x * n + v
         row = cost[i] + np.minimum(vn + x, vs + x * n)
-        better = (row < key) & out
-        np.putmask(key, better, row)
-        np.putmask(attach, better, i)
+        np.putmask(key, (row < key) & out, row)
 
     root_set = set(rts)
     root_at = [i for i, v in enumerate(verts) if v in root_set]
@@ -119,10 +109,8 @@ def _prim_numpy(c, n, verts, rts, top):
         relax(i)
     for _ in range(len(verts) - len(rts)):
         i = int(key.argmin())
-        lo, hi = divmod(int(key[i]) % n2, n)
-        edges.append((lo, hi))
-        comp[verts[i]] = comp[verts[attach[i]]]
+        edges.append(divmod(int(key[i]) % n2, n))
         out[i] = False
         key[i] = never
         relax(i)
-    return edges, comp
+    return edges

@@ -132,8 +132,12 @@ def _priced_search(w):
 def _candidate_lists(w):
     """Each vertex's CANDIDATES cheapest partners by (cost, index), made
     symmetric, plus the pairs (2i, 2i + 1), so that the lists hold a
-    perfect matching; each list in index order."""
+    perfect matching; each list in index order.  With at most CANDIDATES
+    + 1 vertices that is every partner: the lists are then range(m), as
+    in a search without lists, whose scans skip u itself."""
     m = len(w)
+    if m <= CANDIDATES + 1:
+        return [range(m)] * m
     near = [{u ^ 1} for u in range(m)]
     for u, row in enumerate(w):
         best = sorted(range(m), key=row.__getitem__)[: CANDIDATES + 1]
@@ -205,9 +209,6 @@ def _blossom_search(w, cand=None):
     ss_frame = [never] * (2 * m)
     free_key = [0] * (2 * m)
     ss_key = [0] * (2 * m)
-
-    def slack2(u, v):
-        return w2[u][v] - y2[u] - y2[v]
 
     def members(b):
         if b < m:
@@ -443,7 +444,7 @@ def _blossom_search(w, cand=None):
                     ob = inblossom[o]
                     if ob == b or label[ob] != 1:
                         continue
-                    s = slack2(t, o)
+                    s = w2[t][o] - y2[t] - y2[o]
                     if found is None or s < found[0] or (s == found[0] and t * m + o < found[1]):
                         found = (s, t * m + o)
             if found is None:
@@ -462,33 +463,35 @@ def _blossom_search(w, cand=None):
     def least_delta(tops):
         """(delta, kind, edge or blossom) of the next dual update; kind 2
         is an S-free edge, 3 an S-S edge, 4 a T-blossom whose dual runs
-        out.  Ties go to the lowest top."""
-        delta = None
+        out.  Ties go to the lowest top.  Each edge's slack is its frame
+        value less shift (S-free) or 2 * shift (S-S); a free top's edge is
+        decoded only when chosen."""
+        delta = never
         kind = -1
         dedge = None
         for b in tops:
             lb = label[b]
             if lb == 0:
-                if free_frame[b] != never:
-                    e = divmod(free_key[b], m)
-                    d = slack2(*e)
-                    if delta is None or d < delta:
-                        delta, kind, dedge = d, 2, e
+                d = free_frame[b] - shift  # never when b has no edge
+                if d < delta:
+                    delta, kind, dedge = d, 2, b
             elif lb == 1:
                 e = best_ss_edge(b)
                 if e is not None:
-                    s = slack2(*e)
+                    s = ss_frame[b] - 2 * shift
                     if s % 2 != 0:
                         raise ContractViolationError(
                             "odd S-S slack; dual parity invariant broken"
                         )
-                    if delta is None or s // 2 < delta:
+                    if s // 2 < delta:
                         delta, kind, dedge = s // 2, 3, e
             elif lb == 2 and b >= m:
-                if delta is None or zdual[b] < delta:
+                if zdual[b] < delta:
                     delta, kind, dedge = zdual[b], 4, b
         if kind == -1:
             raise ContractViolationError("no dual adjustment available")
+        if kind == 2:
+            dedge = divmod(free_key[dedge], m)
         return delta, kind, dedge
 
     def update_duals():

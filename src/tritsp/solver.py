@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import ContractViolationError, SizeRefusalError
@@ -143,11 +142,18 @@ def evaluate_layout(
     Returns a LayoutResult, or a (LayoutResult, repaired multigraph) pair
     when keep_graph is set (the bound checks need the post-repair graph).
     `skeleton` is the layout's end set's (forest, matching, union) from
-    `_good_skeleton`; it is built here when not given.
+    `_good_skeleton`; it is built here when not given, after checking
+    that the layout chains exactly the bad vertices (the solver's own
+    layouts come with their skeleton and are complete by construction).
     """
-    cycle = build_bad_cycle(layout, inst)
     if skeleton is None:
+        if set(layout.vertices) != set(audit.bad):
+            raise ContractViolationError(
+                f"layout {layout.layout_id} does not chain exactly the bad "
+                f"vertices {audit.bad}"
+            )
         skeleton = _good_skeleton(inst, audit, frozenset(layout.ends))
+    cycle = build_bad_cycle(layout, inst)
     forest, matching, union = skeleton
     h = assemble_eulerian(cycle, union)
     # the bad cycle is the closed walk over the layout's vertex order
@@ -253,6 +259,9 @@ def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
     if jobs <= 1 or count_layouts(audit, len(audit.good)) <= _SERIAL_MAX:
         parts = [_evaluate_shard(inst, audit)]
     else:
+        # loaded on first use: serial solves never load the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
         shard = functools.partial(_evaluate_shard, inst, audit, jobs=jobs)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(shard, range(jobs)))

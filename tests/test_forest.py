@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -10,6 +11,10 @@ from tritsp.errors import ContractViolationError
 from tritsp.forest import rooted_msf
 from tritsp.instance import Instance, int_array
 from tritsp.oracles import brute_msf_cost
+
+# rooted_msf's output when its Python Prim compared (cost, (min, max),
+# root) tuples; the integer key must order edges the same way
+FORESTS_DIGEST = "f984c647df8895dbe6083324b75dce64950c777df4e4d5c2d5f9c97838efc5a7"
 
 
 def random_instance(rng, n, hi=40):
@@ -30,15 +35,7 @@ class TestRootedMsf:
         f = rooted_msf(inst4, {1, 3}, {1, 3})
         assert f.edges == ()
         assert f.cost == 0
-        assert f.component_of == {1: 1, 3: 3}
-
-    def test_component_tracking(self, inst4):
-        f = rooted_msf(inst4, {0, 1, 2, 3}, {0, 1})
-        for v, root in f.component_of.items():
-            assert root in {0, 1}
-        # every root is its own component
-        assert f.component_of[0] == 0
-        assert f.component_of[1] == 1
+        assert f.roots == (1, 3)
 
     def test_edge_count(self, inst4):
         f = rooted_msf(inst4, range(4), {0, 2})
@@ -66,24 +63,26 @@ class TestRootedMsf:
             inst = random_instance(rng, n)
             roots = set(rng.sample(range(n), rng.randint(1, min(3, n))))
             f = rooted_msf(inst, range(n), roots)
-            # acyclic and spanning: n - |roots| edges, every vertex reaches
-            # its recorded root without passing through another root
+            # the trees grown from the roots partition the vertices with one
+            # root each; with n - |roots| edges over |roots| trees the
+            # forest is also acyclic
             assert len(f.edges) == n - len(roots)
             adj = {v: [] for v in range(n)}
             for a, b in f.edges:
                 adj[a].append(b)
                 adj[b].append(a)
-            for r in roots:
-                seen = {r}
+            tree_of = {}
+            for r in sorted(roots):
+                assert r not in tree_of  # no tree holds two roots
+                tree_of[r] = r
                 frontier = [r]
                 while frontier:
                     x = frontier.pop()
                     for y in adj[x]:
-                        if y not in seen and y not in roots:
-                            seen.add(y)
+                        if y not in tree_of:
+                            tree_of[y] = r
                             frontier.append(y)
-                for v in seen:
-                    assert f.component_of[v] == r
+            assert sorted(tree_of) == list(range(n))
 
     @given(st.integers(0, 1000))
     @settings(max_examples=60)
@@ -99,7 +98,7 @@ class TestRootedMsf:
 
 class TestNumpyPrim:
     """From _FOREST_NUMPY_MIN vertices on, Prim runs in numpy on integer
-    keys; the forest, component_of included, must equal the Python loop's."""
+    keys; the forest must equal the Python loop's."""
 
     @staticmethod
     def both_paths(monkeypatch, inst, verts, roots):
@@ -121,7 +120,6 @@ class TestNumpyPrim:
         with pytest.MonkeyPatch.context() as mp:
             fast, slow = self.both_paths(mp, inst, verts, roots)
         assert fast == slow
-        assert list(fast.component_of.items()) == list(slow.component_of.items())
         # the default threshold picks one of the two: the same forest
         assert rooted_msf(inst, verts, roots) == slow
 
@@ -148,5 +146,20 @@ class TestNumpyPrim:
             fast, slow = self.both_paths(monkeypatch, inst, range(n), {0, 7})
             assert set(made) == {np.dtype(dtype)}
             assert fast == slow
-            assert list(fast.component_of.items()) == list(slow.component_of.items())
             assert fast.cost == sum(inst.cost[a][b] for a, b in fast.edges)
+
+    def test_forests_pinned(self, monkeypatch):
+        # tie-heavy costs, random vertex and root subsets: edges, roots and
+        # cost of both paths
+        rng = random.Random(14)
+        most = 2 * tritsp.forest._FOREST_NUMPY_MIN  # both_paths patches it
+        lines = []
+        for _ in range(300):
+            n = rng.randint(2, most)
+            inst = random_instance(rng, n, hi=rng.choice([0, 1, 2, 3, 9]))
+            verts = rng.sample(range(n), rng.randint(1, n))
+            roots = rng.sample(verts, rng.randint(1, min(len(verts), 4)))
+            for f in self.both_paths(monkeypatch, inst, verts, roots):
+                lines.append(repr((f.edges, f.roots, f.cost)))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == FORESTS_DIGEST

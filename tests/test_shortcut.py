@@ -62,20 +62,19 @@ class TestAssemble:
 
     def test_parity_violation_raises(self, inst4):
         # a matching that misses the forest's odd vertices 1 and 3
-        forest = RootedForest(edges=((1, 2), (2, 3)), roots=(1,), cost=6,
-                              component_of={1: 1, 2: 1, 3: 1})
+        forest = RootedForest(edges=((1, 2), (2, 3)), roots=(1,), cost=6)
         with pytest.raises(ContractViolationError, match="odd degree"):
             assemble_skeleton(4, forest, Matching((), 0), (2, 3))
 
     def test_isolated_vertex_raises(self, inst4):
         # vertex 3 has no edge at all, so it reaches no root
-        forest = RootedForest(((0, 2),), (0,), 1, {0: 0, 2: 0})
+        forest = RootedForest(((0, 2),), (0,), 1)
         with pytest.raises(ContractViolationError, match="good vertex 3 disconnected"):
             assemble_skeleton(4, forest, Matching(((0, 2),), 1), (2, 3))
 
     def test_rootless_component_raises(self, inst4):
         # even everywhere, but the component {2, 3} holds no root
-        forest = RootedForest(((0, 1), (2, 3)), (0,), 15, {0: 0, 1: 0})
+        forest = RootedForest(((0, 1), (2, 3)), (0,), 15)
         matching = Matching(((0, 1), (2, 3)), 15)
         with pytest.raises(ContractViolationError, match="good vertex 2 disconnected"):
             assemble_skeleton(4, forest, matching, (1, 2, 3))

@@ -1,5 +1,8 @@
+import concurrent.futures
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -99,7 +102,7 @@ class TestSolveRegimes:
         monkeypatch.setattr(tritsp.solver, "_SERIAL_MAX", 64)
         started = []
 
-        class SpyPool(tritsp.solver.ProcessPoolExecutor):
+        class SpyPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 started.append(kwargs)
                 super().__init__(*args, **kwargs)
@@ -108,7 +111,7 @@ class TestSolveRegimes:
         seq = solve(inst)
         assert seq.layouts == 384
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(tritsp.solver, "ProcessPoolExecutor", SpyPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
         par = solve(inst, SolveOptions(jobs=2))
         assert started == [{"max_workers": 2}]
         assert seq.tour == par.tour
@@ -119,7 +122,7 @@ class TestSolveRegimes:
 
     def test_few_layouts_run_serially(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(tritsp.solver, "ProcessPoolExecutor", _NoPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
         # 48 layouts, and 384: the most a planted b = 5 instance has
         for n, bad, seed in ((10, 4, 123), (11, 5, 7)):
             inst = gen_planted(n, bad, seed=seed)
@@ -139,7 +142,7 @@ class TestSolveRegimes:
             return pools[-1]
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(tritsp.solver, "ProcessPoolExecutor", inline_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_pool)
         par = solve(inst, SolveOptions(jobs=2))
         assert [pool.max_workers for pool in pools] == [2]
         assert par == seq and par.best == seq.best
@@ -169,7 +172,7 @@ class TestSolveRegimes:
             return pools[-1]
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(tritsp.solver, "ProcessPoolExecutor", inline_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_pool)
         monkeypatch.setattr(tritsp.solver, "rooted_msf", counting_msf)
         par = solve(inst, SolveOptions(jobs=2))
         assert sorted(forests, key=sorted) == sorted(end_sets, key=sorted)
@@ -198,7 +201,7 @@ class TestSolveRegimes:
             return real_enumerate(audit, good_count, ends)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(tritsp.solver, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
         monkeypatch.setattr(tritsp.solver, "_evaluate_shard", spy_shard)
         monkeypatch.setattr(tritsp.solver, "enumerate_layouts", enumerate_spy)
         rep = solve(inst, SolveOptions(jobs=2))
@@ -209,12 +212,25 @@ class TestSolveRegimes:
         inst = gen_planted(11, 5, seed=7)
         seq = solve(inst)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(tritsp.solver, "ProcessPoolExecutor", _NoPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
         assert solve(inst, SolveOptions(jobs=8)) == seq
 
     def test_result_is_reproducible(self):
         inst = gen_planted(11, 5, seed=321)
         assert solve(inst) == solve(inst)
+
+    def test_serial_solve_leaves_the_pool_unloaded(self):
+        # only a pooled solve imports the process pool's modules: not one
+        # with jobs=1, nor one with jobs=2 and at most _SERIAL_MAX layouts
+        code = """
+import sys
+from tritsp import SolveOptions, gen_planted, solve
+assert solve(gen_planted(8, 6, 1)).layouts == 720
+assert solve(gen_planted(11, 5, 7), SolveOptions(jobs=2)).layouts == 384
+print(sorted(m for m in sys.modules if m.startswith(("concurrent", "multiprocessing"))))
+"""
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
 
 
 class TestEvaluateLayout:
@@ -243,6 +259,18 @@ class TestEvaluateLayout:
         )
         assert res.cost == 13
         assert h.multiplicity(1, 3) == 2
+
+    def test_layout_must_chain_every_bad_vertex(self):
+        # bad vertices 4-7; a caller's layout that skips 6 and 7 would give
+        # a tour of 6 of the 8 vertices, so it is refused before any work
+        inst = gen_planted(8, 4, seed=1)
+        audit = audit_triangles(inst)
+        assert audit.bad == (4, 5, 6, 7)
+        for chains in (((4, 5),), ((4, 5, 6, 7, 0),), ((4, 5), (6,))):
+            with pytest.raises(ContractViolationError, match="bad vertices"):
+                evaluate_layout(inst, audit, ChainLayout(chains))
+        res = evaluate_layout(inst, audit, ChainLayout(((4, 5), (6, 7))))
+        assert sorted(res.order) == list(range(8))
 
 
 def _uncached_report(inst):
@@ -353,7 +381,7 @@ class TestSkeletonChecks:
         def broken_msf(inst, vertices, roots):
             forest = real_msf(inst, vertices, roots)
             edges = tuple(e for e in forest.edges if lost not in e)
-            return RootedForest(edges, forest.roots, forest.cost, forest.component_of)
+            return RootedForest(edges, forest.roots, forest.cost)
 
         monkeypatch.setattr(tritsp.solver, "rooted_msf", broken_msf)
         layout = next(enumerate_layouts(audit, len(audit.good)))
