@@ -88,12 +88,7 @@ def min_cost_perfect_matching(inst: Instance, odd) -> Matching:
     if m == 0:
         return Matching((), 0)
     w = [[inst.cost[a][b] for b in verts] for a in verts]
-    if m == 2:
-        # one possible matching; both duals at the edge's cost certify it
-        mate = [1, 0]
-        verify_matching_certificate(w, mate, [w[0][1]] * 2, [])
-    else:
-        mate = _priced_search(w)[0]  # its last certificate scan passed
+    mate = _priced_search(w)[0]  # its last certificate scan passed
     pairs = tuple(
         (verts[i], verts[mate[i]]) for i in range(m) if i < mate[i]
     )
@@ -147,17 +142,15 @@ def _candidate_lists(w):
     return [sorted(vs) for vs in near]
 
 
-def _blossom_search(w, cand=None):
+def _blossom_search(w, cand):
     """Returns (mate, y2, blossoms) over internal indices 0..m-1:
     mate[i] = matched partner; y2[i] = doubled vertex dual; blossoms =
     [(sorted member tuple, dual)] for every blossom alive at termination.
     `cand[u]` lists the partners u scans (symmetric, with a perfect
-    matching among them); without it, every vertex scans every other.
-    The duals are feasible on the pairs scanned."""
+    matching among them; [range(m)] * m scans every pair).  The duals are
+    feasible on the pairs scanned."""
     m = len(w)
     w2 = [[2 * x for x in row] for row in w]
-    if cand is None:
-        cand = [range(m)] * m
 
     # Jump start: every vertex's doubled dual is its cheapest edge, which is
     # feasible; then each vertex still free, in index order, raises its

@@ -1,11 +1,12 @@
 """Exact references the approximation pipeline is checked against.
 
-held_karp gives the optimal tour for small n; brute_msf_cost values every
-labeled spanning tree of the root-contracted graph; oracle_bounds extracts
-the chain layout an optimal tour induces and reports whether each of the
-intermediate cost bounds behind the 2.5 guarantee holds on it, with the
-witnessing numbers.  The report never raises on a failed bound: callers
-decide what a failure means.
+held_karp gives the lexicographically smallest optimal tour from 0 for
+small n, which is also solve's answer when every vertex is bad;
+brute_msf_cost values every labeled spanning tree of the root-contracted
+graph; oracle_bounds extracts the chain layout an optimal tour induces
+and reports whether each of the intermediate cost bounds behind the 2.5
+guarantee holds on it, with the witnessing numbers.  The report never
+raises on a failed bound: callers decide what a failure means.
 """
 
 from __future__ import annotations
@@ -39,9 +40,12 @@ def held_karp(inst: Instance) -> Tour:
     dp[S, j] is the cheapest path from vertex 0 through exactly the
     vertices of S (bit j <-> vertex j + 1) ending at j.  Each subset-size
     layer pulls from the one below, one numpy min per (size, j), exactly
-    at any cost.  The tour is rebuilt backwards: at each state the
-    predecessor is the first that attains its minimum.  Memory is
-    O(2^n * n), so n is capped at 18.
+    at any cost.  The tour is rebuilt backwards, from the first j of least
+    dp[full, j] + c[j, 0] through each state's first predecessor that
+    attains its minimum.  Costs are symmetric, so read from 0 in that
+    order, each vertex is the smallest that still extends to an optimal
+    tour: the tour is the lexicographically smallest optimal one from 0.
+    Memory is O(2^n * n), so n is capped at 18.
     """
     import numpy as np  # loaded on first use: importing tritsp stays light
 
@@ -84,10 +88,7 @@ def held_karp(inst: Instance) -> Tour:
             raise ContractViolationError("tour reconstruction lost its path")
         mask, j = prev, i
         tail.append(j + 1)
-    tail.reverse()
-    order = (0, *tail)
-    rev = (0, *tail[::-1])  # same cycle walked backwards, also rooted at 0
-    return Tour(min(order, rev), cost, "held-karp")
+    return Tour((0, *tail), cost, "held-karp")
 
 
 def extract_layout(order, audit: TriangleAudit) -> ChainLayout:

@@ -23,14 +23,15 @@ only shard, so both return the same report.
 Special regimes short-circuit the enumeration: n <= 3 has a unique tour,
 instances with no violating triangle go through the tree-plus-matching
 1.5-approximation (the good skeleton of the end set {0}, since every
-vertex is good there), and instances where every vertex is bad reduce to
-exact search over the (m-1)! single-chain layouts, whose bad cycle
-already is a Hamiltonian cycle.
+vertex is good there), and instances where every vertex is bad take the
+optimal tour of oracles.held_karp (n <= 18, whatever max_bad is), which
+is the bad cycle of the best of their (n-1)! single-chain layouts.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -240,20 +241,20 @@ def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
         tour = christofides(inst, audit)
         return SolveReport(tour, 0, 0, "metric")
 
+    if not audit.good:
+        # the best single-chain ring is held_karp's tour, the smallest
+        # optimal order from 0 (loaded here: oracles imports this module)
+        from .oracles import held_karp
+
+        opt = held_karp(inst)
+        tour = Tour(opt.order, opt.cost, ",".join(map(str, opt.order)))
+        count = math.factorial(n - 1)
+        return SolveReport(tour, audit.k, audit.k_t, "all-bad", count, count)
+
     if audit.k_t > opts.max_bad:
         raise SizeRefusalError(
             f"{audit.k_t} bad vertices exceeds the limit of {opts.max_bad}"
         )
-
-    if not audit.good:
-        # every layout's bad cycle is already a Hamiltonian cycle; the
-        # single-chain layouts alone cover all of them up to rotation
-        layouts = enumerate_layouts(audit, good_count=1)
-        rings = ((canonical_rotation(lay.vertices), lay.layout_id) for lay in layouts)
-        order, best_id = min(rings, key=lambda r: (walk_cost(inst, r[0]), r[0]))
-        tour = Tour(order, walk_cost(inst, order), best_id)
-        count = count_layouts(audit, good_count=1)
-        return SolveReport(tour, audit.k, audit.k_t, "all-bad", count, count)
 
     jobs = min(opts.jobs, os.cpu_count() or 1)
     if jobs <= 1 or count_layouts(audit, len(audit.good)) <= _SERIAL_MAX:

@@ -85,6 +85,44 @@ class TestSolve:
         assert res.returncode == 2
         assert res.stdout == ""
 
+    def test_all_bad_stdout_is_frozen(self, tmp_path):
+        # every vertex is bad, and four optimal cycles tie at cost 9: the
+        # tour is the smallest optimal order from 0, and these bytes are
+        # those recorded when the regime still enumerated its 5! rings
+        rows = [
+            [0, 2, 2, 5, 2, 1],
+            [2, 0, 2, 2, 5, 2],
+            [2, 2, 0, 2, 1, 1],
+            [5, 2, 2, 0, 2, 1],
+            [2, 5, 1, 2, 0, 2],
+            [1, 2, 1, 1, 2, 0],
+        ]
+        path = tmp_path / "allbad6.json"
+        path.write_text(json.dumps({"name": "allbad6", "n": 6, "cost": rows}))
+        res = run_cli("solve", str(path))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == (
+            '{"name":"allbad6","n":6,"k":8,"k_T":6,"cost":9,'
+            '"tour":[0,1,2,4,3,5],"regime":"all-bad","layouts":120,'
+            '"certified":120}\n'
+        )
+        exact = json.loads(run_cli("exact", str(path)).stdout)
+        assert exact["tour"] == [0, 1, 2, 4, 3, 5] and exact["cost"] == 9
+
+    def test_all_bad_refusal_exit_code(self, tmp_path):
+        # all-bad inputs are refused past the exact search's n = 18 only;
+        # every vertex of this ring of 3s among 1s is bad
+        n = 19
+        rows = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            rows[i][(i + 1) % n] = rows[(i + 1) % n][i] = 3
+        path = tmp_path / "ring19.json"
+        path.write_text(json.dumps({"name": "ring19", "n": n, "cost": rows}))
+        res = run_cli("solve", str(path))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "up to n=18" in res.stderr
+
     def test_cert_flag(self, data_dir):
         # every solve checks its matchings' certificates; the flag is gone
         res = run_cli("solve", f"{data_dir}/inst4.json", "--cert")

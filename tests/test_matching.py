@@ -51,30 +51,33 @@ class TestBlossom:
         m = min_cost_perfect_matching(inst4, [1, 3])
         assert m.pairs == ((1, 3),) and m.cost == 6
 
-    def test_two_vertices_skip_search(self, monkeypatch):
-        # a pair has one matching: no search runs, and the certificate the
-        # search would have returned is still checked
+    def test_two_vertices_take_the_search(self, monkeypatch):
+        # a pair goes the one path: the jump start matches it with both
+        # doubled duals at the edge's cost, and the certificate scan
+        # certifies that at once
         search = tritsp.matching._blossom_search
-        verify = tritsp.matching.verify_matching_certificate
-        checked = []
+        scan = tritsp.matching._certificate_scan
+        rounds, scans = [], []
 
-        def no_search(w):
-            raise AssertionError("search ran on two vertices")
+        def search_spy(w, cand):
+            rounds.append(search(w, cand))
+            return rounds[-1]
 
-        def spy(w, mate, y2, blossoms):
-            checked.append((w, mate, y2, blossoms))
-            verify(w, mate, y2, blossoms)
+        def scan_spy(w, mate, y2, blossoms, negative):
+            scans.append(scan(w, mate, y2, blossoms, negative))
+            return scans[-1]
 
-        monkeypatch.setattr(tritsp.matching, "_blossom_search", no_search)
-        monkeypatch.setattr(tritsp.matching, "verify_matching_certificate", spy)
+        monkeypatch.setattr(tritsp.matching, "_blossom_search", search_spy)
+        monkeypatch.setattr(tritsp.matching, "_certificate_scan", scan_spy)
         rng = random.Random(4)
-        for _ in range(40):
+        for trial in range(1, 41):
             inst = random_instance(rng, 6, rng.choice([0, 1, 50, 2**70]))
             a, b = sorted(rng.sample(range(6), 2))
             m = min_cost_perfect_matching(inst, [b, a])
             assert m == brute_matching(inst, [a, b])
-            w, mate, y2, blossoms = checked[-1]
-            assert (mate, y2, blossoms) == search(w)
+            c = inst.cost[a][b]
+            assert rounds[-1] == ([1, 0], [c, c], []) and scans[-1] == []
+            assert len(rounds) == len(scans) == trial
 
     @pytest.mark.parametrize("candidates", [0, 10**9])
     @pytest.mark.parametrize(
@@ -182,7 +185,7 @@ def _cert_with_blossom():
     rng = random.Random(1)
     while True:
         w = [list(row) for row in random_instance(rng, 8).cost]
-        mate, y2, blossoms = tritsp.matching._blossom_search(w)
+        mate, y2, blossoms = tritsp.matching._blossom_search(w, [range(8)] * 8)
         if any(z > 0 for _, z in blossoms):
             return w, mate, y2, blossoms
 
@@ -336,7 +339,7 @@ def full_and_sifted(monkeypatch, ws, candidates):
     """Each matrix's full-list search and the certified cost of its search
     on candidate lists of `candidates` partners, checked equal to the full
     search's cost; the full results are returned."""
-    full = [tritsp.matching._blossom_search(w) for w in ws]
+    full = [tritsp.matching._blossom_search(w, [range(len(w))] * len(w)) for w in ws]
     monkeypatch.setattr(tritsp.matching, "CANDIDATES", candidates)
     for trial, (w, (mate, _, _)) in enumerate(zip(ws, full)):
         sifted = tritsp.matching._priced_search(w)
@@ -460,7 +463,7 @@ class TestSiftedScan:
         search = tritsp.matching._blossom_search
         lists = []
 
-        def spy(w, cand=None):
+        def spy(w, cand):
             lists.append([list(vs) for vs in cand])
             return search(w, cand)
 
@@ -478,7 +481,7 @@ class TestSiftedScan:
         scan = tritsp.matching._certificate_scan
         rounds, found = [], []
 
-        def search_spy(w, cand=None):
+        def search_spy(w, cand):
             rounds.append(search(w, cand))
             return rounds[-1]
 
@@ -500,7 +503,7 @@ class TestSiftedScan:
         # own invariant: pricing raises before adding it to the lists
         search = tritsp.matching._blossom_search
 
-        def raised(w, cand=None):
+        def raised(w, cand):
             mate, y2, blossoms = search(w, cand)
             y2[0] += 10**6
             return mate, y2, blossoms

@@ -65,19 +65,22 @@ class TestHeldKarp:
     @given(st.integers(0, 10000))
     @settings(max_examples=60)
     def test_matches_exhaustive_search(self, seed):
+        # costs 0-2 tie many tours: the one returned is the smallest
+        # optimal order from 0, which the all-bad regime relies on
         rng = random.Random(seed)
         n = rng.randint(2, 7)
+        hi = rng.choice([2, 50])
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                rows[i][j] = rows[j][i] = rng.randint(0, 50)
+                rows[i][j] = rows[j][i] = rng.randint(0, hi)
         inst = Instance(f"hk{seed}", tuple(tuple(r) for r in rows))
         tour = held_karp(inst)
         best = min(
-            walk_cost(inst, (0,) + p)
+            (walk_cost(inst, (0,) + p), (0,) + p)
             for p in itertools.permutations(range(1, n))
         )
-        assert tour.cost == best
+        assert (tour.cost, tour.order) == best
         assert walk_cost(inst, tour.order) == tour.cost
         assert sorted(tour.order) == list(range(n))
 

@@ -1,4 +1,6 @@
 import concurrent.futures
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -65,24 +67,61 @@ class TestSolveRegimes:
             assert rep.regime == "trivial"
             assert rep.tour.order == tuple(range(n))
 
-    def test_all_bad_is_exact(self):
-        rng = random.Random(2)
-        found = 0
-        for _ in range(60):
-            n = rng.randint(4, 6)
+    @staticmethod
+    def _exhaustive(inst):
+        """(cost, order) of the cheapest tour, ties broken on the smallest
+        order from 0, by trying every order from 0."""
+        return min(
+            (walk_cost(inst, t), t)
+            for t in ((0, *p) for p in itertools.permutations(range(1, inst.n)))
+        )
+
+    @staticmethod
+    def _all_bad(rng, n):
+        """A random instance of n vertices, all of them bad."""
+        while True:
             rows = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i + 1, n):
                     rows[i][j] = rows[j][i] = rng.choice([1, 1, 1, 30])
             inst = Instance(f"ab{n}", tuple(tuple(r) for r in rows))
-            audit = audit_triangles(inst)
-            if audit.good or audit.k == 0:
-                continue
-            found += 1
+            if not audit_triangles(inst).good:
+                return inst
+
+    def test_all_bad_is_exact(self):
+        # the single-chain ring of the smallest optimal order from 0, with
+        # the (n-1)! single-chain layouts counted, all certified
+        rng = random.Random(2)
+        for _ in range(12):
+            inst = self._all_bad(rng, rng.randint(4, 6))
             rep = solve(inst)
+            cost, order = self._exhaustive(inst)
             assert rep.regime == "all-bad"
-            assert rep.tour.cost == held_karp(inst).cost
-        assert found >= 5
+            assert (rep.tour.order, rep.tour.cost) == (order, cost)
+            assert rep.tour.layout_id == ",".join(map(str, order))
+            assert rep.layouts == rep.certified == math.factorial(inst.n - 1)
+
+    def test_all_bad_past_max_bad(self):
+        # ten bad vertices exceed the default max_bad of 9, but an all-bad
+        # instance needs no layouts: it is solved exactly
+        inst = self._all_bad(random.Random(10), 10)
+        assert audit_triangles(inst).k_t == 10 > SolveOptions().max_bad
+        rep = solve(inst)
+        assert rep.regime == "all-bad"
+        assert (rep.tour.cost, rep.tour.order) == self._exhaustive(inst)
+        assert rep.layouts == rep.certified == math.factorial(9)
+
+    def test_all_bad_refused_past_held_karp(self):
+        n = 19
+        # every ring edge (i, i + 1) costs 3 against 1 + 1 through any
+        # third vertex, so every vertex is bad
+        rows = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            rows[i][(i + 1) % n] = rows[(i + 1) % n][i] = 3
+        inst = Instance.from_rows("ring19", rows)
+        assert not audit_triangles(inst).good
+        with pytest.raises(SizeRefusalError, match="up to n=18, got 19"):
+            solve(inst)
 
     def test_max_bad_refusal(self, inst4):
         with pytest.raises(SizeRefusalError):
@@ -406,20 +445,21 @@ class TestChristofides:
 
     def test_verify_checks_the_certificate(self, monkeypatch):
         # a plain solve of a metric instance checks its matching's
-        # certificate, and so does a direct christofides call
+        # certificate (a scan that finds no negative pair), and so does a
+        # direct christofides call
         checked = []
-        verify = tritsp.matching.verify_matching_certificate
+        scan = tritsp.matching._certificate_scan
 
-        def spy(*args):
-            checked.append(len(args[0]))
-            verify(*args)
+        def spy(w, *rest):
+            checked.append((len(w), scan(w, *rest)))
+            return checked[-1][1]
 
-        monkeypatch.setattr(tritsp.matching, "verify_matching_certificate", spy)
+        monkeypatch.setattr(tritsp.matching, "_certificate_scan", spy)
         inst = gen_metric(12, seed=3)
         rep = solve(inst)
-        assert len(checked) == 1 and checked[0] > 0
+        assert len(checked) == 1 and checked[0][0] > 0 and checked[0][1] == []
         assert christofides(inst) == rep.tour
-        assert len(checked) == 2
+        assert len(checked) == 2 and checked[1] == checked[0]
 
     @staticmethod
     def _spy_rounds(monkeypatch):
