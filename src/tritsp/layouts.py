@@ -17,7 +17,6 @@ from typing import Iterator
 
 from .errors import ContractViolationError
 from .instance import Instance, TriangleAudit
-from .multigraph import MultiGraph
 
 __all__ = [
     "ChainLayout", "end_sets", "count_layouts", "enumerate_layouts", "build_bad_cycle"
@@ -99,20 +98,18 @@ def enumerate_layouts(
                 yield ChainLayout(tuple(chains))
 
 
-def build_bad_cycle(layout: ChainLayout, inst: Instance) -> MultiGraph:
-    """Cycle through all bad vertices: intra-chain edges plus a closing edge
-    from each chain's end to the next chain's start (cyclically).  One bad
-    vertex gives an empty graph; two give the connecting edge doubled."""
+def build_bad_cycle(layout: ChainLayout, inst: Instance) -> list[tuple[int, int]]:
+    """The b edges of the closed ring through all bad vertices, as vertex
+    pairs: intra-chain edges plus a closing edge from each chain's end to
+    the next chain's start (cyclically).  One bad vertex gives no edge;
+    two give their pair twice."""
     verts = layout.vertices
     if min(verts) < 0 or max(verts) >= inst.n:
         raise ContractViolationError(
             f"layout vertices {verts} out of range for n={inst.n}"
         )
-    g = MultiGraph(inst.n)
     if len(verts) == 1:
-        return g
+        return []
     # intra-chain edges and closing edges end(q_i) -> start(q_{i+1})
     # together trace the concatenated permutation cyclically
-    for a, b in zip(verts, verts[1:] + verts[:1]):
-        g.add_edge(a, b)
-    return g
+    return list(zip(verts, verts[1:] + verts[:1]))

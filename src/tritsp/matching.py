@@ -174,6 +174,8 @@ def _blossom_search(w, cand):
     for v in range(m):
         if mate[v] == -1:
             y2[v] -= y2[v] % 2
+    if -1 not in mate:  # a perfect jump start leaves no stage to run
+        return mate, y2, []
     # ids m..2m-1 name non-trivial blossoms; a live id has childs != None
     inblossom = list(range(m)) + [-1] * m
     parent = [-1] * (2 * m)

@@ -3,8 +3,9 @@
 Just enough surface for the solver: union of a cycle, a forest, and a
 matching, degree parity queries, and edge removal during Euler tours.
 Vertex v's neighbors and multiplicities live in the dict ``_adj[v]``.
-The shortcut stages read these dicts directly in their inner loops, but
-change a graph only through its methods (the Euler tour walks copies).
+The shortcut stages read these dicts directly in their inner loops, and
+change a graph only through its methods, except the Euler tour, which
+empties the graph it walks by deleting from these dicts.
 """
 
 from __future__ import annotations
@@ -30,18 +31,6 @@ class MultiGraph:
         self._adj[u][v] = self._adj[u].get(v, 0) + mult
         self._adj[v][u] = self._adj[v].get(u, 0) + mult
         self._edge_count += mult
-
-    def add_graph(self, other: "MultiGraph") -> None:
-        """Add every edge copy of `other`, a multigraph on the same vertices."""
-        if other.n != self.n:
-            raise ContractViolationError(f"vertex counts differ: {self.n}, {other.n}")
-        adj = self._adj
-        for u, nbrs in enumerate(other._adj):
-            if nbrs:
-                mine = adj[u]
-                for v, m in nbrs.items():
-                    mine[v] = mine.get(v, 0) + m
-        self._edge_count += other._edge_count
 
     def remove_edge(self, u: int, v: int) -> None:
         """Remove one copy of (u, v)."""

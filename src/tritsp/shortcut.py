@@ -1,12 +1,13 @@
 """From bad cycle + forest + matching to a Hamiltonian cycle.
 
 Stages: union the forest and the matching into a checked good skeleton
-(once per chain-end set), overlay a bad cycle on a copy of it to get an
-Eulerian multigraph, reroute doubled bad-bad edges through good neighbors,
-extract an Euler tour, then splice out repeated bad vertices (most
-negative cost delta first, only at occurrences whose removal is provably
-cost-safe) and finally repeated good vertices (keep first occurrence;
-always safe since every triangle with a good vertex is metric).
+(once per chain-end set), add a bad cycle's edges to a copy of it to get
+an Eulerian multigraph, reroute doubled bad-bad edges through good
+neighbors, extract an Euler tour (which consumes that copy), then splice
+out repeated bad vertices (most negative cost delta first, only at
+occurrences whose removal is provably cost-safe) and finally repeated
+good vertices (keep first occurrence; always safe since every triangle
+with a good vertex is metric).
 
 Each mutating stage can append the walk/multiset cost after every
 individual step to a caller-supplied list, so tests can assert that cost
@@ -100,13 +101,15 @@ def assemble_skeleton(
     return h
 
 
-def assemble_eulerian(cycle: MultiGraph, skeleton: MultiGraph) -> MultiGraph:
+def assemble_eulerian(cycle, skeleton: MultiGraph) -> MultiGraph:
     """A copy of the checked skeleton with every edge of the bad cycle
-    added.  A cycle through every root of the skeleton's forest keeps all
-    degrees even and joins the trees; euler_tour's closing check confirms
-    that the union is connected."""
+    (vertex pairs, as build_bad_cycle returns them) added.  A cycle
+    through every root of the skeleton's forest keeps all degrees even
+    and joins the trees; euler_tour's closing check confirms that the
+    union is connected."""
     h = skeleton.copy()
-    h.add_graph(cycle)
+    for a, b in cycle:
+        h.add_edge(a, b)
     return h
 
 
@@ -162,14 +165,14 @@ def repair_double_bad_edges(
 def euler_tour(h: MultiGraph) -> list[int]:
     """Closed walk using every edge exactly once, starting at the smallest
     vertex of nonzero degree, always following the smallest available
-    neighbor.  The input graph is not modified.
+    neighbor.  The walk consumes h: it removes each edge as it takes it,
+    so h is left with no edges; pass a copy to keep the graph.
 
     Every trail the walk extends from a vertex t must close at t; one that
     gets stuck elsewhere ends at a vertex of odd degree.  Once every trail
     closed, the edges reached form an Eulerian component, so a walk that
     misses edges means the multigraph is disconnected over its edges."""
-    # the walk consumes copies of h's adjacency maps
-    adj = [dict(nbrs) for nbrs in h._adj]
+    adj = h._adj
     start = next((v for v in range(h.n) if adj[v]), None)
     if start is None:
         raise ContractViolationError("no edges to tour")
@@ -196,6 +199,7 @@ def euler_tour(h: MultiGraph) -> list[int]:
     # closed walk in an undirected multigraph
     if len(out) != h.edge_count + 1:
         raise ContractViolationError("multigraph is not connected over its edges")
+    h._edge_count = 0
     return out[:-1]
 
 

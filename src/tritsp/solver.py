@@ -10,8 +10,9 @@ whose parity and reach to E are checked there) is built, shared by E's
 layouts and dropped.  Every matching is proved minimum by its LP
 certificate before it is used, as the 2·M <= OPT step of the guarantee
 needs; there is no unchecked configuration.  Per layout only the overlay
-and the walk run: a copy of the skeleton gets the bad cycle's edges, then
-the repair, the Euler tour and the splices, each step's cost traced as a
+and the walk run, on one multigraph, a copy of the skeleton: it gets the
+bad cycle's edges, the repair reroutes edges in it in place and the Euler
+tour consumes it; the splices follow, each step's cost traced as a
 delta.  The cheapest resulting tour wins; ties break on the
 lexicographically smallest rotation, then on the first layout in
 enumeration order.
@@ -141,7 +142,8 @@ def evaluate_layout(
     """Run one chain layout through the whole pipeline.
 
     Returns a LayoutResult, or a (LayoutResult, repaired multigraph) pair
-    when keep_graph is set (the bound checks need the post-repair graph).
+    when keep_graph is set (the bound checks need the post-repair graph,
+    so the Euler tour then walks a copy of it).
     `skeleton` is the layout's end set's (forest, matching, union) from
     `_good_skeleton`; it is built here when not given, after checking
     that the layout chains exactly the bad vertices (the solver's own
@@ -161,7 +163,7 @@ def evaluate_layout(
     cycle_cost = walk_cost(inst, layout.vertices)
     steps = [cycle_cost + forest.cost + matching.cost]
     repaired = repair_double_bad_edges(h, audit, inst, steps)
-    walk = euler_tour(h)
+    walk = euler_tour(h.copy() if keep_graph else h)
     walk, spliced = splice_bad(walk, audit, inst, steps)
     walk = splice_good(walk, audit, inst, steps)
     result = LayoutResult(

@@ -5,6 +5,7 @@ reads as a checklist.  The planted corpus (300 instances, bad-set sizes
 3..6, n between 6 and 12) is built once per session and shared.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -41,6 +42,19 @@ def test_corpus_guarantee(solved_corpus, corpus_mix):
         f"{len(solved_corpus)} planted instances, mix {by_bad}, "
         f"worst ratio {worst:.4f}, solved+verified in {solved_corpus.seconds:.1f}s",
     )
+
+
+def test_corpus_reports_fingerprint(solved_corpus):
+    """Every corpus report, best layout included, hashes to the recorded
+    digest: a change meant to keep the solver's output keeps it, and a
+    deliberate output change records a new one."""
+    digest = hashlib.sha256()
+    for _, rep, _ in solved_corpus:
+        digest.update((repr(rep) + repr(rep.best)).encode())
+    assert digest.hexdigest() == (
+        "f6e0b886a407f7f1d496de97dc549da656b9c3c0edfb29e5b322d90232a9bd2e"
+    )
+    _announce("report fingerprint", f"{len(solved_corpus)} reports, sha256 unchanged")
 
 
 def test_corpus_bounds(solved_corpus):

@@ -59,20 +59,3 @@ def test_copy_is_independent():
     h.add_edge(1, 2)
     assert g.multiplicity(1, 2) == 0
     assert h.multiplicity(1, 2) == 1
-
-
-def test_add_graph_adds_every_copy():
-    g = MultiGraph(4)
-    g.add_edge(0, 1)
-    other = MultiGraph(4)
-    other.add_edge(0, 1, 2)
-    other.add_edge(2, 3)
-    g.add_graph(other)
-    assert g.edges() == [(0, 1, 3), (2, 3, 1)]
-    assert g.edge_count == 4
-    assert other.edges() == [(0, 1, 2), (2, 3, 1)]
-
-
-def test_add_graph_rejects_other_vertex_count():
-    with pytest.raises(ContractViolationError):
-        MultiGraph(3).add_graph(MultiGraph(4))

@@ -30,8 +30,8 @@ def inst4_h(inst4, chains):
     lay = ChainLayout(chains)
     cyc = build_bad_cycle(lay, inst4)
     forest = rooted_msf(inst4, set(audit.good) | set(lay.ends), set(lay.ends))
-    g1 = cyc.copy()
-    for a, b in forest.edges:
+    g1 = MultiGraph(4)
+    for a, b in cyc + list(forest.edges):
         g1.add_edge(a, b)
     matching = min_cost_perfect_matching(inst4, g1.odd_vertices())
     skeleton = assemble_skeleton(4, forest, matching, audit.good)
@@ -198,15 +198,15 @@ class TestEulerTour:
                         frontier.append(y)
             if len(reach) != n:
                 continue
+            edges = h.edges()
             walk = euler_tour(h)
+            assert h.edge_count == 0
             exercised += 1
             used = Counter()
             for i in range(len(walk)):
                 a, b = walk[i], walk[(i + 1) % len(walk)]
                 used[(min(a, b), max(a, b))] += 1
-            assert used == Counter(
-                {(u, v): m for u, v, m in h.edges()}
-            )
+            assert used == Counter({(u, v): m for u, v, m in edges})
         assert exercised >= 10
 
 
@@ -379,7 +379,7 @@ class TestDeltaTraces:
         cycle = build_bad_cycle(layout, inst)
         h = assemble_eulerian(cycle, skeleton)
         if b == 2:
-            assert cycle.edges() == [(*bad, 2)]
+            assert [tuple(sorted(pair)) for pair in cycle] == [bad, bad]
 
         # step 0: ring cost + forest + matching is the cost of the union
         res = evaluate_layout(inst, audit, layout)

@@ -15,6 +15,7 @@ from tritsp.forest import RootedForest
 from tritsp.instance import Instance, audit_triangles, gen_metric, gen_planted
 from tritsp.layouts import ChainLayout, count_layouts, end_sets, enumerate_layouts
 from tritsp.matching import Matching, verify_matching_certificate
+from tritsp.multigraph import MultiGraph
 from tritsp.oracles import held_karp
 from tritsp.shortcut import walk_cost
 import tritsp.matching
@@ -373,6 +374,32 @@ class TestSkeletonCache:
             assert len(forests) == len(end_sets)
             assert set(forests) == end_sets
             assert len(matchings) == len(end_sets)
+
+    def test_one_graph_per_end_set_and_one_copy_per_layout(self, monkeypatch):
+        # an end set's skeleton is the only multigraph built, and each
+        # layout works on one copy of it: the bad cycle is a list of pairs
+        # and the Euler tour walks the copy itself
+        built = copies = 0
+        real_init, real_copy = MultiGraph.__init__, MultiGraph.copy
+
+        def counting_init(self, n):
+            nonlocal built
+            built += 1
+            real_init(self, n)
+
+        def counting_copy(self):
+            nonlocal copies
+            copies += 1
+            return real_copy(self)
+
+        monkeypatch.setattr(MultiGraph, "__init__", counting_init)
+        monkeypatch.setattr(MultiGraph, "copy", counting_copy)
+        inst = gen_planted(12, 6, seed=1)
+        audit = audit_triangles(inst)
+        rep = solve(inst)
+        assert rep.regime == "chains"
+        assert built == len(list(end_sets(audit, len(audit.good))))
+        assert copies == rep.layouts
 
 
 class TestSkeletonChecks:
