@@ -145,6 +145,16 @@ class TriangleAudit:
     def k_t(self) -> int:
         return len(self.bad)
 
+    # membership sets, built once per audit for the per-layout shortcut
+    # stages; not fields, so equality and repr see only the tuples
+    @cached_property
+    def bad_set(self) -> frozenset[int]:
+        return frozenset(self.bad)
+
+    @cached_property
+    def good_set(self) -> frozenset[int]:
+        return frozenset(self.good)
+
 
 # from this many vertices on, the numpy search is faster than the triple
 # loop (measured crossover: 13-15 on CEIL_2D, 15-17 on planted inputs);

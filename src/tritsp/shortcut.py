@@ -125,7 +125,7 @@ def repair_double_bad_edges(
     Pairs are scanned in ascending (u, v) order, the order of h.edges(),
     and the scan restarts after every reroute.  `trace`, if given, must end
     with the cost of h; each reroute appends the new cost."""
-    bad = set(audit.bad)
+    bad = audit.bad_set
     adj = h._adj
     c = inst.cost
     while True:
@@ -214,8 +214,8 @@ def splice_bad(
     occurrence the minimum-delta one is cut anyway and the walk is flagged
     unjustified.  `trace`, if given, must end with the cost of s; each cut
     appends the new cost."""
-    bad = set(audit.bad)
-    good = set(audit.good)
+    bad = audit.bad_set
+    good = audit.good_set
     c = inst.cost
     s = list(s)
     justified = True
@@ -259,7 +259,7 @@ def splice_good(
     """Drop every repeated good-vertex occurrence after its first.  All bad
     vertices must already be unique.  `trace`, if given, must end with the
     cost of s; each drop appends the new cost."""
-    good = set(audit.good)
+    good = audit.good_set
     c = inst.cost
     s = list(s)
     seen: set[int] = set()

@@ -7,18 +7,22 @@ forest (rooted at the chain ends E) and its odd-degree set, and with them
 the matching, depend on E alone.  So layouts are taken end set by end
 set: E's "good skeleton" (forest, matching and their union multigraph,
 whose parity and reach to E are checked there) is built, shared by E's
-layouts and dropped.  Every matching is proved minimum by its LP
-certificate before it is used, as the 2·M <= OPT step of the guarantee
-needs; there is no unchecked configuration.  Per layout only the overlay
-and the walk run, on one multigraph, a copy of the skeleton: it gets the
-bad cycle's edges, the repair reroutes edges in it in place and the Euler
-tour consumes it; the splices follow, each step's cost traced as a
-delta.  The cheapest resulting tour wins; ties break on the
-lexicographically smallest rotation, then on the first layout in
-enumeration order.
+layouts and dropped.  Distinct end sets often leave the same odd set, so
+a solve keeps each odd set's matching and matches each one once.  Every
+matching is proved minimum by its LP certificate when it is built, as
+the 2·M <= OPT step of the guarantee needs; there is no unchecked
+configuration.  Per layout only the overlay and the walk run, on one
+multigraph, a copy of the skeleton: it gets the bad cycle's edges, the
+repair reroutes edges in it in place and the Euler tour consumes it; the
+splices follow, each step's cost traced as a delta.  A layout and its
+reversed twin in the same end set have the same ring edges and so the
+same result: only the first of the two runs, and it counts for both.
+The cheapest resulting tour wins; ties break on the lexicographically
+smallest rotation, then on the first layout in enumeration order.
 
 Under --jobs each worker takes every jobs-th end set and enumerates only
-the layouts of those.  A serial solve is the same evaluation run on the
+the layouts of those; it keeps its own matchings, so two workers may each
+match one odd set.  A serial solve is the same evaluation run on the
 only shard, so both return the same report.
 
 Special regimes short-circuit the enumeration: n <= 3 has a unique tour,
@@ -108,26 +112,34 @@ class SolveReport:
     best: LayoutResult | None = field(default=None, compare=False)
 
 
-def _odd_vertices(n: int, edges) -> list[int]:
+def _odd_vertices(n: int, edges) -> tuple[int, ...]:
     """The vertices of odd degree in the multigraph of `edges`, ascending."""
     odd = [False] * n
     for a, b in edges:
         odd[a] = not odd[a]
         odd[b] = not odd[b]
-    return [v for v in range(n) if odd[v]]
+    return tuple(v for v in range(n) if odd[v])
 
 
 def _good_skeleton(
-    inst: Instance, audit: TriangleAudit, ends: frozenset[int]
+    inst: Instance,
+    audit: TriangleAudit,
+    ends: frozenset[int],
+    matchings: dict[tuple[int, ...], Matching],
 ) -> tuple[RootedForest, Matching, MultiGraph]:
     """Forest over the good vertices rooted at the chain ends, the matching
     on its odd-degree vertices, and their checked union.  The bad cycle
     has even degree everywhere, so odd(cycle + forest) = odd(forest).  On
     a metric instance every vertex is good, and ends {0} give the spanning
-    tree and parity matching of Christofides."""
-    forest = rooted_msf(inst, set(audit.good) | ends, ends)
-    odd_vertices = _odd_vertices(inst.n, forest.edges)
-    matching = min_cost_perfect_matching(inst, odd_vertices)
+    tree and parity matching of Christofides.  `matchings` maps each odd
+    set met so far to its matching, which was certified when it was built
+    and depends on nothing else, so each distinct odd set is matched once
+    per dict."""
+    forest = rooted_msf(inst, audit.good_set | ends, ends)
+    odd = _odd_vertices(inst.n, forest.edges)
+    matching = matchings.get(odd)
+    if matching is None:
+        matching = matchings[odd] = min_cost_perfect_matching(inst, odd)
     skeleton = assemble_skeleton(inst.n, forest, matching, audit.good)
     return forest, matching, skeleton
 
@@ -150,12 +162,12 @@ def evaluate_layout(
     layouts come with their skeleton and are complete by construction).
     """
     if skeleton is None:
-        if set(layout.vertices) != set(audit.bad):
+        if set(layout.vertices) != audit.bad_set:
             raise ContractViolationError(
                 f"layout {layout.layout_id} does not chain exactly the bad "
                 f"vertices {audit.bad}"
             )
-        skeleton = _good_skeleton(inst, audit, frozenset(layout.ends))
+        skeleton = _good_skeleton(inst, audit, frozenset(layout.ends), {})
     cycle = build_bad_cycle(layout, inst)
     forest, matching, union = skeleton
     h = assemble_eulerian(cycle, union)
@@ -183,26 +195,43 @@ def evaluate_layout(
 
 def _evaluate_shard(inst, audit, shard=0, jobs=1):
     """Evaluate the layouts of the end sets whose rank in `end_sets` is
-    `shard` modulo `jobs`, building each end set's skeleton once, and
-    return (best, layouts, certified, monotone, hamiltonian).  best is
-    ((cost, order, rank, position), LayoutResult) of the cheapest layout,
-    or None for an empty shard; (rank, position) is the layout's place in
-    a serial enumeration, so ties keep the layout a serial run keeps.
+    `shard` modulo `jobs`, building each end set's skeleton once and
+    matching each distinct odd set once, and return (best, layouts,
+    certified, monotone, hamiltonian).  A layout whose reversed twin is a
+    layout of the same end set is evaluated once for both and counted
+    twice.  best is ((cost, order, rank, position), LayoutResult) of the
+    cheapest layout, or None for an empty shard; (rank, position) is the
+    layout's place in a serial enumeration, so ties keep the layout a
+    serial run keeps.
     """
     good_count = len(audit.good)
     expected = tuple(range(inst.n))
     best = None
     count = certified = 0
     monotone = hamiltonian = True
+    matchings = {}
     for rank, ends in enumerate(end_sets(audit, good_count)):
         if rank % jobs != shard:
             continue
-        skeleton = _good_skeleton(inst, audit, ends)
+        skeleton = _good_skeleton(inst, audit, ends, matchings)
         for position, lay in enumerate(enumerate_layouts(audit, good_count, ends)):
+            # (s, v1, ..., last) with v1 in E has the twin (s, last, ..., v1)
+            # in E's block: the same ring edges, so the same multigraph, and
+            # every later stage depends on its edge multiset alone (the
+            # repair sorts its pairs, neighbors() is sorted, euler_tour takes
+            # the min), so both give one result.  Lasts ascend, so the twin
+            # with the smaller last comes first: it is evaluated for both,
+            # and keeps the smaller (rank, position) of the two.
+            order = lay.vertices
+            twins = 1
+            if len(order) > 2 and order[1] in ends:
+                if order[1] < order[-1]:
+                    continue
+                twins = 2
             res = evaluate_layout(inst, audit, lay, skeleton=skeleton)
-            count += 1
+            count += twins
             if res.certified:
-                certified += 1
+                certified += twins
                 monotone = monotone and res.steps_monotone
             hamiltonian = hamiltonian and tuple(sorted(res.order)) == expected
             key = (res.cost, res.order, rank, position)
@@ -225,7 +254,7 @@ def christofides(inst: Instance, audit: TriangleAudit | None = None) -> Tour:
     if inst.n <= 3:
         return _trivial_tour(inst)
     # a spanning tree plus its parity matching is already Eulerian
-    _, _, h = _good_skeleton(inst, audit, frozenset({0}))
+    _, _, h = _good_skeleton(inst, audit, frozenset({0}), {})
     walk = euler_tour(h)
     walk = splice_good(walk, audit, inst)
     return Tour(canonical_rotation(walk), walk_cost(inst, walk), "christofides")

@@ -375,7 +375,7 @@ class TestDeltaTraces:
         layouts = list(enumerate_layouts(audit, len(audit.good)))
         layout = layouts[pick % len(layouts)]
         ends = frozenset(layout.ends)
-        forest, matching, skeleton = _good_skeleton(inst, audit, ends)
+        forest, matching, skeleton = _good_skeleton(inst, audit, ends, {})
         cycle = build_bad_cycle(layout, inst)
         h = assemble_eulerian(cycle, skeleton)
         if b == 2:

@@ -1,4 +1,6 @@
+import collections
 import concurrent.futures
+import dataclasses
 import itertools
 import math
 import os
@@ -327,6 +329,55 @@ def _uncached_report(inst):
     )
 
 
+def _ring(order):
+    """The undirected edges of the closed walk over order."""
+    return frozenset(frozenset(e) for e in zip(order, order[1:] + order[:1]))
+
+
+def _reversed_twin(lay):
+    """(s, v1, ..., last) as (s, last, ..., v1), cut after the same ends."""
+    s, *rest = lay.vertices
+    ends = set(lay.ends)
+    chains, chain = [], []
+    for v in (s, *reversed(rest)):
+        chain.append(v)
+        if v in ends:
+            chains.append(tuple(chain))
+            chain = []
+    return ChainLayout(tuple(chains))
+
+
+class TestReversedTwins:
+    """A layout whose second vertex is a chain end has a reversed twin in
+    its end set's block, with the same result: the solver evaluates one of
+    the two and counts both."""
+
+    @pytest.mark.parametrize(
+        "n,bad,seed", [(7, 3, 1), (9, 4, 2), (10, 5, 3), (11, 6, 4)]
+    )
+    def test_twins_give_one_result(self, n, bad, seed):
+        inst = gen_planted(n, bad, seed=seed)
+        audit = audit_triangles(inst)
+        assert len(audit.bad) == bad
+        good_count = len(audit.good)
+        twinned = 0
+        for ends in end_sets(audit, good_count):
+            block = list(enumerate_layouts(audit, good_count, ends))
+            for lay in block:
+                if lay.vertices[1] not in ends:
+                    continue
+                twin = _reversed_twin(lay)
+                assert twin != lay and twin in block
+                assert frozenset(twin.ends) == ends
+                assert _ring(twin.vertices) == _ring(lay.vertices)
+                res = evaluate_layout(inst, audit, lay)
+                twin_res = evaluate_layout(inst, audit, twin)
+                assert res.layout_id != twin_res.layout_id
+                assert dataclasses.replace(twin_res, layout_id=res.layout_id) == res
+                twinned += 1
+        assert twinned > 0
+
+
 class TestSkeletonCache:
     CASES = [(9, 4, 11), (10, 5, 12), (12, 6, 13)]
 
@@ -343,14 +394,17 @@ class TestSkeletonCache:
         assert rep.steps_monotone == monotone
 
     def test_one_skeleton_per_end_set(self, monkeypatch):
+        # one forest per end set, and one matching per distinct odd set of
+        # those forests: end sets whose forests share an odd set share it
         forests = []
         matchings = []
         real_msf = tritsp.solver.rooted_msf
         real_matching = tritsp.solver.min_cost_perfect_matching
 
         def counting_msf(inst, vertices, roots):
-            forests.append(frozenset(roots))
-            return real_msf(inst, vertices, roots)
+            forest = real_msf(inst, vertices, roots)
+            forests.append(forest)
+            return forest
 
         def counting_matching(inst, odd):
             matchings.append(odd)
@@ -372,13 +426,20 @@ class TestSkeletonCache:
             rep = solve(inst)
             assert rep.layouts > len(end_sets)
             assert len(forests) == len(end_sets)
-            assert set(forests) == end_sets
-            assert len(matchings) == len(end_sets)
+            assert {frozenset(f.roots) for f in forests} == end_sets
+            odd_sets = set()
+            for forest in forests:
+                degree = collections.Counter(itertools.chain(*forest.edges))
+                odd_sets.add(tuple(sorted(v for v, d in degree.items() if d % 2)))
+            assert len(matchings) == len(odd_sets)
+            assert set(map(tuple, matchings)) == odd_sets
 
     def test_one_graph_per_end_set_and_one_copy_per_layout(self, monkeypatch):
         # an end set's skeleton is the only multigraph built, and each
-        # layout works on one copy of it: the bad cycle is a list of pairs
-        # and the Euler tour walks the copy itself
+        # evaluated layout works on one copy of it: the bad cycle is a list
+        # of pairs and the Euler tour walks the copy itself.  A layout and
+        # its reversed twin in the same end set are evaluated once, so the
+        # copies count the distinct (undirected ring, end set) pairs
         built = copies = 0
         real_init, real_copy = MultiGraph.__init__, MultiGraph.copy
 
@@ -399,7 +460,12 @@ class TestSkeletonCache:
         rep = solve(inst)
         assert rep.regime == "chains"
         assert built == len(list(end_sets(audit, len(audit.good))))
-        assert copies == rep.layouts
+        rings = {
+            (_ring(lay.vertices), frozenset(lay.ends))
+            for lay in enumerate_layouts(audit, len(audit.good))
+        }
+        assert rep.layouts == 3840
+        assert copies == len(rings) == 2880
 
 
 class TestSkeletonChecks:
@@ -542,14 +608,14 @@ class TestChristofides:
         built = []
         real = tritsp.solver._good_skeleton
 
-        def spy(inst, audit, ends):
-            built.append((audit.good, ends))
-            return real(inst, audit, ends)
+        def spy(inst, audit, ends, matchings):
+            built.append((audit.good, ends, dict(matchings)))
+            return real(inst, audit, ends, matchings)
 
         monkeypatch.setattr(tritsp.solver, "_good_skeleton", spy)
         inst = gen_metric(12, seed=4)
         tour = christofides(inst)
-        assert built == [(tuple(range(12)), frozenset({0}))]
+        assert built == [(tuple(range(12)), frozenset({0}), {})]
         assert sorted(tour.order) == list(range(12))
 
     def test_ratio_on_generated_metrics(self):
