@@ -2,7 +2,8 @@
 
 A layout is an ordered partition of the bad vertices into non-empty chains.
 Its chain ends (its end set) alone fix the solver's good skeleton, so the
-layouts come end set by end set (`end_sets`, `enumerate_layouts`).  The
+layouts come end set by end set (`end_sets`, `enumerate_layouts`); each
+is a vertex order (`layout_orders`) cut after every end (`cut_chains`).  The
 smallest bad vertex leads the first chain (rotating the chains changes
 neither the induced cycle nor the end set, so each class is emitted once),
 and end sets larger than the number of good vertices are pruned whole.
@@ -19,7 +20,8 @@ from .errors import ContractViolationError
 from .instance import Instance, TriangleAudit
 
 __all__ = [
-    "ChainLayout", "end_sets", "count_layouts", "enumerate_layouts", "build_bad_cycle"
+    "ChainLayout", "end_sets", "count_layouts", "layout_orders", "cut_chains",
+    "enumerate_layouts", "build_bad_cycle",
 ]
 
 
@@ -77,39 +79,49 @@ def count_layouts(audit: TriangleAudit, good_count: int) -> int:
     return lasts * math.factorial(len(audit.bad) - 2)
 
 
+def layout_orders(
+    audit: TriangleAudit, ends: frozenset[int]
+) -> Iterator[tuple[int, ...]]:
+    """The vertex orders of end set `ends`'s layouts: the permutations of
+    audit.bad that start with the smallest bad vertex and end in `ends`, by
+    last vertex and then lexicographically."""
+    bad = audit.bad
+    for last in sorted(ends - {bad[0]}):
+        for middle in itertools.permutations(v for v in bad[1:] if v != last):
+            yield (bad[0], *middle, last)
+
+
+def cut_chains(order: tuple[int, ...], ends: frozenset[int]) -> ChainLayout:
+    """The layout of `order` cut after every member of `ends`."""
+    chains, begin = [], 0
+    for i, v in enumerate(order, 1):
+        if v in ends:
+            chains.append(order[begin:i])
+            begin = i
+    return ChainLayout(tuple(chains))
+
+
 def enumerate_layouts(
     audit: TriangleAudit, good_count: int, ends: frozenset[int] | None = None
 ) -> Iterator[ChainLayout]:
     """Yield every canonical layout of audit.bad once, deterministically,
-    end set by end set in `end_sets` order, or only the layouts of `ends`.
-    The layouts of an end set E are the permutations that start with the
-    smallest bad vertex and end in E, by last vertex and then
-    lexicographically, each cut after every member of E."""
-    bad = audit.bad
+    end set by end set in `end_sets` order, or only the layouts of `ends`:
+    each order of `layout_orders`, cut after every member of its end set."""
     for ends in end_sets(audit, good_count) if ends is None else (ends,):
-        for last in sorted(ends - {bad[0]}):
-            for middle in itertools.permutations(v for v in bad[1:] if v != last):
-                order = (bad[0], *middle, last)
-                chains, begin = [], 0
-                for i, v in enumerate(order, 1):
-                    if v in ends:
-                        chains.append(order[begin:i])
-                        begin = i
-                yield ChainLayout(tuple(chains))
+        for order in layout_orders(audit, ends):
+            yield cut_chains(order, ends)
 
 
-def build_bad_cycle(layout: ChainLayout, inst: Instance) -> list[tuple[int, int]]:
-    """The b edges of the closed ring through all bad vertices, as vertex
-    pairs: intra-chain edges plus a closing edge from each chain's end to
-    the next chain's start (cyclically).  One bad vertex gives no edge;
-    two give their pair twice."""
-    verts = layout.vertices
-    if min(verts) < 0 or max(verts) >= inst.n:
+def build_bad_cycle(order: tuple[int, ...], inst: Instance) -> list[tuple[int, int]]:
+    """The b edges of the closed ring through all bad vertices in `order`
+    (a layout's vertices), as vertex pairs: each chain's own edges plus a
+    closing edge from each chain's end to the next chain's start
+    (cyclically).  One bad vertex gives no edge; two give their pair
+    twice."""
+    if min(order) < 0 or max(order) >= inst.n:
         raise ContractViolationError(
-            f"layout vertices {verts} out of range for n={inst.n}"
+            f"layout vertices {order} out of range for n={inst.n}"
         )
-    if len(verts) == 1:
+    if len(order) == 1:
         return []
-    # intra-chain edges and closing edges end(q_i) -> start(q_{i+1})
-    # together trace the concatenated permutation cyclically
-    return list(zip(verts, verts[1:] + verts[:1]))
+    return list(zip(order, order[1:] + order[:1]))

@@ -2,7 +2,9 @@
 
 Every chain layout of the bad vertices is evaluated: bad cycle, rooted
 spanning forest over the good vertices, parity matching, then the
-shortcut pipeline.  The bad cycle gives every vertex even degree, so the
+shortcut pipeline.  A layout is taken as its bare vertex order and its
+end set; only the winner is cut into a ChainLayout and gets a
+LayoutResult.  The bad cycle gives every vertex even degree, so the
 forest (rooted at the chain ends E) and its odd-degree set, and with them
 the matching, depend on E alone.  So layouts are taken end set by end
 set: E's "good skeleton" (forest, matching and their union multigraph,
@@ -11,19 +13,21 @@ layouts and dropped.  Distinct end sets often leave the same odd set, so
 a solve keeps each odd set's matching and matches each one once.  Every
 matching is proved minimum by its LP certificate when it is built, as
 the 2·M <= OPT step of the guarantee needs; there is no unchecked
-configuration.  Per layout only the overlay and the walk run, on one
-multigraph, a copy of the skeleton: it gets the bad cycle's edges, the
-repair reroutes edges in it in place and the Euler tour consumes it; the
-splices follow, each step's cost traced as a delta.  A layout and its
-reversed twin in the same end set have the same ring edges and so the
-same result: only the first of the two runs, and it counts for both.
+configuration.  Per layout only the overlay and the walk run
+(`_run_ring`), on one multigraph, a copy of the skeleton: it gets the
+bad cycle's edges, the repair reroutes edges in it in place and the
+Euler tour consumes it; the splices follow, each step's cost traced as
+a delta.  A layout and its reversed twin in the same end set have the
+same ring edges and so the same result: only the first of the two runs,
+and it counts for both.
 The cheapest resulting tour wins; ties break on the lexicographically
 smallest rotation, then on the first layout in enumeration order.
 
-Under --jobs each worker takes every jobs-th end set and enumerates only
-the layouts of those; it keeps its own matchings, so two workers may each
-match one odd set.  A serial solve is the same evaluation run on the
-only shard, so both return the same report.
+Under --jobs each worker takes every jobs-th end set, enumerates only
+the layouts of those and returns its own winner; it keeps its own
+matchings, so two workers may each match one odd set.  A serial solve
+is the same evaluation run on the only shard, so both return the same
+report.
 
 Special regimes short-circuit the enumeration: n <= 3 has a unique tour,
 instances with no violating triangle go through the tree-plus-matching
@@ -43,8 +47,9 @@ from dataclasses import dataclass, field
 from .errors import ContractViolationError, SizeRefusalError
 from .forest import RootedForest, rooted_msf
 from .instance import Instance, TriangleAudit, audit_triangles
-from .layouts import ChainLayout, build_bad_cycle, count_layouts
-from .layouts import end_sets, enumerate_layouts
+from .layouts import ChainLayout, build_bad_cycle, count_layouts, cut_chains
+from .layouts import end_sets, layout_orders
+from .layouts import enumerate_layouts  # unused here; perfbench/measure.py wraps it
 from .matching import Matching, min_cost_perfect_matching
 from .multigraph import MultiGraph
 from .shortcut import (
@@ -70,14 +75,19 @@ __all__ = [
 ]
 
 # a pool pays off only past this many layouts: on planted instances, two
-# workers broke even with one at 360-384 layouts and won from 720 on
-_SERIAL_MAX = 400
+# workers took 1.1-2.0x one worker's time at 360-384 layouts, 0.87-1.13x
+# at 720 and 0.60-0.84x from 1920 on
+_SERIAL_MAX = 700
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     max_bad: int = 9
     jobs: int = 1
+
+
+def _non_increasing(steps) -> bool:
+    return all(steps[i + 1] <= steps[i] for i in range(len(steps) - 1))
 
 
 @dataclass(frozen=True)
@@ -93,8 +103,7 @@ class LayoutResult:
 
     @property
     def steps_monotone(self) -> bool:
-        sc = self.step_costs
-        return all(sc[i + 1] <= sc[i] for i in range(len(sc) - 1))
+        return _non_increasing(self.step_costs)
 
 
 @dataclass(frozen=True)
@@ -144,49 +153,45 @@ def _good_skeleton(
     return forest, matching, skeleton
 
 
-def evaluate_layout(
-    inst: Instance,
-    audit: TriangleAudit,
-    layout: ChainLayout,
-    keep_graph: bool = False,
-    skeleton: tuple | None = None,
-):
-    """Run one chain layout through the whole pipeline.
-
-    Returns a LayoutResult, or a (LayoutResult, repaired multigraph) pair
-    when keep_graph is set (the bound checks need the post-repair graph,
-    so the Euler tour then walks a copy of it).
-    `skeleton` is the layout's end set's (forest, matching, union) from
-    `_good_skeleton`; it is built here when not given, after checking
-    that the layout chains exactly the bad vertices (the solver's own
-    layouts come with their skeleton and are complete by construction).
-    """
-    if skeleton is None:
-        if set(layout.vertices) != audit.bad_set:
-            raise ContractViolationError(
-                f"layout {layout.layout_id} does not chain exactly the bad "
-                f"vertices {audit.bad}"
-            )
-        skeleton = _good_skeleton(inst, audit, frozenset(layout.ends), {})
-    cycle = build_bad_cycle(layout, inst)
+def _run_ring(inst, audit, order, skeleton, keep_graph=False):
+    """Run the ring through `order` (a layout's vertices) over its end
+    set's skeleton: overlay, repair, Euler tour, both splices.  Returns
+    (walk, ring, h): ring is (certified, cycle_cost, forest_cost,
+    matching_cost, step_costs), LayoutResult's fields after cost, and h
+    the repaired multigraph, which the Euler tour consumes unless
+    keep_graph is set."""
     forest, matching, union = skeleton
-    h = assemble_eulerian(cycle, union)
-    # the bad cycle is the closed walk over the layout's vertex order
-    cycle_cost = walk_cost(inst, layout.vertices)
+    h = assemble_eulerian(build_bad_cycle(order, inst), union)
+    cycle_cost = walk_cost(inst, order)
     steps = [cycle_cost + forest.cost + matching.cost]
     repaired = repair_double_bad_edges(h, audit, inst, steps)
     walk = euler_tour(h.copy() if keep_graph else h)
     walk, spliced = splice_bad(walk, audit, inst, steps)
     walk = splice_good(walk, audit, inst, steps)
+    certified = repaired and spliced
+    ring = (certified, cycle_cost, forest.cost, matching.cost, tuple(steps))
+    return walk, ring, h
+
+
+def evaluate_layout(
+    inst: Instance, audit: TriangleAudit, layout: ChainLayout, keep_graph: bool = False
+):
+    """Run one chain layout, which must chain exactly the bad vertices,
+    through the whole pipeline on its own skeleton.
+
+    Returns a LayoutResult, or a (LayoutResult, repaired multigraph) pair
+    when keep_graph is set (the bound checks need the post-repair graph,
+    so the Euler tour then walks a copy of it).
+    """
+    if set(layout.vertices) != audit.bad_set:
+        raise ContractViolationError(
+            f"layout {layout.layout_id} does not chain exactly the bad "
+            f"vertices {audit.bad}"
+        )
+    skeleton = _good_skeleton(inst, audit, frozenset(layout.ends), {})
+    walk, ring, h = _run_ring(inst, audit, layout.vertices, skeleton, keep_graph)
     result = LayoutResult(
-        layout_id=layout.layout_id,
-        order=canonical_rotation(walk),
-        cost=walk_cost(inst, walk),
-        certified=repaired and spliced,
-        cycle_cost=cycle_cost,
-        forest_cost=forest.cost,
-        matching_cost=matching.cost,
-        step_costs=tuple(steps),
+        layout.layout_id, canonical_rotation(walk), walk_cost(inst, walk), *ring
     )
     if keep_graph:
         return result, h
@@ -197,24 +202,24 @@ def _evaluate_shard(inst, audit, shard=0, jobs=1):
     """Evaluate the layouts of the end sets whose rank in `end_sets` is
     `shard` modulo `jobs`, building each end set's skeleton once and
     matching each distinct odd set once, and return (best, layouts,
-    certified, monotone, hamiltonian).  A layout whose reversed twin is a
-    layout of the same end set is evaluated once for both and counted
-    twice.  best is ((cost, order, rank, position), LayoutResult) of the
-    cheapest layout, or None for an empty shard; (rank, position) is the
-    layout's place in a serial enumeration, so ties keep the layout a
-    serial run keeps.
+    certified, monotone, hamiltonian).  Layouts are taken as bare vertex
+    orders; a layout whose reversed twin is a layout of the same end set
+    is evaluated once for both and counted twice.  best is ((cost, order,
+    rank, position), LayoutResult) of the cheapest layout, or None for an
+    empty shard; (rank, position) is the layout's place in a serial
+    enumeration, so ties keep the layout a serial run keeps.  Only the
+    winner gets its ChainLayout and its LayoutResult.
     """
-    good_count = len(audit.good)
-    expected = tuple(range(inst.n))
+    expected = list(range(inst.n))
     best = None
     count = certified = 0
     monotone = hamiltonian = True
     matchings = {}
-    for rank, ends in enumerate(end_sets(audit, good_count)):
+    for rank, ends in enumerate(end_sets(audit, len(audit.good))):
         if rank % jobs != shard:
             continue
         skeleton = _good_skeleton(inst, audit, ends, matchings)
-        for position, lay in enumerate(enumerate_layouts(audit, good_count, ends)):
+        for position, order in enumerate(layout_orders(audit, ends)):
             # (s, v1, ..., last) with v1 in E has the twin (s, last, ..., v1)
             # in E's block: the same ring edges, so the same multigraph, and
             # every later stage depends on its edge multiset alone (the
@@ -222,21 +227,27 @@ def _evaluate_shard(inst, audit, shard=0, jobs=1):
             # the min), so both give one result.  Lasts ascend, so the twin
             # with the smaller last comes first: it is evaluated for both,
             # and keeps the smaller (rank, position) of the two.
-            order = lay.vertices
             twins = 1
             if len(order) > 2 and order[1] in ends:
                 if order[1] < order[-1]:
                     continue
                 twins = 2
-            res = evaluate_layout(inst, audit, lay, skeleton=skeleton)
+            walk, ring, _ = _run_ring(inst, audit, order, skeleton)
+            cost = walk_cost(inst, walk)
             count += twins
-            if res.certified:
+            if ring[0]:
                 certified += twins
-                monotone = monotone and res.steps_monotone
-            hamiltonian = hamiltonian and tuple(sorted(res.order)) == expected
-            key = (res.cost, res.order, rank, position)
-            if best is None or key < best[0]:
-                best = (key, res)
+                monotone = monotone and _non_increasing(ring[-1])
+            hamiltonian = hamiltonian and sorted(walk) == expected
+            # a costlier ring loses on the key's first field
+            if best is None or cost <= best[0][0]:
+                key = (cost, canonical_rotation(walk), rank, position)
+                if best is None or key < best[0]:
+                    best = (key, ends, order, ring)
+    if best is not None:
+        key, ends, order, ring = best
+        layout = cut_chains(order, ends)
+        best = (key, LayoutResult(layout.layout_id, key[1], key[0], *ring))
     return best, count, certified, monotone, hamiltonian
 
 

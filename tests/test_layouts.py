@@ -143,29 +143,29 @@ def pairs_cost(inst, cycle):
 class TestBadCycle:
     def test_inst4_single_chain(self, inst4):
         audit = audit_triangles(inst4)
-        cyc = build_bad_cycle(ChainLayout(((0, 1, 2),)), inst4)
+        cyc = build_bad_cycle(ChainLayout(((0, 1, 2),)).vertices, inst4)
         assert cyc == [(0, 1), (1, 2), (2, 0)]
         assert pairs_cost(inst4, cyc) == 12
         assert audit.bad == (0, 1, 2)
 
     def test_inst4_two_chains(self, inst4):
-        cyc = build_bad_cycle(ChainLayout(((0, 1), (2,))), inst4)
+        cyc = build_bad_cycle(ChainLayout(((0, 1), (2,))).vertices, inst4)
         # chain edge (0,1) plus closing edges 1->2 and 2->0
         assert cyc == [(0, 1), (1, 2), (2, 0)]
 
     def test_two_vertex_cycle_doubles_the_edge(self, inst4):
-        cyc = build_bad_cycle(ChainLayout(((0,), (1,))), inst4)
+        cyc = build_bad_cycle(ChainLayout(((0,), (1,))).vertices, inst4)
         assert [tuple(sorted(pair)) for pair in cyc] == [(0, 1), (0, 1)]
         assert all(d % 2 == 0 for d in endpoint_counts(cyc).values())
 
     def test_single_vertex_cycle_is_empty(self, inst4):
-        cyc = build_bad_cycle(ChainLayout(((2,),)), inst4)
+        cyc = build_bad_cycle(ChainLayout(((2,),)).vertices, inst4)
         assert cyc == []
 
     def test_every_vertex_has_even_degree(self, inst4):
         audit = audit_triangles(inst4)
         for lay in enumerate_layouts(audit, good_count=3):
-            cyc = build_bad_cycle(lay, inst4)
+            cyc = build_bad_cycle(lay.vertices, inst4)
             assert len(cyc) == len(lay.vertices)
             assert all(d % 2 == 0 for d in endpoint_counts(cyc).values())
 
@@ -175,7 +175,7 @@ class TestBadCycle:
         rows = [[0, 3, 9, 4], [3, 0, 2, 8], [9, 2, 0, 7], [4, 8, 7, 0]]
         inst = Instance.from_rows("ring", rows)
         lay = ChainLayout(((0, 2), (1, 3)))
-        cyc = build_bad_cycle(lay, inst)
+        cyc = build_bad_cycle(lay.vertices, inst)
         ring = (0, 2, 1, 3)
         expected = sum(
             inst.cost[ring[i]][ring[(i + 1) % 4]] for i in range(4)

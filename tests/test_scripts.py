@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from tritsp.instance import load_instance, planted_corpus
+from tritsp.instance import gen_planted, load_instance, planted_corpus, save_instance
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -32,9 +32,15 @@ class TestReportDigest:
         # the JSON and TSPLIB squares are the same instance
         assert lines[1] == lines[2]
 
-    def test_forced_pool_equals_serial(self, data_dir):
-        serial = run_script("report_digest.py", data_dir, "--jobs", "1").stdout
-        pooled = run_script("report_digest.py", data_dir, "--jobs", "2", "--force-pool")
+    def test_forced_pool_equals_serial(self, data_dir, tmp_path):
+        # the planted instance's end sets give both shards layouts, so each
+        # worker sends its own winner back through the pool
+        planted = tmp_path / "planted.json"
+        planted.write_bytes(save_instance(gen_planted(11, 5, 7)))
+        inputs = (data_dir, str(planted))
+        serial = run_script("report_digest.py", *inputs, "--jobs", "1").stdout
+        pooled = run_script("report_digest.py", *inputs, "--jobs", "2", "--force-pool")
+        assert len(serial.splitlines()) == 4
         assert pooled.stdout == serial
 
 

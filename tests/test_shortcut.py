@@ -28,7 +28,7 @@ def inst4_h(inst4, chains):
     """Combined multigraph for an INST4 layout."""
     audit = audit_triangles(inst4)
     lay = ChainLayout(chains)
-    cyc = build_bad_cycle(lay, inst4)
+    cyc = build_bad_cycle(lay.vertices, inst4)
     forest = rooted_msf(inst4, set(audit.good) | set(lay.ends), set(lay.ends))
     g1 = MultiGraph(4)
     for a, b in cyc + list(forest.edges):
@@ -82,7 +82,7 @@ class TestAssemble:
     def test_overlay_leaves_skeleton_unchanged(self, inst4):
         skeleton = MultiGraph(4)
         skeleton.add_edge(2, 3, 2)
-        cyc = build_bad_cycle(ChainLayout(((0, 1, 2),)), inst4)
+        cyc = build_bad_cycle(ChainLayout(((0, 1, 2),)).vertices, inst4)
         h = assemble_eulerian(cyc, skeleton)
         assert h.edges() == [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 2)]
         assert h.edge_count == 5
@@ -376,7 +376,7 @@ class TestDeltaTraces:
         layout = layouts[pick % len(layouts)]
         ends = frozenset(layout.ends)
         forest, matching, skeleton = _good_skeleton(inst, audit, ends, {})
-        cycle = build_bad_cycle(layout, inst)
+        cycle = build_bad_cycle(layout.vertices, inst)
         h = assemble_eulerian(cycle, skeleton)
         if b == 2:
             assert [tuple(sorted(pair)) for pair in cycle] == [bad, bad]

@@ -22,7 +22,7 @@ from tritsp.oracles import held_karp
 from tritsp.shortcut import walk_cost
 import tritsp.matching
 import tritsp.solver
-from tritsp.solver import SolveOptions, christofides, evaluate_layout, solve
+from tritsp.solver import LayoutResult, SolveOptions, christofides, evaluate_layout, solve
 
 
 class _NoPool:
@@ -224,31 +224,69 @@ class TestSolveRegimes:
         assert par == seq and par.best == seq.best
 
     def test_workers_enumerate_only_their_end_sets(self, monkeypatch):
-        # each shard asks for the layouts of its own end sets, one set at a
-        # time: those whose rank in end_sets is the shard modulo jobs
+        # each shard asks for the vertex orders of its own end sets, one set
+        # at a time: those whose rank in end_sets is the shard modulo jobs
         monkeypatch.setattr(tritsp.solver, "_SERIAL_MAX", 64)
         inst = gen_planted(11, 5, seed=7)
         audit = audit_triangles(inst)
         ranked = list(end_sets(audit, len(audit.good)))
         asked = {}
         real_shard = tritsp.solver._evaluate_shard
-        real_enumerate = tritsp.solver.enumerate_layouts
+        real_orders = tritsp.solver.layout_orders
 
         def spy_shard(inst, audit, shard=0, jobs=1):
             asked[shard] = []
             return real_shard(inst, audit, shard, jobs)
 
-        def enumerate_spy(audit, good_count, ends=None):
+        def orders_spy(audit, ends):
             asked[max(asked)].append(ends)  # the shard running now
-            return real_enumerate(audit, good_count, ends)
+            return real_orders(audit, ends)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
         monkeypatch.setattr(tritsp.solver, "_evaluate_shard", spy_shard)
-        monkeypatch.setattr(tritsp.solver, "enumerate_layouts", enumerate_spy)
+        monkeypatch.setattr(tritsp.solver, "layout_orders", orders_spy)
         rep = solve(inst, SolveOptions(jobs=2))
         assert asked == {0: ranked[0::2], 1: ranked[1::2]}
         assert rep.layouts == count_layouts(audit, len(audit.good))
+
+    def test_only_the_winner_gets_its_layout_objects(self, monkeypatch):
+        # rings are evaluated on bare vertex orders: a serial solve builds
+        # one ChainLayout and one LayoutResult, for its winner, and a pooled
+        # solve at most one of each per shard
+        built = collections.Counter()
+        real_post_init = ChainLayout.__post_init__
+        real_result_init = LayoutResult.__init__
+
+        def counting_post_init(self):
+            built[ChainLayout] += 1
+            real_post_init(self)
+
+        def counting_result_init(self, *args, **kwargs):
+            built[LayoutResult] += 1
+            real_result_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ChainLayout, "__post_init__", counting_post_init)
+        monkeypatch.setattr(LayoutResult, "__init__", counting_result_init)
+        inst = gen_planted(12, 6, seed=1)
+        seq = solve(inst)
+        assert seq.layouts == 3840
+        assert built == {ChainLayout: 1, LayoutResult: 1}
+        assert seq.best.layout_id == seq.tour.layout_id
+        built.clear()
+        pools = []
+
+        def inline_pool(max_workers):
+            pools.append(_InlinePool(max_workers))
+            return pools[-1]
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_pool)
+        par = solve(inst, SolveOptions(jobs=2))
+        (pool,) = pools
+        assert [best is not None for best, *_ in pool.results] == [True, True]
+        assert built == {ChainLayout: 2, LayoutResult: 2}
+        assert par == seq and par.best == seq.best
 
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):
         inst = gen_planted(11, 5, seed=7)
