@@ -25,8 +25,7 @@ from pathlib import Path
 
 import tritsp.solver
 from tritsp.instance import audit_triangles, load_instance
-from tritsp.oracles import _HK_MAX, held_karp
-from tritsp.solver import SolveOptions, solve
+from tritsp.solver import _HK_MAX, SolveOptions, held_karp, solve
 
 
 def _digest(text: str) -> str:

@@ -19,18 +19,17 @@ from .instance import (
 )
 from .layouts import ChainLayout, build_bad_cycle, enumerate_layouts
 from .forest import RootedForest, rooted_msf
-from .matching import Matching, brute_matching, min_cost_perfect_matching
+from .matching import Matching, min_cost_perfect_matching
 from .multigraph import MultiGraph
-from .oracles import (
-    BoundCheck,
-    BoundReport,
-    brute_msf_cost,
-    extract_layout,
-    held_karp,
-    oracle_bounds,
-)
 from .shortcut import Tour, euler_tour, splice_bad, splice_good
-from .solver import SolveOptions, SolveReport, christofides, evaluate_layout, solve
+from .solver import (
+    SolveOptions,
+    SolveReport,
+    christofides,
+    evaluate_layout,
+    held_karp,
+    solve,
+)
 
 __version__ = "0.1.0"
 
@@ -54,15 +53,8 @@ __all__ = [
     "RootedForest",
     "rooted_msf",
     "Matching",
-    "brute_matching",
     "min_cost_perfect_matching",
     "MultiGraph",
-    "BoundCheck",
-    "BoundReport",
-    "brute_msf_cost",
-    "extract_layout",
-    "held_karp",
-    "oracle_bounds",
     "Tour",
     "euler_tour",
     "splice_bad",
@@ -71,5 +63,6 @@ __all__ = [
     "SolveReport",
     "christofides",
     "evaluate_layout",
+    "held_karp",
     "solve",
 ]

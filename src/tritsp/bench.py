@@ -17,8 +17,7 @@ from pathlib import Path
 
 from .errors import ContractViolationError, SizeRefusalError
 from .instance import Instance, load_instance
-from .oracles import _HK_MAX, held_karp
-from .solver import SolveOptions, solve
+from .solver import _HK_MAX, SolveOptions, held_karp, solve
 
 __all__ = [
     "ROW_FIELDS",

@@ -22,8 +22,7 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .oracles import held_karp
-from .solver import SolveOptions, solve
+from .solver import SolveOptions, held_karp, solve
 
 
 class _Parser(argparse.ArgumentParser):

@@ -42,7 +42,7 @@ def int_array(rows, largest: int):
     Python ints (dtype=object) that holds every value of magnitude up to
     `largest`.  Each numpy kernel passes the largest value it forms: the
     triangle audit (_violations_by_blocks), Prim (forest._prim_numpy) and
-    Held-Karp (oracles.held_karp).  The matching uses no numpy."""
+    Held-Karp (solver.held_karp).  The matching uses no numpy."""
     import numpy as np  # loaded on first use: importing tritsp stays light
 
     dtype = np.int32 if largest < 2**31 else np.int64 if largest < 2**63 else object

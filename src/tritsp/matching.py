@@ -38,8 +38,8 @@ dual updates leave unchanged.
 
 Every matching is thus checked against its LP certificate before it is
 returned, so a matching that is not minimum raises instead of silently
-weakening the 2·M <= OPT bound behind the 2.5 guarantee.  A bitmask-DP
-oracle (brute_matching) checks the search in tests.
+weakening the 2·M <= OPT bound behind the 2.5 guarantee.  In tests the
+search is checked against a bitmask-DP reference, oracles.brute_matching.
 """
 
 from __future__ import annotations
@@ -48,13 +48,12 @@ from dataclasses import dataclass
 from math import inf
 from operator import sub
 
-from .errors import ContractViolationError, SizeRefusalError
+from .errors import ContractViolationError
 from .instance import Instance
 
 __all__ = [
     "Matching",
     "min_cost_perfect_matching",
-    "brute_matching",
     "verify_matching_certificate",
 ]
 
@@ -633,52 +632,3 @@ def _certificate_scan(w, mate, y2, blossoms, negative):
             f"primal 2*cost {cost} != dual objective {dual}"
         )
     return negative
-
-
-def brute_matching(inst: Instance, odd) -> Matching:
-    """Bitmask-DP exact minimum perfect matching (testing oracle)."""
-    verts = _checked_vertices(inst, odd)
-    m = len(verts)
-    if m > 16:
-        raise SizeRefusalError(f"brute_matching supports at most 16 vertices, got {m}")
-    if m == 0:
-        return Matching((), 0)
-    c = inst.cost
-    full = 1 << m
-    # dp[mask] = min cost to perfectly match the vertex set mask; the lowest
-    # set bit must pair with someone, so minimizing over its partner is
-    # complete and every even-popcount mask gets a value
-    dp = [None] * full
-    dp[0] = 0
-    for mask in range(1, full):
-        if bin(mask).count("1") % 2 == 1:
-            continue
-        i = 0
-        while not mask >> i & 1:
-            i += 1
-        best = None
-        for j in range(i + 1, m):
-            if not mask >> j & 1:
-                continue
-            cand = dp[mask ^ 1 << i ^ 1 << j] + c[verts[i]][verts[j]]
-            if best is None or cand < best:
-                best = cand
-        dp[mask] = best
-    pairs = []
-    mask = full - 1
-    while mask:
-        i = 0
-        while not mask >> i & 1:
-            i += 1
-        for j in range(i + 1, m):
-            if not mask >> j & 1:
-                continue
-            prev = mask ^ 1 << i ^ 1 << j
-            if dp[prev] + c[verts[i]][verts[j]] == dp[mask]:
-                pairs.append((verts[i], verts[j]))
-                mask = prev
-                break
-        else:
-            raise ContractViolationError("matching DP reconstruction failed")
-    pairs.sort()
-    return Matching(tuple(pairs), dp[full - 1])

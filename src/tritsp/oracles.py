@@ -1,9 +1,9 @@
-"""Exact references the approximation pipeline is checked against.
+"""Exact references the approximation pipeline is checked against in tests.
 
-held_karp gives the lexicographically smallest optimal tour from 0 for
-small n, which is also solve's answer when every vertex is bad;
-brute_msf_cost values every labeled spanning tree of the root-contracted
-graph; oracle_bounds extracts the chain layout an optimal tour induces
+No production path imports this module.  brute_msf_cost values every
+labeled spanning tree of the root-contracted graph; brute_matching is a
+bitmask DP over vertex subsets; oracle_bounds extracts the chain layout
+an optimal tour induces (the optimum from solver.held_karp unless given)
 and reports whether each of the intermediate cost bounds behind the 2.5
 guarantee holds on it, with the witnessing numbers.  The report never
 raises on a failed bound: callers decide what a failure means.
@@ -16,101 +16,39 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ContractViolationError, SizeRefusalError
-from .instance import Instance, TriangleAudit, audit_triangles, int_array
-from .layouts import ChainLayout
-from .shortcut import Tour
-from .solver import LayoutResult, evaluate_layout
+from .instance import Instance, TriangleAudit, audit_triangles
+from .layouts import ChainLayout, build_bad_cycle, cut_chains
+from .matching import Matching, _checked_vertices
+from .shortcut import Tour, assemble_eulerian, repair_double_bad_edges
+from .solver import LayoutResult, _good_skeleton, evaluate_layout, held_karp
 
 __all__ = [
     "held_karp",
     "extract_layout",
     "brute_msf_cost",
+    "brute_matching",
     "BoundCheck",
     "BoundReport",
     "oracle_bounds",
 ]
 
-_HK_MAX = 18
 _MSF_MAX = 8
-
-
-def held_karp(inst: Instance) -> Tour:
-    """Exact minimum tour by dynamic programming over vertex subsets.
-
-    dp[S, j] is the cheapest path from vertex 0 through exactly the
-    vertices of S (bit j <-> vertex j + 1) ending at j.  Each subset-size
-    layer pulls from the one below, one numpy min per (size, j), exactly
-    at any cost.  The tour is rebuilt backwards, from the first j of least
-    dp[full, j] + c[j, 0] through each state's first predecessor that
-    attains its minimum.  Costs are symmetric, so read from 0 in that
-    order, each vertex is the smallest that still extends to an optimal
-    tour: the tour is the lexicographically smallest optimal one from 0.
-    Memory is O(2^n * n), so n is capped at 18.
-    """
-    import numpy as np  # loaded on first use: importing tritsp stays light
-
-    n = inst.n
-    if n > _HK_MAX:
-        raise SizeRefusalError(f"held_karp handles up to n={_HK_MAX}, got {n}")
-    if n == 1:
-        return Tour((0,), 0, "held-karp")
-    m = n - 1  # vertices 1..n-1, bit i <-> vertex i+1
-    top = inst.max_cost
-    inf = n * top + 1  # above every path sum
-    c = int_array(inst.cost, inf + top)  # an unreached state plus one edge
-    inner = c[1:, 1:]
-    full = 1 << m
-    dp = np.full_like(c, inf, shape=(full, m))
-    for j in range(m):
-        dp[1 << j, j] = c[0, j + 1]
-
-    masks = np.arange(full, dtype=np.int64)
-    pop = np.zeros(full, dtype=np.int64)
-    for b in range(m):
-        pop += (masks >> b) & 1
-    for size in range(2, m + 1):
-        layer = masks[pop == size]
-        for j in range(m):
-            rows = layer[(layer >> j) & 1 == 1]
-            # dp[prev, j] is inf (j is not in prev), so j never wins
-            dp[rows, j] = (dp[rows ^ (1 << j)] + inner[:, j]).min(axis=1)
-
-    closing = dp[full - 1] + c[1:, 0]
-    j = int(np.argmin(closing))
-    cost = int(closing[j])
-    mask = full - 1
-    tail = [j + 1]
-    while mask != 1 << j:
-        prev = mask ^ (1 << j)
-        sums = dp[prev] + inner[:, j]
-        i = int(np.argmin(sums))
-        if sums[i] != dp[mask, j]:
-            raise ContractViolationError("tour reconstruction lost its path")
-        mask, j = prev, i
-        tail.append(j + 1)
-    return Tour((0, *tail), cost, "held-karp")
 
 
 def extract_layout(order, audit: TriangleAudit) -> ChainLayout:
     """Chain layout the cyclic order induces on the bad vertices: rotate so
-    the smallest bad vertex comes first, then group consecutive bad runs.
-    A run wrapping past the rotation point is split there."""
+    the smallest bad vertex comes first, keep the bad vertices in that
+    order and cut after the last vertex of each bad run.  A run wrapping
+    past the rotation point is split there."""
     if not audit.good:
         raise ContractViolationError("layout extraction needs a good vertex")
-    bad = set(audit.bad)
+    bad = audit.bad_set
     pivot = order.index(audit.bad[0])
-    rot = list(order[pivot:]) + list(order[:pivot])
-    chains: list[tuple[int, ...]] = []
-    run: list[int] = []
-    for v in rot:
-        if v in bad:
-            run.append(v)
-        elif run:
-            chains.append(tuple(run))
-            run = []
-    if run:
-        chains.append(tuple(run))
-    return ChainLayout(tuple(chains))
+    rot = tuple(order[pivot:]) + tuple(order[:pivot])
+    chained = tuple(v for v in rot if v in bad)
+    ends = {v for v, w in zip(rot, rot[1:]) if v in bad and w not in bad}
+    ends.add(chained[-1])
+    return cut_chains(chained, frozenset(ends))
 
 
 def brute_msf_cost(inst: Instance, vertices, roots) -> int:
@@ -148,6 +86,55 @@ def brute_msf_cost(inst: Instance, vertices, roots) -> int:
         if best is None or total < best:
             best = total
     return best
+
+
+def brute_matching(inst: Instance, odd) -> Matching:
+    """Bitmask-DP exact minimum perfect matching (testing oracle)."""
+    verts = _checked_vertices(inst, odd)
+    m = len(verts)
+    if m > 16:
+        raise SizeRefusalError(f"brute_matching supports at most 16 vertices, got {m}")
+    if m == 0:
+        return Matching((), 0)
+    c = inst.cost
+    full = 1 << m
+    # dp[mask] = min cost to perfectly match the vertex set mask; the lowest
+    # set bit must pair with someone, so minimizing over its partner is
+    # complete and every even-popcount mask gets a value
+    dp = [None] * full
+    dp[0] = 0
+    for mask in range(1, full):
+        if bin(mask).count("1") % 2 == 1:
+            continue
+        i = 0
+        while not mask >> i & 1:
+            i += 1
+        best = None
+        for j in range(i + 1, m):
+            if not mask >> j & 1:
+                continue
+            cand = dp[mask ^ 1 << i ^ 1 << j] + c[verts[i]][verts[j]]
+            if best is None or cand < best:
+                best = cand
+        dp[mask] = best
+    pairs = []
+    mask = full - 1
+    while mask:
+        i = 0
+        while not mask >> i & 1:
+            i += 1
+        for j in range(i + 1, m):
+            if not mask >> j & 1:
+                continue
+            prev = mask ^ 1 << i ^ 1 << j
+            if dp[prev] + c[verts[i]][verts[j]] == dp[mask]:
+                pairs.append((verts[i], verts[j]))
+                mask = prev
+                break
+        else:
+            raise ContractViolationError("matching DP reconstruction failed")
+    pairs.sort()
+    return Matching(tuple(pairs), dp[full - 1])
 
 
 @dataclass(frozen=True)
@@ -223,7 +210,12 @@ def oracle_bounds(inst: Instance, opt_tour: Tour | None = None) -> BoundReport:
     candidates = []
     for direction, order in (("forward", opt.order), ("reverse", opt.order[::-1])):
         layout = extract_layout(order, audit)
-        res, h = evaluate_layout(inst, audit, layout, keep_graph=True)
+        res = evaluate_layout(inst, audit, layout)
+        # the graph evaluate_layout's Euler tour consumed: every stage is
+        # deterministic, so rebuilding it gives the same graph
+        _, _, union = _good_skeleton(inst, audit, frozenset(layout.ends), {})
+        h = assemble_eulerian(build_bad_cycle(layout.vertices, inst), union)
+        repair_double_bad_edges(h, audit, inst)
         checks = _bound_checks(inst, audit, res, h, opt.cost)
         fails = sum(not ch.passed for ch in checks)
         candidates.append(

@@ -33,8 +33,8 @@ Special regimes short-circuit the enumeration: n <= 3 has a unique tour,
 instances with no violating triangle go through the tree-plus-matching
 1.5-approximation (the good skeleton of the end set {0}, since every
 vertex is good there), and instances where every vertex is bad take the
-optimal tour of oracles.held_karp (n <= 18, whatever max_bad is), which
-is the bad cycle of the best of their (n-1)! single-chain layouts.
+optimal tour of held_karp (n <= 18, whatever max_bad is), which is the
+bad cycle of the best of their (n-1)! single-chain layouts.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 from .errors import ContractViolationError, SizeRefusalError
 from .forest import RootedForest, rooted_msf
-from .instance import Instance, TriangleAudit, audit_triangles
+from .instance import Instance, TriangleAudit, audit_triangles, int_array
 from .layouts import ChainLayout, build_bad_cycle, count_layouts, cut_chains
 from .layouts import end_sets, layout_orders
 from .layouts import enumerate_layouts  # unused here; perfbench/measure.py wraps it
@@ -71,6 +71,7 @@ __all__ = [
     "SolveReport",
     "evaluate_layout",
     "christofides",
+    "held_karp",
     "solve",
 ]
 
@@ -78,6 +79,7 @@ __all__ = [
 # workers took 1.1-2.0x one worker's time at 360-384 layouts, 0.87-1.13x
 # at 720 and 0.60-0.84x from 1920 on
 _SERIAL_MAX = 700
+_HK_MAX = 18
 
 
 @dataclass(frozen=True)
@@ -153,49 +155,39 @@ def _good_skeleton(
     return forest, matching, skeleton
 
 
-def _run_ring(inst, audit, order, skeleton, keep_graph=False):
+def _run_ring(inst, audit, order, skeleton):
     """Run the ring through `order` (a layout's vertices) over its end
     set's skeleton: overlay, repair, Euler tour, both splices.  Returns
-    (walk, ring, h): ring is (certified, cycle_cost, forest_cost,
-    matching_cost, step_costs), LayoutResult's fields after cost, and h
-    the repaired multigraph, which the Euler tour consumes unless
-    keep_graph is set."""
+    (walk, ring): ring is (certified, cycle_cost, forest_cost,
+    matching_cost, step_costs), LayoutResult's fields after cost."""
     forest, matching, union = skeleton
     h = assemble_eulerian(build_bad_cycle(order, inst), union)
     cycle_cost = walk_cost(inst, order)
     steps = [cycle_cost + forest.cost + matching.cost]
     repaired = repair_double_bad_edges(h, audit, inst, steps)
-    walk = euler_tour(h.copy() if keep_graph else h)
+    walk = euler_tour(h)
     walk, spliced = splice_bad(walk, audit, inst, steps)
     walk = splice_good(walk, audit, inst, steps)
     certified = repaired and spliced
     ring = (certified, cycle_cost, forest.cost, matching.cost, tuple(steps))
-    return walk, ring, h
+    return walk, ring
 
 
 def evaluate_layout(
-    inst: Instance, audit: TriangleAudit, layout: ChainLayout, keep_graph: bool = False
-):
+    inst: Instance, audit: TriangleAudit, layout: ChainLayout
+) -> LayoutResult:
     """Run one chain layout, which must chain exactly the bad vertices,
-    through the whole pipeline on its own skeleton.
-
-    Returns a LayoutResult, or a (LayoutResult, repaired multigraph) pair
-    when keep_graph is set (the bound checks need the post-repair graph,
-    so the Euler tour then walks a copy of it).
-    """
+    through the whole pipeline on its own skeleton."""
     if set(layout.vertices) != audit.bad_set:
         raise ContractViolationError(
             f"layout {layout.layout_id} does not chain exactly the bad "
             f"vertices {audit.bad}"
         )
     skeleton = _good_skeleton(inst, audit, frozenset(layout.ends), {})
-    walk, ring, h = _run_ring(inst, audit, layout.vertices, skeleton, keep_graph)
-    result = LayoutResult(
+    walk, ring = _run_ring(inst, audit, layout.vertices, skeleton)
+    return LayoutResult(
         layout.layout_id, canonical_rotation(walk), walk_cost(inst, walk), *ring
     )
-    if keep_graph:
-        return result, h
-    return result
 
 
 def _evaluate_shard(inst, audit, shard=0, jobs=1):
@@ -205,10 +197,11 @@ def _evaluate_shard(inst, audit, shard=0, jobs=1):
     certified, monotone, hamiltonian).  Layouts are taken as bare vertex
     orders; a layout whose reversed twin is a layout of the same end set
     is evaluated once for both and counted twice.  best is ((cost, order,
-    rank, position), LayoutResult) of the cheapest layout, or None for an
-    empty shard; (rank, position) is the layout's place in a serial
-    enumeration, so ties keep the layout a serial run keeps.  Only the
-    winner gets its ChainLayout and its LayoutResult.
+    rank), LayoutResult) of the cheapest layout, or None for an empty
+    shard.  Layouts come in serial enumeration order and only a strictly
+    smaller key replaces the best, so a tie keeps the first of its layouts,
+    the one a serial run keeps; across shards the end sets' ranks differ.
+    Only the winner gets its ChainLayout and its LayoutResult.
     """
     expected = list(range(inst.n))
     best = None
@@ -219,20 +212,21 @@ def _evaluate_shard(inst, audit, shard=0, jobs=1):
         if rank % jobs != shard:
             continue
         skeleton = _good_skeleton(inst, audit, ends, matchings)
-        for position, order in enumerate(layout_orders(audit, ends)):
+        for order in layout_orders(audit, ends):
             # (s, v1, ..., last) with v1 in E has the twin (s, last, ..., v1)
             # in E's block: the same ring edges, so the same multigraph, and
             # every later stage depends on its edge multiset alone (the
             # repair sorts its pairs, neighbors() is sorted, euler_tour takes
             # the min), so both give one result.  Lasts ascend, so the twin
             # with the smaller last comes first: it is evaluated for both,
-            # and keeps the smaller (rank, position) of the two.
+            # as the one of the two that a tie keeps.  (Here b >= 3: a
+            # violating triangle has three bad vertices.)
             twins = 1
-            if len(order) > 2 and order[1] in ends:
+            if order[1] in ends:
                 if order[1] < order[-1]:
                     continue
                 twins = 2
-            walk, ring, _ = _run_ring(inst, audit, order, skeleton)
+            walk, ring = _run_ring(inst, audit, order, skeleton)
             cost = walk_cost(inst, walk)
             count += twins
             if ring[0]:
@@ -241,7 +235,7 @@ def _evaluate_shard(inst, audit, shard=0, jobs=1):
             hamiltonian = hamiltonian and sorted(walk) == expected
             # a costlier ring loses on the key's first field
             if best is None or cost <= best[0][0]:
-                key = (cost, canonical_rotation(walk), rank, position)
+                key = (cost, canonical_rotation(walk), rank)
                 if best is None or key < best[0]:
                     best = (key, ends, order, ring)
     if best is not None:
@@ -271,6 +265,63 @@ def christofides(inst: Instance, audit: TriangleAudit | None = None) -> Tour:
     return Tour(canonical_rotation(walk), walk_cost(inst, walk), "christofides")
 
 
+def held_karp(inst: Instance) -> Tour:
+    """Exact minimum tour by dynamic programming over vertex subsets.
+
+    dp[S, j] is the cheapest path from vertex 0 through exactly the
+    vertices of S (bit j <-> vertex j + 1) ending at j.  Each subset-size
+    layer pulls from the one below, one numpy min per (size, j), exactly
+    at any cost.  The tour is rebuilt backwards, from the first j of least
+    dp[full, j] + c[j, 0] through each state's first predecessor that
+    attains its minimum.  Costs are symmetric, so read from 0 in that
+    order, each vertex is the smallest that still extends to an optimal
+    tour: the tour is the lexicographically smallest optimal one from 0.
+    Memory is O(2^n * n), so n is capped at 18.
+    """
+    import numpy as np  # loaded on first use: importing tritsp stays light
+
+    n = inst.n
+    if n > _HK_MAX:
+        raise SizeRefusalError(f"held_karp handles up to n={_HK_MAX}, got {n}")
+    if n == 1:
+        return Tour((0,), 0, "held-karp")
+    m = n - 1  # vertices 1..n-1, bit i <-> vertex i+1
+    top = inst.max_cost
+    inf = n * top + 1  # above every path sum
+    c = int_array(inst.cost, inf + top)  # an unreached state plus one edge
+    inner = c[1:, 1:]
+    full = 1 << m
+    dp = np.full_like(c, inf, shape=(full, m))
+    for j in range(m):
+        dp[1 << j, j] = c[0, j + 1]
+
+    masks = np.arange(full, dtype=np.int64)
+    pop = np.zeros(full, dtype=np.int64)
+    for b in range(m):
+        pop += (masks >> b) & 1
+    for size in range(2, m + 1):
+        layer = masks[pop == size]
+        for j in range(m):
+            rows = layer[(layer >> j) & 1 == 1]
+            # dp[prev, j] is inf (j is not in prev), so j never wins
+            dp[rows, j] = (dp[rows ^ (1 << j)] + inner[:, j]).min(axis=1)
+
+    closing = dp[full - 1] + c[1:, 0]
+    j = int(np.argmin(closing))
+    cost = int(closing[j])
+    mask = full - 1
+    tail = [j + 1]
+    while mask != 1 << j:
+        prev = mask ^ (1 << j)
+        sums = dp[prev] + inner[:, j]
+        i = int(np.argmin(sums))
+        if sums[i] != dp[mask, j]:
+            raise ContractViolationError("tour reconstruction lost its path")
+        mask, j = prev, i
+        tail.append(j + 1)
+    return Tour((0, *tail), cost, "held-karp")
+
+
 def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
     opts = opts or SolveOptions()
     audit = audit_triangles(inst)
@@ -285,9 +336,7 @@ def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
 
     if not audit.good:
         # the best single-chain ring is held_karp's tour, the smallest
-        # optimal order from 0 (loaded here: oracles imports this module)
-        from .oracles import held_karp
-
+        # optimal order from 0
         opt = held_karp(inst)
         tour = Tour(opt.order, opt.cost, ",".join(map(str, opt.order)))
         count = math.factorial(n - 1)

@@ -14,8 +14,8 @@ import time
 
 from tritsp.forest import rooted_msf
 from tritsp.instance import Instance, audit_triangles, gen_metric, gen_planted
-from tritsp.matching import brute_matching, min_cost_perfect_matching
-from tritsp.oracles import brute_msf_cost, held_karp, oracle_bounds
+from tritsp.matching import min_cost_perfect_matching
+from tritsp.oracles import brute_matching, brute_msf_cost, held_karp, oracle_bounds
 from tritsp.solver import SolveOptions, christofides, solve
 
 
@@ -58,14 +58,23 @@ def test_corpus_reports_fingerprint(solved_corpus):
 
 
 def test_corpus_bounds(solved_corpus):
-    """Intermediate cost bounds hold on the layout extracted from OPT."""
+    """Intermediate cost bounds hold on the layout extracted from OPT, and
+    every report, witness numbers included, hashes to the recorded digest."""
     failures = []
+    digest = hashlib.sha256()
     for inst, _, opt in solved_corpus:
         report = oracle_bounds(inst, opt)
+        digest.update(repr(report).encode())
         if not report.passed:
             failures.append((inst.name, report.failures()))
     assert not failures, failures
-    _announce("optimal-layout bounds", f"{len(solved_corpus)} instances, 0 failures")
+    assert digest.hexdigest() == (
+        "ddd863e66517e1701dfad50427026330ceecf37f6b02780f2302d72c3a038b24"
+    )
+    _announce(
+        "optimal-layout bounds",
+        f"{len(solved_corpus)} instances, 0 failures, sha256 unchanged",
+    )
 
 
 def test_matching_against_brute_force():

@@ -14,11 +14,8 @@ import tritsp.matching
 from tritsp.errors import ContractViolationError, SizeRefusalError
 from tritsp.forest import rooted_msf
 from tritsp.instance import Instance
-from tritsp.matching import (
-    brute_matching,
-    min_cost_perfect_matching,
-    verify_matching_certificate,
-)
+from tritsp.matching import min_cost_perfect_matching, verify_matching_certificate
+from tritsp.oracles import brute_matching
 from tritsp.solver import christofides
 
 
