@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ContractViolationError, SizeRefusalError
+from .errors import ContractViolationError
 from .instance import Instance, load_instance
 from .solver import _HK_MAX, SolveOptions, held_karp, solve
 

@@ -13,6 +13,13 @@ vertex of least key in and decodes its edge as divmod(key % n**2, n).
 Below _FOREST_NUMPY_MIN vertices the keys sit in a dict; from there on
 Prim scans its rows in numpy.  Both paths pick the same vertex at every
 step, so their edges and cost are equal.
+
+`forests_from_mst` gives the same forests for many root sets E over one
+fixed vertex set G (E outside G) from a single Prim: the MST of G.  A
+G-edge off that tree is the largest key on a cycle inside G, so it is in
+no contracted MSF either; Kruskal over the tree's edges plus each
+vertex's cheapest keyed edge into E therefore finds the unique contracted
+MSF, the forest rooted_msf(G | E, E) returns.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 from .errors import ContractViolationError
 from .instance import Instance, int_array
 
-__all__ = ["RootedForest", "rooted_msf"]
+__all__ = ["RootedForest", "rooted_msf", "forests_from_mst"]
 
 # from this many vertices on, Prim's scans in numpy beat the Python loop
 # (measured crossover on CEIL_2D: 20 to 24); smaller forests leave numpy
@@ -114,3 +121,48 @@ def _prim_numpy(c, n, verts, rts, top):
         key[i] = never
         relax(i)
     return edges
+
+
+def forests_from_mst(inst: Instance, mst: RootedForest):
+    """A function from a root set E, disjoint from the vertices of `mst`
+    (a spanning tree of its vertex set G, as rooted_msf(G, [one of G])
+    returns it), to rooted_msf(inst, G | E, E).  Each call is one Kruskal
+    over the tree's |G| - 1 edges and |G| edges into E."""
+    n = inst.n
+    n2 = n * n
+    c = inst.cost
+    good = sorted({v for e in mst.edges for v in e} | set(mst.roots))
+    tree = [c[a][b] * n2 + a * n + b for a, b in mst.edges]
+    # each vertex outside the tree -> the keys of its edges into the tree
+    into = {
+        r: [c[r][v] * n2 + (r * n + v if r < v else v * n + r) for v in good]
+        for r in set(range(n)).difference(good)
+    }
+
+    def forest(roots) -> RootedForest:
+        rts = sorted(roots)
+        if not rts or not into.keys() >= set(rts):
+            raise ContractViolationError(f"roots {rts} are not a set outside the tree")
+        keys = tree + [min(k) for k in zip(*(into[r] for r in rts))]
+        keys.sort()
+        up = list(range(n))  # union-find; every root stands for rts[0]
+        for r in rts:
+            up[r] = rts[0]
+        edges = []
+        total = 0
+        for k in keys:
+            a, b = edge = divmod(k % n2, n)
+            while up[a] != a:
+                up[a] = a = up[up[a]]
+            while up[b] != b:
+                up[b] = b = up[up[b]]
+            if a != b:
+                up[a] = b
+                edges.append(edge)
+                total += k // n2
+                if len(edges) == len(good):
+                    break
+        edges.sort()
+        return RootedForest(tuple(edges), tuple(rts), total)
+
+    return forest

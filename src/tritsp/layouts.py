@@ -12,7 +12,6 @@ and end sets larger than the number of good vertices are pruned whole.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -20,7 +19,7 @@ from .errors import ContractViolationError
 from .instance import Instance, TriangleAudit
 
 __all__ = [
-    "ChainLayout", "end_sets", "count_layouts", "layout_orders", "cut_chains",
+    "ChainLayout", "end_sets", "layout_orders", "cut_chains",
     "enumerate_layouts", "build_bad_cycle",
 ]
 
@@ -70,13 +69,6 @@ def end_sets(audit: TriangleAudit, good_count: int) -> Iterator[frozenset[int]]:
         for ends in itertools.combinations(bad, size):
             if ends != bad[:1]:
                 yield frozenset(ends)
-
-
-def count_layouts(audit: TriangleAudit, good_count: int) -> int:
-    """How many layouts enumerate_layouts yields: (m-2)! for each choice
-    of an end set and its last vertex, which is not the smallest."""
-    lasts = sum(len(ends - {audit.bad[0]}) for ends in end_sets(audit, good_count))
-    return lasts * math.factorial(len(audit.bad) - 2)
 
 
 def layout_orders(

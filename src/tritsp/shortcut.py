@@ -1,11 +1,11 @@
 """From bad cycle + forest + matching to a Hamiltonian cycle.
 
 Stages: union the forest and the matching into a checked good skeleton
-(once per chain-end set), add a bad cycle's edges to a copy of it to get
-an Eulerian multigraph, reroute doubled bad-bad edges through good
-neighbors, extract an Euler tour (which consumes that copy), then splice
-out repeated bad vertices (most negative cost delta first, only at
-occurrences whose removal is provably cost-safe) and finally repeated
+(once per distinct rooted forest), add a bad cycle's edges to a copy of
+it to get an Eulerian multigraph, reroute doubled bad-bad edges through
+good neighbors, extract an Euler tour (which consumes that copy), then
+splice out repeated bad vertices (most negative cost delta first, only
+at occurrences whose removal is provably cost-safe) and finally repeated
 good vertices (keep first occurrence; always safe since every triangle
 with a good vertex is metric).
 

@@ -6,25 +6,29 @@ shortcut pipeline.  A layout is taken as its bare vertex order and its
 end set; only the winner is cut into a ChainLayout and gets a
 LayoutResult.  The bad cycle gives every vertex even degree, so the
 forest (rooted at the chain ends E) and its odd-degree set, and with them
-the matching, depend on E alone.  So layouts are taken end set by end
-set: E's "good skeleton" (forest, matching and their union multigraph,
-whose parity and reach to E are checked there) is built, shared by E's
-layouts and dropped.  Distinct end sets often leave the same odd set, so
-a solve keeps each odd set's matching and matches each one once.  Every
-matching is proved minimum by its LP certificate when it is built, as
-the 2·M <= OPT step of the guarantee needs; there is no unchecked
-configuration.  Per layout only the overlay and the walk run
-(`_run_ring`), on one multigraph, a copy of the skeleton: it gets the
-bad cycle's edges, the repair reroutes edges in it in place and the
-Euler tour consumes it; the splices follow, each step's cost traced as
-a delta.  A layout and its reversed twin in the same end set have the
-same ring edges and so the same result: only the first of the two runs,
-and it counts for both.
+the matching, depend on E alone, and in fact on E's forest alone: an end
+the forest leaves bare has only ring edges, like an inner chain vertex.
+One Prim per solve builds the good-vertex MST, and each end set's forest
+is one Kruskal from it (`forests_from_mst`).  End sets are grouped by
+their forest's edges, and each group's "good skeleton" (forest, matching
+and their union multigraph, whose parity and reach to the roots are
+checked there) is built once, shared by the group's layouts and dropped.
+Distinct forests often leave the same odd set, so a solve keeps each odd
+set's matching and matches each one once.  Every matching is proved
+minimum by its LP certificate when it is built, as the 2·M <= OPT step of
+the guarantee needs; there is no unchecked configuration.  Per ring only
+the overlay and the walk run (`_run_ring`), on one multigraph, a copy of
+the skeleton: it gets the bad cycle's edges, the repair reroutes edges in
+it in place and the Euler tour consumes it; the splices follow, each
+step's cost traced as a delta.  The result depends on the ring's edge
+multiset alone, so each undirected ring runs once per group, through a
+table that lives while its group is walked; a layout whose reversed twin
+is in the same end set is skipped and counted with it.
 The cheapest resulting tour wins; ties break on the lexicographically
 smallest rotation, then on the first layout in enumeration order.
 
-Under --jobs each worker takes every jobs-th end set, enumerates only
-the layouts of those and returns its own winner; it keeps its own
+Under --jobs each worker takes every jobs-th forest group, walks only the
+layouts of its end sets and returns its own winner; it keeps its own
 matchings, so two workers may each match one odd set.  A serial solve
 is the same evaluation run on the only shard, so both return the same
 report.
@@ -45,9 +49,9 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import ContractViolationError, SizeRefusalError
-from .forest import RootedForest, rooted_msf
+from .forest import RootedForest, forests_from_mst, rooted_msf
 from .instance import Instance, TriangleAudit, audit_triangles, int_array
-from .layouts import ChainLayout, build_bad_cycle, count_layouts, cut_chains
+from .layouts import ChainLayout, build_bad_cycle, cut_chains
 from .layouts import end_sets, layout_orders
 from .layouts import enumerate_layouts  # unused here; perfbench/measure.py wraps it
 from .matching import Matching, min_cost_perfect_matching
@@ -75,10 +79,10 @@ __all__ = [
     "solve",
 ]
 
-# a pool pays off only past this many layouts: on planted instances, two
-# workers took 1.1-2.0x one worker's time at 360-384 layouts, 0.87-1.13x
-# at 720 and 0.60-0.84x from 1920 on
-_SERIAL_MAX = 700
+# a pool pays off only past this many ring evaluations (_rings_bound): on
+# planted instances two workers took 1.0-6.7x one worker's time at bounds
+# up to 720, 0.75-1.07x at 804-924 and 0.49-0.85x from 1260 on
+_SERIAL_MAX = 800
 _HK_MAX = 18
 
 
@@ -137,16 +141,18 @@ def _good_skeleton(
     audit: TriangleAudit,
     ends: frozenset[int],
     matchings: dict[tuple[int, ...], Matching],
+    forest: RootedForest | None = None,
 ) -> tuple[RootedForest, Matching, MultiGraph]:
-    """Forest over the good vertices rooted at the chain ends, the matching
-    on its odd-degree vertices, and their checked union.  The bad cycle
-    has even degree everywhere, so odd(cycle + forest) = odd(forest).  On
-    a metric instance every vertex is good, and ends {0} give the spanning
-    tree and parity matching of Christofides.  `matchings` maps each odd
-    set met so far to its matching, which was certified when it was built
-    and depends on nothing else, so each distinct odd set is matched once
-    per dict."""
-    forest = rooted_msf(inst, audit.good_set | ends, ends)
+    """Forest over the good vertices rooted at the chain ends (`forest`,
+    or else rooted_msf's), the matching on its odd-degree vertices, and
+    their checked union.  The bad cycle has even degree everywhere, so
+    odd(cycle + forest) = odd(forest).  On a metric instance every vertex
+    is good, and ends {0} give the spanning tree and parity matching of
+    Christofides.  `matchings` maps each odd set met so far to its
+    matching, which was certified when it was built and depends on nothing
+    else, so each distinct odd set is matched once per dict."""
+    if forest is None:
+        forest = rooted_msf(inst, audit.good_set | ends, ends)
     odd = _odd_vertices(inst.n, forest.edges)
     matching = matchings.get(odd)
     if matching is None:
@@ -156,10 +162,11 @@ def _good_skeleton(
 
 
 def _run_ring(inst, audit, order, skeleton):
-    """Run the ring through `order` (a layout's vertices) over its end
-    set's skeleton: overlay, repair, Euler tour, both splices.  Returns
+    """Run the ring through `order` (a layout's vertices) over its forest's
+    skeleton: overlay, repair, Euler tour, both splices.  Returns
     (walk, ring): ring is (certified, cycle_cost, forest_cost,
-    matching_cost, step_costs), LayoutResult's fields after cost."""
+    matching_cost, step_costs), LayoutResult's fields after cost; the
+    last step is the walk's cost."""
     forest, matching, union = skeleton
     h = assemble_eulerian(build_bad_cycle(order, inst), union)
     cycle_cost = walk_cost(inst, order)
@@ -185,59 +192,89 @@ def evaluate_layout(
         )
     skeleton = _good_skeleton(inst, audit, frozenset(layout.ends), {})
     walk, ring = _run_ring(inst, audit, layout.vertices, skeleton)
-    return LayoutResult(
-        layout.layout_id, canonical_rotation(walk), walk_cost(inst, walk), *ring
+    return LayoutResult(layout.layout_id, canonical_rotation(walk), ring[-1][-1], *ring)
+
+
+def _forest_groups(inst, audit):
+    """The ranked end sets grouped by their rooted forest: a list, in
+    order of first rank, of (forest, [(rank, ends), ...]) with ranks
+    ascending.  Every forest comes from one good-vertex MST."""
+    mst = rooted_msf(inst, audit.good, audit.good[:1])
+    forest_of = forests_from_mst(inst, mst)
+    groups = {}
+    for rank, ends in enumerate(end_sets(audit, len(audit.good))):
+        forest = forest_of(ends)
+        groups.setdefault(forest.edges, (forest, []))[1].append((rank, ends))
+    return list(groups.values())
+
+
+def _rings_bound(audit, groups) -> int:
+    """At most how many rings a solve evaluates: per forest group, the
+    (b-1)!/2 undirected rings through the bad vertices, or the group's
+    layouts if they are fewer."""
+    s = audit.bad[0]
+    rings = math.factorial(len(audit.bad) - 1) // 2
+    per_last = math.factorial(len(audit.bad) - 2)
+    return sum(
+        min(rings, per_last * sum(len(ends - {s}) for _, ends in members))
+        for _, members in groups
     )
 
 
-def _evaluate_shard(inst, audit, shard=0, jobs=1):
-    """Evaluate the layouts of the end sets whose rank in `end_sets` is
-    `shard` modulo `jobs`, building each end set's skeleton once and
-    matching each distinct odd set once, and return (best, layouts,
-    certified, monotone, hamiltonian).  Layouts are taken as bare vertex
-    orders; a layout whose reversed twin is a layout of the same end set
-    is evaluated once for both and counted twice.  best is ((cost, order,
-    rank), LayoutResult) of the cheapest layout, or None for an empty
-    shard.  Layouts come in serial enumeration order and only a strictly
-    smaller key replaces the best, so a tie keeps the first of its layouts,
-    the one a serial run keeps; across shards the end sets' ranks differ.
-    Only the winner gets its ChainLayout and its LayoutResult.
+def _evaluate_shard(inst, audit, groups, shard=0, jobs=1):
+    """Evaluate the layouts of the forest groups (`_forest_groups`) whose
+    index is `shard` modulo `jobs`, building each group's skeleton once,
+    matching each distinct odd set once and running each undirected ring
+    once per group, and return (best, layouts, certified, monotone,
+    hamiltonian).  best is ((cost, rotation, rank), LayoutResult) of the
+    cheapest layout, or None for an empty shard.  A group's end sets come
+    in rank order and each one's layouts in serial enumeration order, and
+    only a strictly smaller key replaces the best, so a tie keeps the
+    first of its layouts, the one a serial run keeps; across groups and
+    shards the ranks decide.  Only the winner gets its ChainLayout and its
+    LayoutResult.
     """
     expected = list(range(inst.n))
     best = None
     count = certified = 0
     monotone = hamiltonian = True
     matchings = {}
-    for rank, ends in enumerate(end_sets(audit, len(audit.good))):
-        if rank % jobs != shard:
-            continue
-        skeleton = _good_skeleton(inst, audit, ends, matchings)
-        for order in layout_orders(audit, ends):
-            # (s, v1, ..., last) with v1 in E has the twin (s, last, ..., v1)
-            # in E's block: the same ring edges, so the same multigraph, and
-            # every later stage depends on its edge multiset alone (the
-            # repair sorts its pairs, neighbors() is sorted, euler_tour takes
-            # the min), so both give one result.  Lasts ascend, so the twin
-            # with the smaller last comes first: it is evaluated for both,
-            # as the one of the two that a tie keeps.  (Here b >= 3: a
-            # violating triangle has three bad vertices.)
-            twins = 1
-            if order[1] in ends:
-                if order[1] < order[-1]:
-                    continue
-                twins = 2
-            walk, ring = _run_ring(inst, audit, order, skeleton)
-            cost = walk_cost(inst, walk)
-            count += twins
-            if ring[0]:
-                certified += twins
-                monotone = monotone and _non_increasing(ring[-1])
-            hamiltonian = hamiltonian and sorted(walk) == expected
-            # a costlier ring loses on the key's first field
-            if best is None or cost <= best[0][0]:
-                key = (cost, canonical_rotation(walk), rank)
-                if best is None or key < best[0]:
-                    best = (key, ends, order, ring)
+    for forest, members in groups[shard::jobs]:
+        # a root the forest leaves bare has only ring edges, like an
+        # inner chain vertex: the group's end sets share every stage
+        skeleton = _good_skeleton(inst, audit, members[0][1], matchings, forest)
+        rings = {}  # undirected ring, from s with second < last -> result
+        for rank, ends in members:
+            for order in layout_orders(audit, ends):
+                # (s, v1, ..., last) with v1 in E has the twin (s, last, ...,
+                # v1) in E's block, the same ring; lasts ascend, so the twin
+                # with the smaller last comes first and counts for both.
+                # (Here b >= 3: a violating triangle has three bad vertices.)
+                twins = 1
+                if order[1] in ends:
+                    if order[1] < order[-1]:
+                        continue
+                    twins = 2
+                ring_key = order if order[1] < order[-1] else order[:1] + order[:0:-1]
+                entry = rings.get(ring_key)
+                if entry is None:
+                    # the result depends on the ring's edge multiset alone
+                    # (the repair sorts its pairs, neighbors() is sorted,
+                    # euler_tour takes the min), not on its orientation
+                    walk, ring = _run_ring(inst, audit, order, skeleton)
+                    entry = rings[ring_key] = (ring[-1][-1], walk, ring)
+                    hamiltonian = hamiltonian and sorted(walk) == expected
+                    if ring[0]:
+                        monotone = monotone and _non_increasing(ring[-1])
+                cost, walk, ring = entry
+                count += twins
+                if ring[0]:
+                    certified += twins
+                # a costlier ring loses on the key's first field
+                if best is None or cost <= best[0][0]:
+                    key = (cost, canonical_rotation(walk), rank)
+                    if best is None or key < best[0]:
+                        best = (key, ends, order, ring)
     if best is not None:
         key, ends, order, ring = best
         layout = cut_chains(order, ends)
@@ -347,14 +384,15 @@ def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
             f"{audit.k_t} bad vertices exceeds the limit of {opts.max_bad}"
         )
 
+    groups = _forest_groups(inst, audit)
     jobs = min(opts.jobs, os.cpu_count() or 1)
-    if jobs <= 1 or count_layouts(audit, len(audit.good)) <= _SERIAL_MAX:
-        parts = [_evaluate_shard(inst, audit)]
+    if jobs <= 1 or _rings_bound(audit, groups) <= _SERIAL_MAX:
+        parts = [_evaluate_shard(inst, audit, groups)]
     else:
         # loaded on first use: serial solves never load the pool's modules
         from concurrent.futures import ProcessPoolExecutor
 
-        shard = functools.partial(_evaluate_shard, inst, audit, jobs=jobs)
+        shard = functools.partial(_evaluate_shard, inst, audit, groups, jobs=jobs)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(shard, range(jobs)))
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import tritsp.forest
 from tritsp.errors import ContractViolationError
-from tritsp.forest import rooted_msf
+from tritsp.forest import forests_from_mst, rooted_msf
 from tritsp.instance import Instance, int_array
 from tritsp.oracles import brute_msf_cost
 
@@ -163,3 +163,38 @@ class TestNumpyPrim:
                 lines.append(repr((f.edges, f.roots, f.cost)))
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == FORESTS_DIGEST
+
+
+class TestForestsFromMst:
+    """Kruskal over one MST of the tree vertices G plus each vertex's
+    cheapest edge into E gives rooted_msf(G | E, E) for every E."""
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=150)
+    def test_equals_rooted_msf(self, seed):
+        # costs 1-3 tie most edges; random G, random end sets outside it
+        rng = random.Random(seed)
+        n = rng.randint(2, 30)
+        rows = [[0] * n for _ in range(n)]
+        lo, hi = rng.choice([(1, 3), (1, 3), (0, 40), (0, 2**40)])
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.randint(lo, hi)
+        inst = Instance.from_rows("r", rows)
+        order = rng.sample(range(n), n)
+        cut = rng.randint(1, n - 1)
+        good, rest = order[:cut], order[cut:]
+        mst = rooted_msf(inst, good, good[:1])
+        forest_of = forests_from_mst(inst, mst)
+        for _ in range(4):
+            ends = rng.sample(rest, rng.randint(1, len(rest)))
+            expected = rooted_msf(inst, set(good) | set(ends), ends)
+            assert forest_of(frozenset(ends)) == expected
+            assert expected.cost == sum(inst.cost[a][b] for a, b in expected.edges)
+
+    def test_rejects_roots_inside_the_tree(self, inst4):
+        forest_of = forests_from_mst(inst4, rooted_msf(inst4, (0, 1), (0,)))
+        for roots in ((1,), (2, 0), ()):
+            with pytest.raises(ContractViolationError):
+                forest_of(frozenset(roots))
+        assert forest_of(frozenset({2, 3})) == rooted_msf(inst4, range(4), (2, 3))

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritsp.errors import ContractViolationError, SizeRefusalError
-from tritsp.forest import RootedForest
+from tritsp.forest import RootedForest, rooted_msf
 from tritsp.instance import Instance, audit_triangles, gen_metric, gen_planted
-from tritsp.layouts import ChainLayout, count_layouts, end_sets, enumerate_layouts
+from tritsp.layouts import ChainLayout, cut_chains, end_sets, enumerate_layouts, layout_orders
 from tritsp.matching import Matching, verify_matching_certificate
 from tritsp.multigraph import MultiGraph
 from tritsp.oracles import held_karp
@@ -45,6 +45,22 @@ class _InlinePool:
     def map(self, fn, *iterables):
         self.results = list(map(fn, *iterables))
         return self.results
+
+
+def _forest_groups(inst):
+    """The ranked end sets grouped by rooted_msf(good | E, E).edges, in
+    order of first rank: [(forest, [(rank, ends), ...]), ...]."""
+    audit = audit_triangles(inst)
+    groups = {}
+    for rank, ends in enumerate(end_sets(audit, len(audit.good))):
+        forest = rooted_msf(inst, audit.good_set | ends, ends)
+        groups.setdefault(forest.edges, (forest, []))[1].append((rank, ends))
+    return list(groups.values())
+
+
+def _rings_bound(inst):
+    audit = audit_triangles(inst)
+    return tritsp.solver._rings_bound(audit, tritsp.solver._forest_groups(inst, audit))
 
 
 class TestSolveRegimes:
@@ -165,18 +181,21 @@ class TestSolveRegimes:
     def test_few_layouts_run_serially(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
-        # 48 layouts, and 384: the most a planted b = 5 instance has
-        for n, bad, seed in ((10, 4, 123), (11, 5, 7)):
+        # 48 layouts, 384 (the most a planted b = 5 instance has) and 720,
+        # with at most 23, 192 and 660 ring evaluations
+        for n, bad, seed in ((10, 4, 123), (11, 5, 7), (8, 6, 1)):
             inst = gen_planted(n, bad, seed=seed)
             seq = solve(inst)
-            assert seq.layouts <= tritsp.solver._SERIAL_MAX
+            assert _rings_bound(inst) <= tritsp.solver._SERIAL_MAX
             assert solve(inst, SolveOptions(jobs=2)) == seq
 
     def test_many_layouts_start_a_pool(self, monkeypatch):
-        # 5! * (1 + 5) = 720 layouts: more than _SERIAL_MAX
-        inst = gen_planted(8, 6, seed=1)
+        # 3840 layouts in 26 forest groups: up to 1260 ring evaluations,
+        # more than _SERIAL_MAX
+        inst = gen_planted(12, 6, seed=2)
         seq = solve(inst)
-        assert seq.layouts == 720 > tritsp.solver._SERIAL_MAX
+        assert seq.layouts == 3840
+        assert _rings_bound(inst) == 1260 > tritsp.solver._SERIAL_MAX
         pools = []
 
         def inline_pool(max_workers):
@@ -190,22 +209,27 @@ class TestSolveRegimes:
         assert par == seq and par.best == seq.best
 
     def test_shards_split_end_sets(self, monkeypatch):
-        # every end set's skeleton is built once over all shards, and the
-        # merged shards report exactly what the serial solve reports
+        # the shards split the forest groups: each distinct forest's
+        # skeleton is built once over all shards, the one Prim is the
+        # good-vertex MST, and the merged shards report exactly what the
+        # serial solve reports
         monkeypatch.setattr(tritsp.solver, "_SERIAL_MAX", 64)
         inst = gen_planted(11, 5, seed=7)
-        audit = audit_triangles(inst)
-        end_sets = {
-            frozenset(lay.ends) for lay in enumerate_layouts(audit, len(audit.good))
-        }
+        groups = _forest_groups(inst)
+        assert len(groups) == 20
         seq = solve(inst)
-        assert seq.layouts > tritsp.solver._SERIAL_MAX
-        forests = []
+        assert _rings_bound(inst) > tritsp.solver._SERIAL_MAX
+        forests, prims = [], []
         real_msf = tritsp.solver.rooted_msf
+        real_skeleton = tritsp.solver.assemble_skeleton
 
         def counting_msf(inst, vertices, roots):
-            forests.append(frozenset(roots))
+            prims.append((tuple(vertices), tuple(roots)))
             return real_msf(inst, vertices, roots)
+
+        def counting_skeleton(n, forest, matching, good):
+            forests.append(forest.edges)
+            return real_skeleton(n, forest, matching, good)
 
         pools = []
 
@@ -216,27 +240,32 @@ class TestSolveRegimes:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_pool)
         monkeypatch.setattr(tritsp.solver, "rooted_msf", counting_msf)
+        monkeypatch.setattr(tritsp.solver, "assemble_skeleton", counting_skeleton)
         par = solve(inst, SolveOptions(jobs=2))
-        assert sorted(forests, key=sorted) == sorted(end_sets, key=sorted)
+        assert sorted(forests) == sorted(forest.edges for forest, _ in groups)
+        audit = audit_triangles(inst)
+        assert prims == [(audit.good, audit.good[:1])]
         # both shards got layouts to evaluate
         (pool,) = pools
         assert [layouts > 0 for _, layouts, *_ in pool.results] == [True, True]
         assert par == seq and par.best == seq.best
 
     def test_workers_enumerate_only_their_end_sets(self, monkeypatch):
-        # each shard asks for the vertex orders of its own end sets, one set
-        # at a time: those whose rank in end_sets is the shard modulo jobs
+        # each shard asks for the vertex orders of its own forest groups'
+        # end sets, one set at a time: the groups whose index in order of
+        # first rank is the shard modulo jobs, each group's sets by rank
         monkeypatch.setattr(tritsp.solver, "_SERIAL_MAX", 64)
         inst = gen_planted(11, 5, seed=7)
         audit = audit_triangles(inst)
-        ranked = list(end_sets(audit, len(audit.good)))
+        groups = _forest_groups(inst)
+        ranked = [[ends for _, ends in members] for _, members in groups]
         asked = {}
         real_shard = tritsp.solver._evaluate_shard
         real_orders = tritsp.solver.layout_orders
 
-        def spy_shard(inst, audit, shard=0, jobs=1):
+        def spy_shard(inst, audit, groups, shard=0, jobs=1):
             asked[shard] = []
-            return real_shard(inst, audit, shard, jobs)
+            return real_shard(inst, audit, groups, shard, jobs)
 
         def orders_spy(audit, ends):
             asked[max(asked)].append(ends)  # the shard running now
@@ -247,8 +276,10 @@ class TestSolveRegimes:
         monkeypatch.setattr(tritsp.solver, "_evaluate_shard", spy_shard)
         monkeypatch.setattr(tritsp.solver, "layout_orders", orders_spy)
         rep = solve(inst, SolveOptions(jobs=2))
-        assert asked == {0: ranked[0::2], 1: ranked[1::2]}
-        assert rep.layouts == count_layouts(audit, len(audit.good))
+        assert asked == {
+            shard: list(itertools.chain(*ranked[shard::2])) for shard in (0, 1)
+        }
+        assert rep.layouts == sum(1 for _ in enumerate_layouts(audit, len(audit.good)))
 
     def test_only_the_winner_gets_its_layout_objects(self, monkeypatch):
         # rings are evaluated on bare vertex orders: a serial solve builds
@@ -280,6 +311,9 @@ class TestSolveRegimes:
             pools.append(_InlinePool(max_workers))
             return pools[-1]
 
+        # its 6 forest groups bound the rings at 324: a lower _SERIAL_MAX
+        # makes jobs=2 pool it
+        monkeypatch.setattr(tritsp.solver, "_SERIAL_MAX", 64)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_pool)
         par = solve(inst, SolveOptions(jobs=2))
@@ -301,7 +335,7 @@ class TestSolveRegimes:
 
     def test_serial_solve_leaves_the_pool_unloaded(self):
         # only a pooled solve imports the process pool's modules: not one
-        # with jobs=1, nor one with jobs=2 and at most _SERIAL_MAX layouts
+        # with jobs=1, nor one with jobs=2 and at most _SERIAL_MAX rings
         code = """
 import sys
 from tritsp import SolveOptions, gen_planted, solve
@@ -440,40 +474,42 @@ class TestSkeletonCache:
         assert (rep.layouts, rep.certified) == (layouts, certified)
         assert rep.steps_monotone == monotone
 
-    def test_one_skeleton_per_end_set(self, monkeypatch):
-        # one forest per end set, and one matching per distinct odd set of
-        # those forests: end sets whose forests share an odd set share it
-        forests = []
-        matchings = []
+    def test_one_skeleton_per_forest(self, monkeypatch):
+        # one Prim per solve (the good-vertex MST), one skeleton per
+        # distinct forest of the end sets, and one matching per distinct odd
+        # set of those forests: forests that share an odd set share it
+        prims, forests, matchings = [], [], []
         real_msf = tritsp.solver.rooted_msf
+        real_skeleton = tritsp.solver.assemble_skeleton
         real_matching = tritsp.solver.min_cost_perfect_matching
 
         def counting_msf(inst, vertices, roots):
-            forest = real_msf(inst, vertices, roots)
+            prims.append(roots)
+            return real_msf(inst, vertices, roots)
+
+        def counting_skeleton(n, forest, matching, good):
             forests.append(forest)
-            return forest
+            return real_skeleton(n, forest, matching, good)
 
         def counting_matching(inst, odd):
             matchings.append(odd)
             return real_matching(inst, odd)
 
         monkeypatch.setattr(tritsp.solver, "rooted_msf", counting_msf)
+        monkeypatch.setattr(tritsp.solver, "assemble_skeleton", counting_skeleton)
         monkeypatch.setattr(
             tritsp.solver, "min_cost_perfect_matching", counting_matching
         )
         for n, bad, seed in self.CASES:
             inst = gen_planted(n, bad, seed=seed)
-            audit = audit_triangles(inst)
-            end_sets = {
-                frozenset(lay.ends)
-                for lay in enumerate_layouts(audit, len(audit.good))
-            }
+            groups = _forest_groups(inst)
+            prims.clear()
             forests.clear()
             matchings.clear()
             rep = solve(inst)
-            assert rep.layouts > len(end_sets)
-            assert len(forests) == len(end_sets)
-            assert {frozenset(f.roots) for f in forests} == end_sets
+            assert rep.layouts > len(groups) and len(prims) == 1
+            # each group's skeleton carries the forest of its first end set
+            assert forests == [forest for forest, _ in groups]
             odd_sets = set()
             for forest in forests:
                 degree = collections.Counter(itertools.chain(*forest.edges))
@@ -481,12 +517,13 @@ class TestSkeletonCache:
             assert len(matchings) == len(odd_sets)
             assert set(map(tuple, matchings)) == odd_sets
 
-    def test_one_graph_per_end_set_and_one_copy_per_layout(self, monkeypatch):
-        # an end set's skeleton is the only multigraph built, and each
-        # evaluated layout works on one copy of it: the bad cycle is a list
-        # of pairs and the Euler tour walks the copy itself.  A layout and
-        # its reversed twin in the same end set are evaluated once, so the
-        # copies count the distinct (undirected ring, end set) pairs
+    def test_one_graph_per_forest_and_one_copy_per_ring(self, monkeypatch):
+        # a forest's skeleton is the only multigraph built, and each
+        # evaluated ring works on one copy of it: the bad cycle is a list
+        # of pairs and the Euler tour walks the copy itself.  End sets with
+        # one forest share their rings' results, and a layout and its
+        # reversed twin share one ring, so the copies count the distinct
+        # (undirected ring, forest) pairs
         built = copies = 0
         real_init, real_copy = MultiGraph.__init__, MultiGraph.copy
 
@@ -506,35 +543,79 @@ class TestSkeletonCache:
         audit = audit_triangles(inst)
         rep = solve(inst)
         assert rep.regime == "chains"
-        assert built == len(list(end_sets(audit, len(audit.good))))
+        groups = _forest_groups(inst)
+        assert built == len(groups) == 6
         rings = {
-            (_ring(lay.vertices), frozenset(lay.ends))
-            for lay in enumerate_layouts(audit, len(audit.good))
+            (_ring(order), forest.edges)
+            for forest, members in groups
+            for _, ends in members
+            for order in layout_orders(audit, ends)
         }
         assert rep.layouts == 3840
-        assert copies == len(rings) == 2880
+        assert copies == len(rings) == 282
+
+    def test_ring_tables_stay_within_one_group(self, monkeypatch):
+        # between two skeletons every ring run is a new undirected ring, at
+        # most (b - 1)!/2 of them: one group's table is live at a time
+        runs = []
+        real_skeleton = tritsp.solver.assemble_skeleton
+        real_run = tritsp.solver._run_ring
+
+        def counting_skeleton(n, forest, matching, good):
+            runs.append([])
+            return real_skeleton(n, forest, matching, good)
+
+        def counting_run(inst, audit, order, skeleton):
+            runs[-1].append(_ring(order))
+            return real_run(inst, audit, order, skeleton)
+
+        monkeypatch.setattr(tritsp.solver, "assemble_skeleton", counting_skeleton)
+        monkeypatch.setattr(tritsp.solver, "_run_ring", counting_run)
+        for n, bad, seed in [(12, 6, 1), *self.CASES]:
+            runs.clear()
+            rep = solve(gen_planted(n, bad, seed=seed))
+            assert all(len(set(group)) == len(group) for group in runs)
+            assert max(map(len, runs)) <= math.factorial(bad - 1) // 2
+            if (n, bad, seed) == (12, 6, 1):
+                # 6 skeletons and 282 rings for 3840 layouts
+                assert (len(runs), sum(map(len, runs)), rep.layouts) == (6, 282, 3840)
+
+    @pytest.mark.parametrize("n,bad,seed", [(12, 6, 1), (10, 5, 12), (11, 5, 7)])
+    def test_end_sets_of_one_forest_give_one_result(self, n, bad, seed):
+        # one ring under two end sets whose forests have equal edges: the
+        # whole pipeline gives one result, whatever the bare roots
+        inst = gen_planted(n, bad, seed=seed)
+        audit = audit_triangles(inst)
+        compared = 0
+        for _, members in _forest_groups(inst):
+            for (_, first), (_, other) in itertools.pairwise(members):
+                for order in layout_orders(audit, first):
+                    if order[-1] not in other:
+                        continue
+                    res = evaluate_layout(inst, audit, cut_chains(order, first))
+                    res2 = evaluate_layout(inst, audit, cut_chains(order, other))
+                    assert dataclasses.replace(res2, layout_id=res.layout_id) == res
+                    compared += 1
+        assert compared > 0
 
 
 class TestSkeletonChecks:
-    """The skeleton's parity and reach checks run once per end set."""
+    """The skeleton's parity and reach checks run once per distinct forest."""
 
-    def test_checked_once_per_end_set(self, monkeypatch):
+    def test_checked_once_per_forest(self, monkeypatch):
         checked = []
         real = tritsp.solver.assemble_skeleton
 
         def counting(n, forest, matching, good):
-            checked.append(frozenset(forest.roots))
+            checked.append(forest.edges)
             return real(n, forest, matching, good)
 
         monkeypatch.setattr(tritsp.solver, "assemble_skeleton", counting)
         inst = gen_planted(11, 5, seed=7)
-        audit = audit_triangles(inst)
-        end_sets = {
-            frozenset(lay.ends) for lay in enumerate_layouts(audit, len(audit.good))
-        }
+        groups = _forest_groups(inst)
         rep = solve(inst)
-        assert rep.layouts > len(end_sets)
-        assert sorted(checked, key=sorted) == sorted(end_sets, key=sorted)
+        assert rep.layouts > len(groups) and len(checked) == len(set(checked))
+        assert sorted(checked) == sorted(forest.edges for forest, _ in groups)
 
     def test_odd_degree_skeleton_raises(self, monkeypatch, inst4):
         # a matching that leaves the forest's odd vertices unmatched
@@ -555,17 +636,29 @@ class TestSkeletonChecks:
         inst = gen_planted(9, 4, seed=11)
         audit = audit_triangles(inst)
         lost = audit.good[-1]
-        real_msf = tritsp.solver.rooted_msf
 
-        def broken_msf(inst, vertices, roots):
-            forest = real_msf(inst, vertices, roots)
+        def broken(forest):
             edges = tuple(e for e in forest.edges if lost not in e)
             return RootedForest(edges, forest.roots, forest.cost)
 
-        monkeypatch.setattr(tritsp.solver, "rooted_msf", broken_msf)
-        layout = next(enumerate_layouts(audit, len(audit.good)))
+        with monkeypatch.context() as m:
+            real_msf = tritsp.solver.rooted_msf
+            m.setattr(
+                tritsp.solver, "rooted_msf", lambda *args: broken(real_msf(*args))
+            )
+            layout = next(enumerate_layouts(audit, len(audit.good)))
+            with pytest.raises(ContractViolationError, match="good vertex .* disconnected"):
+                evaluate_layout(inst, audit, layout)
+        # a solve takes its forests from the good-vertex MST's source
+        real_source = tritsp.solver.forests_from_mst
+
+        def broken_source(inst, mst):
+            forest_of = real_source(inst, mst)
+            return lambda ends: broken(forest_of(ends))
+
+        monkeypatch.setattr(tritsp.solver, "forests_from_mst", broken_source)
         with pytest.raises(ContractViolationError, match="good vertex .* disconnected"):
-            evaluate_layout(inst, audit, layout)
+            solve(inst)
 
 
 class TestChristofides:
