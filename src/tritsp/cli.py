@@ -30,6 +30,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _at_least(low: int):
+    """An argparse type: an int of at least `low`, else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in a non-int's error
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tritsp")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -39,8 +52,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="approximate tour via chain layouts")
     p.add_argument("file")
-    p.add_argument("--max-bad", type=int, default=SolveOptions.max_bad, metavar="N")
-    p.add_argument("--jobs", type=int, default=SolveOptions.jobs, metavar="J")
+    p.add_argument("--max-bad", type=_at_least(0), default=SolveOptions.max_bad, metavar="N")
+    p.add_argument("--jobs", type=_at_least(1), default=SolveOptions.jobs, metavar="J")
 
     p = sub.add_parser("exact", help="optimal tour by dynamic programming")
     p.add_argument("file")
@@ -58,8 +71,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="solve + exact over a corpus directory")
     p.add_argument("--dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-bad", type=int, default=SolveOptions.max_bad, metavar="N")
-    p.add_argument("--jobs", type=int, default=SolveOptions.jobs, metavar="J")
+    p.add_argument("--max-bad", type=_at_least(0), default=SolveOptions.max_bad, metavar="N")
+    p.add_argument("--jobs", type=_at_least(1), default=SolveOptions.jobs, metavar="J")
     p.add_argument("--top", type=int, default=0, metavar="K",
                    help="also list the K instances with the worst ratio")
     return parser

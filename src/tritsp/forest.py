@@ -11,8 +11,10 @@ instance's size, min and max the edge's endpoints), which orders them as
 unique.  Prim holds each outside vertex's least key to the tree, moves the
 vertex of least key in and decodes its edge as divmod(key % n**2, n).
 Below _FOREST_NUMPY_MIN vertices the keys sit in a dict; from there on
-Prim scans its rows in numpy.  Both paths pick the same vertex at every
-step, so their edges and cost are equal.
+Prim scans its rows in numpy, forming each row's keys when it moves the
+row's vertex in, from the solve's one numpy cost matrix when it has one.
+Both paths pick the same vertex at every step, so their edges and cost
+are equal.
 
 `forests_from_mst` gives the same forests for many root sets E over one
 fixed vertex set G (E outside G) from a single Prim: the MST of G.  A
@@ -44,7 +46,10 @@ class RootedForest:
     cost: int
 
 
-def rooted_msf(inst: Instance, vertices, roots) -> RootedForest:
+def rooted_msf(inst: Instance, vertices, roots, _dense=None) -> RootedForest:
+    """The MSF of `vertices` in which each tree holds exactly one of
+    `roots`.  `_dense` is instance.dense_cost(inst), from a caller that
+    built it already; the numpy Prim reads its rows."""
     verts = sorted(set(vertices))
     rts = sorted(set(roots))
     if not rts:
@@ -56,7 +61,7 @@ def rooted_msf(inst: Instance, vertices, roots) -> RootedForest:
 
     c = inst.cost
     if len(verts) >= _FOREST_NUMPY_MIN:
-        edges = _prim_numpy(c, inst.n, verts, rts, inst.max_cost)
+        edges = _prim_numpy(c, inst.n, verts, rts, inst.max_cost, _dense)
     else:
         edges = _prim_python(c, inst.n, verts, rts)
     edges.sort()
@@ -85,29 +90,32 @@ def _prim_python(c, n, verts, rts):
     return edges
 
 
-def _prim_numpy(c, n, verts, rts, top):
+def _prim_numpy(c, n, verts, rts, top, dense=None):
     """_prim_python with its keys in a numpy array, relaxed a cost row at a
-    time.  `top` is the largest cost of `c`."""
+    time.  `top` is the largest cost of `c`; `dense`, when given, is `c` as
+    one n x n array, whose rows are widened to the keys' dtype one at a
+    time, so no n x n array of keys is ever formed."""
     import numpy as np  # loaded on first use: small forests never load it
 
-    rows = [c[v] for v in verts]
     n2 = n * n
     never = (top + 1) * n2  # above every key
-    cost = int_array(rows, never)
-    if len(verts) < n:
-        cost = cost[:, verts]
-    cost *= n2
     vs = int_array(verts, never)
     vn = vs * n
-    key = np.full(len(verts), never, dtype=cost.dtype)
+    if dense is None:  # a standalone call converts only the rows it scans
+        dense, at = int_array([c[v] for v in verts], never), range(len(verts))
+    else:
+        at = verts
+    cols = slice(None) if len(verts) == n else np.array(verts)
+    key = np.full(len(verts), never, dtype=vs.dtype)
     out = np.ones(len(verts), dtype=bool)
     edges: list[tuple[int, int]] = []
 
     def relax(i):
         x = verts[i]
+        row = np.multiply(dense[at[i], cols], n2, dtype=key.dtype)
         # min * n + max is the smaller of v * n + x and x * n + v
-        row = cost[i] + np.minimum(vn + x, vs + x * n)
-        np.putmask(key, (row < key) & out, row)
+        row += np.minimum(vn + x, vs + x * n)
+        np.minimum(key, row, out=key, where=out)
 
     root_set = set(rts)
     root_at = [i for i, v in enumerate(verts) if v in root_set]

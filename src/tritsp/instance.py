@@ -40,9 +40,10 @@ __all__ = [
 def int_array(rows, largest: int):
     """`rows` as a numpy array of the narrowest of int32, int64 and exact
     Python ints (dtype=object) that holds every value of magnitude up to
-    `largest`.  Each numpy kernel passes the largest value it forms: the
-    triangle audit (_violations_by_blocks), Prim (forest._prim_numpy) and
-    Held-Karp (solver.held_karp).  The matching uses no numpy."""
+    `largest`.  Each numpy kernel passes the largest value it forms:
+    dense_cost (twice the largest cost, for the triangle audit and the
+    matching's dense steps), Prim's edge keys (forest._prim_numpy) and
+    Held-Karp (solver.held_karp)."""
     import numpy as np  # loaded on first use: importing tritsp stays light
 
     dtype = np.int32 if largest < 2**31 else np.int64 if largest < 2**63 else object
@@ -164,18 +165,29 @@ _AUDIT_NUMPY_MIN = 16
 _AUDIT_BLOCK = 1 << 18
 
 
-def audit_triangles(inst: Instance) -> TriangleAudit:
+def dense_cost(inst: Instance):
+    """The cost matrix as one numpy array (int_array of twice the largest
+    cost) from _AUDIT_NUMPY_MIN vertices on, else None.  A solve converts
+    it once and shares it: the audit's search, Prim's rows and the
+    matching's dense steps all read it."""
+    if inst.n < _AUDIT_NUMPY_MIN:
+        return None
+    return int_array(inst.cost, 2 * inst.max_cost)
+
+
+def audit_triangles(inst: Instance, _dense=None) -> TriangleAudit:
     """Enumerate every violating triple of `inst` and classify vertices.
 
     A triple violates when its largest side is strictly longer than the
     other two combined, i.e. has a strict shortcut through the third vertex.
     Triples come out in (u, v, w) lexicographic order, from a triple loop
-    below _AUDIT_NUMPY_MIN vertices and from a numpy search above.
+    below _AUDIT_NUMPY_MIN vertices and from a numpy search above, on
+    `_dense` (dense_cost(inst), from a caller that built it already).
     """
     if inst.n < _AUDIT_NUMPY_MIN:
         violating = _violations_by_loops(inst.cost)
     else:
-        violating = _violations_by_blocks(inst.cost, inst.max_cost)
+        violating = _violations_by_blocks(inst.cost, inst.max_cost, _dense)
     bad = set(itertools.chain.from_iterable(violating))
     good = tuple(v for v in range(inst.n) if v not in bad)
     return TriangleAudit(tuple(violating), tuple(sorted(bad)), good)
@@ -201,7 +213,7 @@ def _violations_by_loops(c) -> list[tuple[int, int, int]]:
     return violating
 
 
-def _violations_by_blocks(c, top: int) -> list[tuple[int, int, int]]:
+def _violations_by_blocks(c, top: int, cost=None) -> list[tuple[int, int, int]]:
     """(x, y) is a shortcut pair when some w gives c(x, w) + c(w, y) < c(x, y).
     A violating triple's largest side is unique (two tied largest sides
     leave the third below 0) and is its only side with a strict shortcut
@@ -209,11 +221,13 @@ def _violations_by_blocks(c, top: int) -> list[tuple[int, int, int]]:
     a shortcut pair and one witness.  Step 1 finds the shortcut pairs by a
     row-by-row min-plus search, which ends a metric audit; step 2 lists
     their witnesses in blocks of pairs and sorts the triples.  No value
-    formed exceeds twice `top`, the largest cost."""
+    formed exceeds twice `top`, the largest cost; `cost`, when given, is
+    `c` converted as dense_cost does."""
     import numpy as np
 
     n = len(c)
-    cost = int_array(c, 2 * top)
+    if cost is None:
+        cost = int_array(c, 2 * top)
     # hop: least two-hop cost (w = u gives c itself), by blocks of whole rows
     # while they fit, else of a row's columns; triu keeps the pairs u < v
     per_block = max(1, _AUDIT_BLOCK // n)
@@ -223,7 +237,7 @@ def _violations_by_blocks(c, top: int) -> list[tuple[int, int, int]]:
     for u in range(0, n - 1, rows):
         for lo in range(u + 1, n, cols):
             block = cost[u : u + rows, None] + cost[lo : lo + cols]
-            np.min(block, axis=2, out=hop[u : u + rows, lo : lo + cols])
+            np.minimum.reduce(block, axis=2, out=hop[u : u + rows, lo : lo + cols])
     xs, ys = np.nonzero(np.triu(hop < cost))
     if not len(xs):
         return []

@@ -36,6 +36,16 @@ compares each edge's slack with stored numbers only: tight edges are
 those of slack 0, and least-slack edges keep their slacks in a frame that
 dual updates leave unchanged.
 
+A solve that has converted its cost matrix to numpy (instance.dense_cost)
+passes it in: an odd set of more than CANDIDATES + 1 vertices then takes
+its rows and columns from it, and the O(m^2) steps run on that array with
+the Python steps' results: the candidate lists (a stable argsort keeps
+the (cost, index) order), the jump start (a row at a time, in index
+order) and the pricing scans (every slack at once, in a dtype that holds
+them, negative pairs in row-major order).  The blossom stages run in
+Python on lists of exact ints either way.  A matching called on its own
+stays pure Python, so numpy stays unloaded.
+
 Every matching is thus checked against its LP certificate before it is
 returned, so a matching that is not minimum raises instead of silently
 weakening the 2·M <= OPT bound behind the 2.5 guarantee.  In tests the
@@ -46,10 +56,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from operator import sub
+from operator import itemgetter, sub
 
 from .errors import ContractViolationError
-from .instance import Instance
+from .instance import Instance, int_array
 
 __all__ = [
     "Matching",
@@ -77,17 +87,25 @@ def _checked_vertices(inst: Instance, odd) -> list[int]:
     return verts
 
 
-def min_cost_perfect_matching(inst: Instance, odd) -> Matching:
+def min_cost_perfect_matching(inst: Instance, odd, _dense=None) -> Matching:
     """Minimum-cost perfect matching on the subgraph induced by `odd`,
     using original instance costs.  Its dual certificate is checked before
     it returns (raises on any violation), so every matching is proved
-    minimum."""
+    minimum.  `_dense` is instance.dense_cost(inst), from a caller that
+    built it already: an odd set of more than CANDIDATES + 1 vertices then
+    runs its O(m^2) steps on its rows and columns."""
     verts = _checked_vertices(inst, odd)
     m = len(verts)
     if m == 0:
         return Matching((), 0)
-    w = [[inst.cost[a][b] for b in verts] for a in verts]
-    mate = _priced_search(w)[0]  # its last certificate scan passed
+    pick = itemgetter(*verts)  # m >= 2: picks a tuple
+    w = [pick(inst.cost[a]) for a in verts]
+    sub = None
+    if _dense is not None and m > CANDIDATES + 1:
+        import numpy as np  # loaded already: the caller built `_dense`
+
+        sub = _dense[np.ix_(verts, verts)]
+    mate = _priced_search(w, sub)[0]  # its last certificate scan passed
     pairs = tuple(
         (verts[i], verts[mate[i]]) for i in range(m) if i < mate[i]
     )
@@ -100,16 +118,18 @@ def min_cost_perfect_matching(inst: Instance, odd) -> Matching:
 CANDIDATES = 15
 
 
-def _priced_search(w):
+def _priced_search(w, sub=None):
     """_blossom_search on candidate lists, then the certificate scan, which
     prices every pair against the search's duals; the pairs that price
     negative join the lists and the search runs again from the jump start,
     until none does.  A negative pair that is a candidate already breaks
-    the search's invariant and raises."""
-    cand = _candidate_lists(w)
+    the search's invariant and raises.  `sub`, when given, is `w` as a
+    numpy array: the lists, the jump start and the scan then run on it,
+    with the same results."""
+    cand = _candidate_lists(w, sub)
     while True:
-        mate, y2, blossoms = _blossom_search(w, cand)
-        negative = _certificate_scan(w, mate, y2, blossoms, [])
+        mate, y2, blossoms = _blossom_search(w, cand, sub)
+        negative = _certificate_scan(w, mate, y2, blossoms, [], sub)
         if not negative:
             return mate, y2, blossoms
         for u, v in negative:
@@ -123,15 +143,18 @@ def _priced_search(w):
             row.sort()
 
 
-def _candidate_lists(w):
+def _candidate_lists(w, sub=None):
     """Each vertex's CANDIDATES cheapest partners by (cost, index), made
     symmetric, plus the pairs (2i, 2i + 1), so that the lists hold a
     perfect matching; each list in index order.  With at most CANDIDATES
     + 1 vertices that is every partner: the lists are then range(m), as
-    in a search without lists, whose scans skip u itself."""
+    in a search without lists, whose scans skip u itself.  `sub` is `w`
+    as a numpy array or None."""
     m = len(w)
     if m <= CANDIDATES + 1:
         return [range(m)] * m
+    if sub is not None:
+        return _dense_candidate_lists(sub)
     near = [{u ^ 1} for u in range(m)]
     for u, row in enumerate(w):
         best = sorted(range(m), key=row.__getitem__)[: CANDIDATES + 1]
@@ -141,23 +164,32 @@ def _candidate_lists(w):
     return [sorted(vs) for vs in near]
 
 
-def _blossom_search(w, cand):
-    """Returns (mate, y2, blossoms) over internal indices 0..m-1:
-    mate[i] = matched partner; y2[i] = doubled vertex dual; blossoms =
-    [(sorted member tuple, dual)] for every blossom alive at termination.
-    `cand[u]` lists the partners u scans (symmetric, with a perfect
-    matching among them; [range(m)] * m scans every pair).  The duals are
-    feasible on the pairs scanned."""
-    m = len(w)
-    w2 = [[2 * x for x in row] for row in w]
+def _dense_candidate_lists(sub):
+    """_candidate_lists on `sub`, a numpy array of more than CANDIDATES + 1
+    rows, as one boolean matrix: a stable argsort keeps the (cost, index)
+    order of each row, and a row lists its partners in index order."""
+    import numpy as np  # loaded already: `sub` is an array
 
-    # Jump start: every vertex's doubled dual is its cheapest edge, which is
-    # feasible; then each vertex still free, in index order, raises its
-    # dual by its least slack, which makes its least (slack, index) edge
-    # tight, and takes that edge if the other end is free too.  Each free
-    # vertex's dual is then rounded down to even: lowering a dual keeps
-    # every slack >= 0, and the roots of every stage share one parity, so
-    # S-S slacks stay even and every delta integral.
+    m = len(sub)
+    best = sub.argsort(axis=1, kind="stable")[:, : CANDIDATES + 1]
+    us = np.arange(m)
+    near = np.zeros((m, m), dtype=bool)
+    near[us[:, None], best] = True
+    # a row that does not list u itself among its first CANDIDATES + 1
+    # keeps the first CANDIDATES of them
+    other = ~near[us, us]
+    near[us[other], best[other, -1]] = False
+    near[us, us] = False
+    near |= near.T
+    near[us, us ^ 1] = True
+    partners = np.nonzero(near)[1].tolist()
+    ends = np.cumsum(near.sum(axis=1)).tolist()
+    return [partners[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _jump_start(w, w2):
+    """(mate, y2) of the jump start (see _blossom_search) in pure Python."""
+    m = len(w)
     y2 = [min(row[:v] + row[v + 1 :]) for v, row in enumerate(w)]
     mate = [-1] * m
     for v in range(m):
@@ -170,6 +202,56 @@ def _blossom_search(w, cand):
             y2[v] = s
             if mate[u] == -1:
                 mate[u], mate[v] = v, u
+    return mate, y2
+
+
+def _dense_jump_start(d):
+    """_jump_start on `d`, the doubled costs as a numpy array, whose
+    diagonal it overwrites.  Every dual stays in 0..max(d) (a raise keeps
+    each slack >= 0), so every reduced cost of another vertex does too,
+    and a vertex's own cell, set one above, never wins argmin, which
+    takes the least index of a tie as list.index does."""
+    m = len(d)
+    above = d.max() + 1
+    d.flat[:: m + 1] = above
+    y = d.min(axis=1) // 2  # the cheapest edge: an even number halved
+    mate = [-1] * m
+    for v in range(m):
+        if mate[v] == -1:
+            reduced = d[v] - y
+            reduced[v] = above
+            u = int(reduced.argmin())
+            y[v] = reduced[u]
+            if mate[u] == -1:
+                mate[u], mate[v] = v, u
+    return mate, y.tolist()
+
+
+def _blossom_search(w, cand, sub=None):
+    """Returns (mate, y2, blossoms) over internal indices 0..m-1:
+    mate[i] = matched partner; y2[i] = doubled vertex dual; blossoms =
+    [(sorted member tuple, dual)] for every blossom alive at termination.
+    `cand[u]` lists the partners u scans (symmetric, with a perfect
+    matching among them; [range(m)] * m scans every pair).  The duals are
+    feasible on the pairs scanned.  `sub` is `w` as a numpy array or
+    None; with it the jump start runs in numpy, the stages do not."""
+    m = len(w)
+
+    # Jump start: every vertex's doubled dual is its cheapest edge, which is
+    # feasible; then each vertex still free, in index order, raises its
+    # dual by its least slack, which makes its least (slack, index) edge
+    # tight, and takes that edge if the other end is free too.  Each free
+    # vertex's dual is then rounded down to even: lowering a dual keeps
+    # every slack >= 0, and the roots of every stage share one parity, so
+    # S-S slacks stay even and every delta integral.
+    if sub is None:
+        w2 = [[2 * x for x in row] for row in w]
+        mate, y2 = _jump_start(w, w2)
+    else:
+        d = sub * 2  # fits: dense_cost sizes its dtype for twice the costs
+        w2 = d.tolist()
+        mate, y2 = _dense_jump_start(d)
+        del d
     for v in range(m):
         if mate[v] == -1:
             y2[v] -= y2[v] % 2
@@ -578,13 +660,14 @@ def verify_matching_certificate(w, mate, y2, blossoms) -> None:
     _certificate_scan(w, mate, y2, blossoms, None)
 
 
-def _certificate_scan(w, mate, y2, blossoms, negative):
+def _certificate_scan(w, mate, y2, blossoms, negative, sub=None):
     """verify_matching_certificate's checks, except when `negative` is a
     list: then each pair (u, v), u < v, of negative reduced slack is
     appended to it in scan order instead of raising, and the list is
     returned, after the pair scan if it is not empty (the search runs
     again, and its next scan checks the rest).  The search prices its
-    candidate lists this way."""
+    candidate lists this way.  `sub`, when given, is `w` as a numpy array,
+    on which the pair scan runs."""
     m = len(w)
     if len(mate) != m or len(y2) != m:
         raise ContractViolationError(f"mate and y2 need {m} entries, one per vertex")
@@ -600,22 +683,22 @@ def _certificate_scan(w, mate, y2, blossoms, negative):
     for u in range(m):
         if not 0 <= mate[u] < m or mate[mate[u]] != u or mate[u] == u:
             raise ContractViolationError("mate array is not a perfect matching")
-    held, z2 = _pair_blossom_duals(m, blossoms)
-    for u in range(m):
-        wu, yu, zu, mu = w[u], y2[u], z2[held[u]], mate[u]
-        for v in range(u + 1, m):
-            s = 2 * wu[v] - yu - y2[v] + zu[held[v]]
-            if s < 0:
-                if negative is None:
-                    raise ContractViolationError(
-                        f"negative reduced slack {s} on ({u},{v})"
-                    )
-                negative.append((u, v))
-            elif mu == v and s != 0:
-                raise ContractViolationError(
-                    f"matched edge ({u},{v}) has slack {s}"
-                )
-    if negative:
+    if sub is None:
+        below, loose = _pair_scan(w, mate, y2, blossoms)
+    else:
+        below, loose = _dense_pair_scan(sub, mate, y2, blossoms)
+    # the first violation in scan order raises, and a loose matched edge
+    # raises even where negative pairs are listed
+    if loose and (negative is not None or not below or loose[0] < below[0]):
+        u, v = loose[0]
+        s = _slack(w, y2, blossoms, u, v)
+        raise ContractViolationError(f"matched edge ({u},{v}) has slack {s}")
+    if below:
+        if negative is None:
+            u, v = below[0]
+            s = _slack(w, y2, blossoms, u, v)
+            raise ContractViolationError(f"negative reduced slack {s} on ({u},{v})")
+        negative.extend(below)
         return negative
     for mem, z in blossoms:
         if z > 0:
@@ -632,3 +715,50 @@ def _certificate_scan(w, mate, y2, blossoms, negative):
             f"primal 2*cost {cost} != dual objective {dual}"
         )
     return negative
+
+
+def _slack(w, y2, blossoms, u, v):
+    """The doubled reduced slack of the pair (u, v)."""
+    z = sum(z for mem, z in blossoms if u in mem and v in mem)
+    return 2 * w[u][v] - y2[u] - y2[v] + 2 * z
+
+
+def _pair_scan(w, mate, y2, blossoms):
+    """(below, loose): the pairs (u, v), u < v, of negative reduced slack,
+    and the matched ones of positive slack, each in row-major order."""
+    m = len(w)
+    held, z2 = _pair_blossom_duals(m, blossoms)
+    below, loose = [], []
+    for u in range(m):
+        wu, yu, zu, mu = w[u], y2[u], z2[held[u]], mate[u]
+        for v in range(u + 1, m):
+            s = 2 * wu[v] - yu - y2[v] + zu[held[v]]
+            if s < 0:
+                below.append((u, v))
+            elif mu == v and s != 0:
+                loose.append((u, v))
+    return below, loose
+
+
+def _dense_pair_scan(sub, mate, y2, blossoms):
+    """_pair_scan on `sub`, every slack at once, in a dtype that holds
+    every term and partial sum of them; each blossom of positive dual
+    adds it to the pairs inside."""
+    import numpy as np  # loaded already: `sub` is an array
+
+    m = len(sub)
+    zsum = sum(z for _, z in blossoms)
+    bound = 2 * int(sub.max()) + 2 * max(map(abs, y2)) + 2 * zsum
+    y = int_array(y2, bound)
+    s = sub.astype(y.dtype)
+    s *= 2
+    s -= y[:, None]
+    s -= y
+    for mem, z in blossoms:
+        if z:
+            s[np.ix_(mem, mem)] += 2 * z
+    below = list(zip(*(a.tolist() for a in np.nonzero(np.triu(s < 0, 1)))))
+    us = [u for u in range(m) if u < mate[u]]
+    vs = [mate[u] for u in us]
+    loose = [(u, v) for u, v, x in zip(us, vs, s[us, vs].tolist()) if x > 0]
+    return below, loose

@@ -27,11 +27,19 @@ is in the same end set is skipped and counted with it.
 The cheapest resulting tour wins; ties break on the lexicographically
 smallest rotation, then on the first layout in enumeration order.
 
-Under --jobs each worker takes every jobs-th forest group, walks only the
-layouts of its end sets and returns its own winner; it keeps its own
-matchings, so two workers may each match one odd set.  A serial solve
-is the same evaluation run on the only shard, so both return the same
-report.
+Under --jobs the forest groups are dealt out largest first, by their
+bound on ring evaluations, each to the shard with the fewest so far
+(`_shards`); each
+worker walks only the layouts of its groups' end sets and returns its own
+winner; it keeps its own matchings, so two workers may each match one odd
+set.  A serial solve is the same evaluation run on the only shard, so both
+return the same report.
+
+From 16 vertices on a solve converts its cost matrix to numpy once
+(`instance.dense_cost`): the triangle audit searches it, Prim reads its
+rows, and in the metric regime the matching takes its odd set's rows and
+columns from it.  The shards match on Python lists, and the array is
+dropped before they run.
 
 Special regimes short-circuit the enumeration: n <= 3 has a unique tour,
 instances with no violating triangle go through the tree-plus-matching
@@ -50,7 +58,7 @@ from dataclasses import dataclass, field
 
 from .errors import ContractViolationError, SizeRefusalError
 from .forest import RootedForest, forests_from_mst, rooted_msf
-from .instance import Instance, TriangleAudit, audit_triangles, int_array
+from .instance import Instance, TriangleAudit, audit_triangles, dense_cost, int_array
 from .layouts import ChainLayout, build_bad_cycle, cut_chains
 from .layouts import end_sets, layout_orders
 from .layouts import enumerate_layouts  # unused here; perfbench/measure.py wraps it
@@ -142,6 +150,7 @@ def _good_skeleton(
     ends: frozenset[int],
     matchings: dict[tuple[int, ...], Matching],
     forest: RootedForest | None = None,
+    dense=None,
 ) -> tuple[RootedForest, Matching, MultiGraph]:
     """Forest over the good vertices rooted at the chain ends (`forest`,
     or else rooted_msf's), the matching on its odd-degree vertices, and
@@ -150,13 +159,15 @@ def _good_skeleton(
     is good, and ends {0} give the spanning tree and parity matching of
     Christofides.  `matchings` maps each odd set met so far to its
     matching, which was certified when it was built and depends on nothing
-    else, so each distinct odd set is matched once per dict."""
+    else, so each distinct odd set is matched once per dict.  `dense` is
+    the solve's numpy cost matrix (instance.dense_cost) or None; Prim and
+    the matching read it."""
     if forest is None:
-        forest = rooted_msf(inst, audit.good_set | ends, ends)
+        forest = rooted_msf(inst, audit.good_set | ends, ends, _dense=dense)
     odd = _odd_vertices(inst.n, forest.edges)
     matching = matchings.get(odd)
     if matching is None:
-        matching = matchings[odd] = min_cost_perfect_matching(inst, odd)
+        matching = matchings[odd] = min_cost_perfect_matching(inst, odd, _dense=dense)
     skeleton = assemble_skeleton(inst.n, forest, matching, audit.good)
     return forest, matching, skeleton
 
@@ -195,11 +206,12 @@ def evaluate_layout(
     return LayoutResult(layout.layout_id, canonical_rotation(walk), ring[-1][-1], *ring)
 
 
-def _forest_groups(inst, audit):
+def _forest_groups(inst, audit, dense=None):
     """The ranked end sets grouped by their rooted forest: a list, in
     order of first rank, of (forest, [(rank, ends), ...]) with ranks
-    ascending.  Every forest comes from one good-vertex MST."""
-    mst = rooted_msf(inst, audit.good, audit.good[:1])
+    ascending.  Every forest comes from one good-vertex MST, whose Prim
+    reads `dense` (instance.dense_cost) when it is given."""
+    mst = rooted_msf(inst, audit.good, audit.good[:1], _dense=dense)
     forest_of = forests_from_mst(inst, mst)
     groups = {}
     for rank, ends in enumerate(end_sets(audit, len(audit.good))):
@@ -208,22 +220,41 @@ def _forest_groups(inst, audit):
     return list(groups.values())
 
 
+def _group_rings(audit, members) -> int:
+    """At most how many rings a forest group with the end sets `members`
+    evaluates: the (b-1)!/2 undirected rings through the bad vertices, or
+    the group's layouts if they are fewer, (b-2)! per last vertex, which
+    is any end but the smallest bad vertex."""
+    b = len(audit.bad)
+    layouts = math.factorial(b - 2) * sum(len(ends - {audit.bad[0]}) for _, ends in members)
+    return min(math.factorial(b - 1) // 2, layouts)
+
+
 def _rings_bound(audit, groups) -> int:
-    """At most how many rings a solve evaluates: per forest group, the
-    (b-1)!/2 undirected rings through the bad vertices, or the group's
-    layouts if they are fewer."""
-    s = audit.bad[0]
-    rings = math.factorial(len(audit.bad) - 1) // 2
-    per_last = math.factorial(len(audit.bad) - 2)
-    return sum(
-        min(rings, per_last * sum(len(ends - {s}) for _, ends in members))
-        for _, members in groups
-    )
+    """At most how many rings a solve evaluates."""
+    return sum(_group_rings(audit, members) for _, members in groups)
 
 
-def _evaluate_shard(inst, audit, groups, shard=0, jobs=1):
-    """Evaluate the layouts of the forest groups (`_forest_groups`) whose
-    index is `shard` modulo `jobs`, building each group's skeleton once,
+def _shards(audit, groups, jobs):
+    """The forest groups split into `jobs` shards of about equal ring
+    evaluations (`_group_rings`), which take most of a shard's time: the
+    largest group first (ties in group order), each to the shard with the
+    fewest so far (ties to the lowest shard).  Each shard keeps its groups
+    in group order; the report does not depend on the split, since the
+    best key carries the global end-set rank."""
+    sizes = [_group_rings(audit, members) for _, members in groups]
+    load = [0] * jobs
+    taken = [[] for _ in range(jobs)]
+    for i in sorted(range(len(groups)), key=lambda i: -sizes[i]):
+        shard = load.index(min(load))
+        load[shard] += sizes[i]
+        taken[shard].append(i)
+    return [[groups[i] for i in sorted(ids)] for ids in taken]
+
+
+def _evaluate_shard(inst, audit, groups):
+    """Evaluate the layouts of the forest groups (`_forest_groups`, or one
+    shard of them from `_shards`), building each group's skeleton once,
     matching each distinct odd set once and running each undirected ring
     once per group, and return (best, layouts, certified, monotone,
     hamiltonian).  best is ((cost, rotation, rank), LayoutResult) of the
@@ -239,7 +270,7 @@ def _evaluate_shard(inst, audit, groups, shard=0, jobs=1):
     count = certified = 0
     monotone = hamiltonian = True
     matchings = {}
-    for forest, members in groups[shard::jobs]:
+    for forest, members in groups:
         # a root the forest leaves bare has only ring edges, like an
         # inner chain vertex: the group's end sets share every stage
         skeleton = _good_skeleton(inst, audit, members[0][1], matchings, forest)
@@ -287,16 +318,22 @@ def _trivial_tour(inst: Instance) -> Tour:
     return Tour(order, walk_cost(inst, order), "trivial")
 
 
-def christofides(inst: Instance, audit: TriangleAudit | None = None) -> Tour:
-    """Tree + matching 1.5-approximation; the cost matrix must be metric."""
+def christofides(
+    inst: Instance, audit: TriangleAudit | None = None, _dense=None
+) -> Tour:
+    """Tree + matching 1.5-approximation; the cost matrix must be metric.
+    `_dense` is instance.dense_cost(inst), from a caller that built it
+    already (solve); without it, a call builds it as solve does."""
+    if _dense is None:
+        _dense = dense_cost(inst)
     if audit is None:
-        audit = audit_triangles(inst)
+        audit = audit_triangles(inst, _dense)
     if audit.k != 0:
         raise ContractViolationError("christofides needs a metric instance")
     if inst.n <= 3:
         return _trivial_tour(inst)
     # a spanning tree plus its parity matching is already Eulerian
-    _, _, h = _good_skeleton(inst, audit, frozenset({0}), {})
+    _, _, h = _good_skeleton(inst, audit, frozenset({0}), {}, None, _dense)
     walk = euler_tour(h)
     walk = splice_good(walk, audit, inst)
     return Tour(canonical_rotation(walk), walk_cost(inst, walk), "christofides")
@@ -361,14 +398,17 @@ def held_karp(inst: Instance) -> Tour:
 
 def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
     opts = opts or SolveOptions()
-    audit = audit_triangles(inst)
+    # one numpy cost matrix (None for small n) serves the audit, Prim and
+    # the metric regime's matching
+    dense = dense_cost(inst)
+    audit = audit_triangles(inst, dense)
     n = inst.n
 
     if n <= 3:
         return SolveReport(_trivial_tour(inst), audit.k, audit.k_t, "trivial")
 
     if audit.k == 0:
-        tour = christofides(inst, audit)
+        tour = christofides(inst, audit, dense)
         return SolveReport(tour, 0, 0, "metric")
 
     if not audit.good:
@@ -384,7 +424,8 @@ def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
             f"{audit.k_t} bad vertices exceeds the limit of {opts.max_bad}"
         )
 
-    groups = _forest_groups(inst, audit)
+    groups = _forest_groups(inst, audit, dense)
+    del dense  # the shards match on Python lists
     jobs = min(opts.jobs, os.cpu_count() or 1)
     if jobs <= 1 or _rings_bound(audit, groups) <= _SERIAL_MAX:
         parts = [_evaluate_shard(inst, audit, groups)]
@@ -392,9 +433,9 @@ def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
         # loaded on first use: serial solves never load the pool's modules
         from concurrent.futures import ProcessPoolExecutor
 
-        shard = functools.partial(_evaluate_shard, inst, audit, groups, jobs=jobs)
+        shard = functools.partial(_evaluate_shard, inst, audit)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(shard, range(jobs)))
+            parts = list(pool.map(shard, _shards(audit, groups, jobs)))
 
     bests, counts, certified, monotone, hamiltonian = zip(*parts)
     found = [b for b in bests if b is not None]

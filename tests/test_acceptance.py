@@ -169,6 +169,20 @@ def test_cli_contract(data_dir, tmp_path):
     _announce("cli contract", "INST4 cost 13, SQ4 cost 8, stdout byte-stable")
 
 
+def _report_sha(rep) -> str:
+    return hashlib.sha256((repr(rep) + repr(rep.best)).encode()).hexdigest()
+
+
+def test_metric_n60_report_pinned():
+    """gen_metric(60, 1) goes through the numpy audit, the numpy Prim and a
+    matching of more than 16 odd vertices on the solve's one array."""
+    rep = solve(gen_metric(60, 1), SolveOptions(jobs=1))
+    assert (rep.regime, rep.tour.cost) == ("metric", 749998)
+    assert _report_sha(rep) == (
+        "62d4ed9e866bce60eaad1c186d7d9743fa43a444d79f2e54c93de8a4b8d71c07"
+    )
+
+
 def test_runtime_budget():
     """A 30-vertex instance with six bad vertices solves in under a minute
     single-threaded (3840 layouts)."""
@@ -181,6 +195,11 @@ def test_runtime_budget():
     assert rep.layouts == 3840
     assert elapsed < 60
     assert rep.tour.cost > 0
+    # the chains regime through the numpy audit and Prim (n >= 24), pinned
+    # whole: report and winning layout
+    assert _report_sha(rep) == (
+        "b730ea9b14dafe4f19681003a29d4af88138c402a61329e347acba1972567573"
+    )
     _announce(
         "runtime budget",
         f"n=30, 3840 layouts in {elapsed:.1f}s, cost {rep.tour.cost}",

@@ -123,6 +123,30 @@ class TestSolve:
         assert res.stdout == ""
         assert "up to n=18" in res.stderr
 
+    @pytest.mark.parametrize(
+        "flag, value, low",
+        [("--jobs", "0", 1), ("--jobs", "-5", 1), ("--max-bad", "-1", 0)],
+    )
+    def test_out_of_range_arguments_are_usage_errors(self, data_dir, flag, value, low):
+        # not a serial run nor an oversized instance (exit 2): a usage error
+        res = run_cli("solve", f"{data_dir}/inst4.json", flag, value)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == (
+            f"tritsp solve: error: argument {flag}: must be at least {low}, got {value}\n"
+        )
+
+    def test_smallest_arguments_run(self, data_dir):
+        # --jobs 1 and --max-bad 0 are in range: the same bytes as the
+        # defaults, and a refusal for 3 bad vertices over a limit of 0
+        plain = run_cli("solve", f"{data_dir}/inst4.json")
+        one = run_cli("solve", f"{data_dir}/inst4.json", "--jobs", "1")
+        assert one.returncode == plain.returncode == 0
+        assert one.stdout == plain.stdout
+        zero = run_cli("solve", f"{data_dir}/inst4.json", "--max-bad", "0")
+        assert zero.returncode == 2
+        assert "3 bad vertices exceeds the limit of 0" in zero.stderr
+
     def test_cert_flag(self, data_dir):
         # every solve checks its matchings' certificates; the flag is gone
         res = run_cli("solve", f"{data_dir}/inst4.json", "--cert")
@@ -208,6 +232,14 @@ def corpus_dir(tmp_path_factory):
 
 
 class TestBench:
+    @pytest.mark.parametrize("flag, value", [("--jobs", "0"), ("--max-bad", "-1")])
+    def test_out_of_range_arguments_are_usage_errors(self, corpus_dir, tmp_path, flag, value):
+        out = tmp_path / "never.csv"
+        res = run_cli("bench", "--dir", str(corpus_dir), "--out", str(out), flag, value)
+        assert res.returncode == 1
+        assert res.stdout == "" and not out.exists()
+        assert f"tritsp bench: error: argument {flag}: must be at least" in res.stderr
+
     def test_csv_shape(self, corpus_dir, tmp_path):
         out = tmp_path / "rows.csv"
         res = run_cli("bench", "--dir", str(corpus_dir), "--out", str(out))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import tritsp.matching
 from tritsp.errors import ContractViolationError, SizeRefusalError
 from tritsp.forest import rooted_msf
-from tritsp.instance import Instance
+from tritsp.instance import Instance, dense_cost, int_array
 from tritsp.matching import min_cost_perfect_matching, verify_matching_certificate
 from tritsp.oracles import brute_matching
 from tritsp.solver import christofides
@@ -56,12 +57,12 @@ class TestBlossom:
         scan = tritsp.matching._certificate_scan
         rounds, scans = [], []
 
-        def search_spy(w, cand):
-            rounds.append(search(w, cand))
+        def search_spy(w, cand, *rest):
+            rounds.append(search(w, cand, *rest))
             return rounds[-1]
 
-        def scan_spy(w, mate, y2, blossoms, negative):
-            scans.append(scan(w, mate, y2, blossoms, negative))
+        def scan_spy(w, mate, y2, blossoms, negative, *rest):
+            scans.append(scan(w, mate, y2, blossoms, negative, *rest))
             return scans[-1]
 
         monkeypatch.setattr(tritsp.matching, "_blossom_search", search_spy)
@@ -456,17 +457,19 @@ class TestSiftedScan:
 
     def test_second_pricing_round(self, monkeypatch):
         # the first search's duals price the pair (0, 33) negative; the
-        # second search, with it on the lists, finds the minimum
+        # second search, with it on the lists, finds the minimum.  The
+        # matching runs as a solve runs it, on the numpy cost matrix
         search = tritsp.matching._blossom_search
         lists = []
 
-        def spy(w, cand):
+        def spy(w, cand, sub=None):
+            assert sub is not None  # the dense path
             lists.append([list(vs) for vs in cand])
-            return search(w, cand)
+            return search(w, cand, sub)
 
         monkeypatch.setattr(tritsp.matching, "_blossom_search", spy)
         inst = two_clusters()
-        m = min_cost_perfect_matching(inst, range(inst.n))
+        m = min_cost_perfect_matching(inst, range(inst.n), _dense=dense_cost(inst))
         assert m.cost == 16 * 1 + 50 and (0, 33) in m.pairs
         assert len(lists) == 2
         assert 33 not in lists[0][0] and 33 in lists[1][0]
@@ -478,18 +481,21 @@ class TestSiftedScan:
         scan = tritsp.matching._certificate_scan
         rounds, found = [], []
 
-        def search_spy(w, cand):
-            rounds.append(search(w, cand))
+        def search_spy(w, cand, sub=None):
+            rounds.append(search(w, cand, sub))
             return rounds[-1]
 
-        def scan_spy(w, mate, y2, blossoms, negative):
-            found.append(scan(w, mate, y2, blossoms, negative))
+        def scan_spy(w, mate, y2, blossoms, negative, sub=None):
+            found.append(scan(w, mate, y2, blossoms, negative, sub))
+            dense.append(sub is not None)
             return found[-1]
 
         monkeypatch.setattr(tritsp.matching, "_blossom_search", search_spy)
         monkeypatch.setattr(tritsp.matching, "_certificate_scan", scan_spy)
         inst = two_clusters()
-        m = min_cost_perfect_matching(inst, range(inst.n))
+        dense = []
+        m = min_cost_perfect_matching(inst, range(inst.n), _dense=dense_cost(inst))
+        assert dense == [True, True]  # both scans on the array, as in a solve
         assert len(rounds) == len(found) == 2
         assert (0, 33) in found[0] and found[1] == []
         assert m.cost == 16 * 1 + 50
@@ -500,15 +506,17 @@ class TestSiftedScan:
         # own invariant: pricing raises before adding it to the lists
         search = tritsp.matching._blossom_search
 
-        def raised(w, cand):
-            mate, y2, blossoms = search(w, cand)
+        def raised(w, cand, *rest):
+            mate, y2, blossoms = search(w, cand, *rest)
             y2[0] += 10**6
             return mate, y2, blossoms
 
         monkeypatch.setattr(tritsp.matching, "_blossom_search", raised)
         inst = ceil2d_instance(40, 3)
-        with pytest.raises(ContractViolationError, match=r"candidate pair \(0,\d+\) prices negative"):
-            min_cost_perfect_matching(inst, range(40))
+        # on Python lists and on the numpy cost matrix
+        for dense in (None, dense_cost(inst)):
+            with pytest.raises(ContractViolationError, match=r"candidate pair \(0,\d+\) prices negative"):
+                min_cost_perfect_matching(inst, range(40), _dense=dense)
 
     @pytest.mark.parametrize(
         "seed, cost, digest",
@@ -519,6 +527,105 @@ class TestSiftedScan:
         tour = christofides(ceil2d_instance(400, seed))
         got = hashlib.sha256(repr(tour.order).encode()).hexdigest()[:16]
         assert (tour.cost, got) == (cost, digest)
+
+
+def dense_and_pure(monkeypatch, ws, candidates):
+    """Each matrix's priced search on Python lists and on its numpy array
+    (int_array of twice the largest cost, as dense_cost converts it), with
+    every search round and certificate scan of both recorded; checked
+    equal, round by round.  Returns the dtypes of the arrays."""
+    monkeypatch.setattr(tritsp.matching, "CANDIDATES", candidates)
+    search = tritsp.matching._blossom_search
+    scan = tritsp.matching._certificate_scan
+    seen = []
+
+    def search_spy(w, cand, sub=None):
+        seen.append((sub is not None, "search", search(w, cand, sub)))
+        return seen[-1][-1]
+
+    def scan_spy(w, mate, y2, blossoms, negative, sub=None):
+        seen.append((sub is not None, "scan", scan(w, mate, y2, blossoms, negative, sub)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(tritsp.matching, "_blossom_search", search_spy)
+    monkeypatch.setattr(tritsp.matching, "_certificate_scan", scan_spy)
+    dtypes = set()
+    for trial, w in enumerate(ws):
+        sub = int_array(w, 2 * max(map(max, w)))
+        dtypes.add(sub.dtype)
+        seen.clear()
+        pure = tritsp.matching._priced_search(w)
+        pure_steps = [step for _, *step in seen]
+        seen.clear()
+        dense = tritsp.matching._priced_search(w, sub)
+        if len(w) > candidates + 1:
+            assert all(on_array for on_array, *_ in seen), trial
+        assert dense == pure, (trial, candidates)
+        assert [step for _, *step in seen] == pure_steps, (trial, candidates)
+    return dtypes
+
+
+class TestDenseSteps:
+    """From a solve's numpy cost matrix, an odd set of more than CANDIDATES
+    + 1 vertices takes its candidate lists, jump start and pricing scans
+    from the array; every round gives what the Python lists give."""
+
+    def test_equal_with_ties(self, monkeypatch):
+        ws = tie_matrices(5, 300, 20, [1, 2, 3, 5, 20])
+        for candidates in (0, 2, tritsp.matching.CANDIDATES):
+            dense_and_pure(monkeypatch, ws, candidates)
+
+    @pytest.mark.parametrize(
+        "scale, dtype",
+        [(2**22, np.int32), (2**24, np.int32), (2**28, np.int64), (2**62, object)],
+    )
+    def test_equal_at_each_dtype(self, monkeypatch, scale, dtype):
+        for candidates in (0, 4):
+            dtypes = dense_and_pure(monkeypatch, scaled_matrices(scale), candidates)
+            assert dtypes == {np.dtype(dtype)}
+
+    def test_equal_over_two_pricing_rounds(self, monkeypatch):
+        # two_clusters needs a second round: the dense path prices (0, 33)
+        # negative in the same first scan and repeats the same second search
+        w = [list(row) for row in two_clusters().cost]
+        scans = []
+        scan = tritsp.matching._certificate_scan
+
+        def counting(w, mate, y2, blossoms, negative, sub=None):
+            scans.append(scan(w, mate, y2, blossoms, negative, sub))
+            return scans[-1]
+
+        monkeypatch.setattr(tritsp.matching, "_certificate_scan", counting)
+        dense_and_pure(monkeypatch, [w], tritsp.matching.CANDIDATES)
+        assert len(scans) == 4 and scans[0] == scans[2] and (0, 33) in scans[2]
+
+    def test_scan_raises_as_the_python_scan(self):
+        # broken duals: the array scan lists the same negative pairs and
+        # raises the same first violation, listing or not
+        rng = random.Random(8)
+        kinds = set()
+        for trial in range(60):
+            hi = rng.choice([3, 50])
+            w = _symmetric(2 * rng.randint(9, 14), lambda: rng.randint(0, hi))
+            sub = int_array(w, 2 * max(map(max, w)))
+            mate, y2, blossoms = tritsp.matching._priced_search(w, sub)
+            y2 = list(y2)
+            y2[rng.randrange(len(w))] += rng.choice([-4, -2, 2, 6, 40])
+            for listing in (False, True):
+                got = []
+                for arr in (None, sub):
+                    try:
+                        negative = [] if listing else None
+                        got.append(tritsp.matching._certificate_scan(
+                            w, mate, y2, blossoms, negative, arr))
+                    except ContractViolationError as exc:
+                        got.append(str(exc))
+                assert got[0] == got[1], (trial, listing)
+                if isinstance(got[0], list):
+                    kinds.add("listed" if got[0] else "passed")
+                else:
+                    kinds.add(got[0].split()[0])
+        assert {"listed", "matched", "negative"} <= kinds
 
 
 def test_search_leaves_no_cyclic_garbage():
@@ -535,10 +642,11 @@ def test_search_leaves_no_cyclic_garbage():
 
 
 def test_numpy_stays_unloaded():
-    # a candidate-list matching and a small planted solve run in pure Python
+    # a candidate-list matching and small planted and metric solves (n <
+    # 16, below the numpy audit) run in pure Python
     code = """
 import random, sys
-from tritsp.instance import Instance, gen_planted
+from tritsp.instance import Instance, gen_metric, gen_planted
 from tritsp.matching import CANDIDATES, min_cost_perfect_matching
 from tritsp.solver import solve
 rng = random.Random(2)
@@ -549,6 +657,7 @@ for i in range(40):
 assert 40 - 1 > CANDIDATES
 min_cost_perfect_matching(Instance.from_rows("r40", rows), range(40))
 solve(gen_planted(12, 5, 1))
+assert solve(gen_metric(12, 1)).regime == "metric"
 print("numpy" in sys.modules)
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)

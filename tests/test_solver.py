@@ -20,6 +20,8 @@ from tritsp.matching import Matching, verify_matching_certificate
 from tritsp.multigraph import MultiGraph
 from tritsp.oracles import held_karp
 from tritsp.shortcut import walk_cost
+import tritsp.forest
+import tritsp.instance
 import tritsp.matching
 import tritsp.solver
 from tritsp.solver import LayoutResult, SolveOptions, christofides, evaluate_layout, solve
@@ -56,6 +58,14 @@ def _forest_groups(inst):
         forest = rooted_msf(inst, audit.good_set | ends, ends)
         groups.setdefault(forest.edges, (forest, []))[1].append((rank, ends))
     return list(groups.values())
+
+
+def _group_rings(inst, members):
+    """At most how many rings a forest group evaluates: its layouts,
+    counted one by one, or the (b-1)!/2 undirected rings if fewer."""
+    audit = audit_triangles(inst)
+    layouts = sum(1 for _, ends in members for _ in layout_orders(audit, ends))
+    return min(layouts, math.factorial(len(audit.bad) - 1) // 2)
 
 
 def _rings_bound(inst):
@@ -209,10 +219,11 @@ class TestSolveRegimes:
         assert par == seq and par.best == seq.best
 
     def test_shards_split_end_sets(self, monkeypatch):
-        # the shards split the forest groups: each distinct forest's
-        # skeleton is built once over all shards, the one Prim is the
-        # good-vertex MST, and the merged shards report exactly what the
-        # serial solve reports
+        # the shards split the forest groups, largest first by their
+        # bound on ring evaluations, each to the shard with the smaller
+        # bound so far: each distinct forest's skeleton is built once over
+        # all shards, the one Prim is the good-vertex MST, and the merged
+        # shards report exactly what the serial solve reports
         monkeypatch.setattr(tritsp.solver, "_SERIAL_MAX", 64)
         inst = gen_planted(11, 5, seed=7)
         groups = _forest_groups(inst)
@@ -223,9 +234,9 @@ class TestSolveRegimes:
         real_msf = tritsp.solver.rooted_msf
         real_skeleton = tritsp.solver.assemble_skeleton
 
-        def counting_msf(inst, vertices, roots):
+        def counting_msf(inst, vertices, roots, **kw):
             prims.append((tuple(vertices), tuple(roots)))
-            return real_msf(inst, vertices, roots)
+            return real_msf(inst, vertices, roots, **kw)
 
         def counting_skeleton(n, forest, matching, good):
             forests.append(forest.edges)
@@ -245,30 +256,43 @@ class TestSolveRegimes:
         assert sorted(forests) == sorted(forest.edges for forest, _ in groups)
         audit = audit_triangles(inst)
         assert prims == [(audit.good, audit.good[:1])]
-        # both shards got layouts to evaluate
+        # both shards got layouts to evaluate, and ring evaluations that
+        # differ by at most the largest group's bound
         (pool,) = pools
         assert [layouts > 0 for _, layouts, *_ in pool.results] == [True, True]
+        runs = [0, 0]
+        for shard, part in enumerate(tritsp.solver._shards(audit, groups, 2)):
+            runs[shard] = sum(_group_rings(inst, members) for _, members in part)
+        assert abs(runs[0] - runs[1]) <= max(_group_rings(inst, m) for _, m in groups)
         assert par == seq and par.best == seq.best
 
     def test_workers_enumerate_only_their_end_sets(self, monkeypatch):
         # each shard asks for the vertex orders of its own forest groups'
-        # end sets, one set at a time: the groups whose index in order of
-        # first rank is the shard modulo jobs, each group's sets by rank
+        # end sets, one set at a time: the groups dealt to it largest
+        # first by their bound on ring evaluations, each to the shard with
+        # the smaller bound so far (ties to the lower index), walked in
+        # order of first rank, each group's sets by rank
         monkeypatch.setattr(tritsp.solver, "_SERIAL_MAX", 64)
         inst = gen_planted(11, 5, seed=7)
         audit = audit_triangles(inst)
         groups = _forest_groups(inst)
         ranked = [[ends for _, ends in members] for _, members in groups]
-        asked = {}
+        sizes = [_group_rings(inst, members) for _, members in groups]
+        dealt, load = [[], []], [0, 0]
+        for i in sorted(range(len(groups)), key=lambda i: (-sizes[i], i)):
+            shard = 0 if load[0] <= load[1] else 1
+            load[shard] += sizes[i]
+            dealt[shard].append(i)
+        asked = []
         real_shard = tritsp.solver._evaluate_shard
         real_orders = tritsp.solver.layout_orders
 
-        def spy_shard(inst, audit, groups, shard=0, jobs=1):
-            asked[shard] = []
-            return real_shard(inst, audit, groups, shard, jobs)
+        def spy_shard(inst, audit, groups):
+            asked.append([])
+            return real_shard(inst, audit, groups)
 
         def orders_spy(audit, ends):
-            asked[max(asked)].append(ends)  # the shard running now
+            asked[-1].append(ends)  # the shard running now
             return real_orders(audit, ends)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -276,10 +300,42 @@ class TestSolveRegimes:
         monkeypatch.setattr(tritsp.solver, "_evaluate_shard", spy_shard)
         monkeypatch.setattr(tritsp.solver, "layout_orders", orders_spy)
         rep = solve(inst, SolveOptions(jobs=2))
-        assert asked == {
-            shard: list(itertools.chain(*ranked[shard::2])) for shard in (0, 1)
-        }
+        assert asked == [
+            list(itertools.chain(*(ranked[i] for i in sorted(ids)))) for ids in dealt
+        ]
+        assert all(dealt) and abs(load[0] - load[1]) < max(sizes)
         assert rep.layouts == sum(1 for _ in enumerate_layouts(audit, len(audit.good)))
+
+    def test_shards_balance_a_lopsided_instance(self):
+        # one forest group of gen_planted(20, 7, 3) holds 26880 of its
+        # 46080 layouts but 360 of its ring evaluations; shards by index
+        # modulo 2 ran 2256 and 1512 rings, shards by layout count 360
+        # and 3408
+        inst = gen_planted(20, 7, seed=3)
+        audit = audit_triangles(inst)
+        groups = tritsp.solver._forest_groups(inst, audit)
+        shards = tritsp.solver._shards(audit, groups, 2)
+        bounds = [sum(_group_rings(inst, m) for _, m in shard) for shard in shards]
+        runs = [0, 0]
+        real_run = tritsp.solver._run_ring
+        for shard, part in enumerate(shards):
+            def counting(*args, shard=shard):
+                runs[shard] += 1
+                return real_run(*args)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tritsp.solver, "_run_ring", counting)
+                tritsp.solver._evaluate_shard(inst, audit, part)
+        assert bounds == [2280, 2280] and runs == [1824, 1944]
+        assert sorted(f.edges for shard in shards for f, _ in shard) == sorted(
+            f.edges for f, _ in groups
+        )
+        # each shard keeps its groups in order of first rank
+        assert all(
+            [members[0][0] for _, members in shard]
+            == sorted(members[0][0] for _, members in shard)
+            for shard in shards
+        )
 
     def test_only_the_winner_gets_its_layout_objects(self, monkeypatch):
         # rings are evaluated on bare vertex orders: a serial solve builds
@@ -483,17 +539,17 @@ class TestSkeletonCache:
         real_skeleton = tritsp.solver.assemble_skeleton
         real_matching = tritsp.solver.min_cost_perfect_matching
 
-        def counting_msf(inst, vertices, roots):
+        def counting_msf(inst, vertices, roots, **kw):
             prims.append(roots)
-            return real_msf(inst, vertices, roots)
+            return real_msf(inst, vertices, roots, **kw)
 
         def counting_skeleton(n, forest, matching, good):
             forests.append(forest)
             return real_skeleton(n, forest, matching, good)
 
-        def counting_matching(inst, odd):
+        def counting_matching(inst, odd, **kw):
             matchings.append(odd)
-            return real_matching(inst, odd)
+            return real_matching(inst, odd, **kw)
 
         monkeypatch.setattr(tritsp.solver, "rooted_msf", counting_msf)
         monkeypatch.setattr(tritsp.solver, "assemble_skeleton", counting_skeleton)
@@ -622,7 +678,7 @@ class TestSkeletonChecks:
         monkeypatch.setattr(
             tritsp.solver,
             "min_cost_perfect_matching",
-            lambda inst, odd: Matching((), 0),
+            lambda inst, odd, **kw: Matching((), 0),
         )
         audit = audit_triangles(inst4)
         with pytest.raises(ContractViolationError, match="odd degree"):
@@ -644,7 +700,7 @@ class TestSkeletonChecks:
         with monkeypatch.context() as m:
             real_msf = tritsp.solver.rooted_msf
             m.setattr(
-                tritsp.solver, "rooted_msf", lambda *args: broken(real_msf(*args))
+                tritsp.solver, "rooted_msf", lambda *args, **kw: broken(real_msf(*args, **kw))
             )
             layout = next(enumerate_layouts(audit, len(audit.good)))
             with pytest.raises(ContractViolationError, match="good vertex .* disconnected"):
@@ -697,8 +753,8 @@ class TestChristofides:
     @staticmethod
     def _spy_rounds(monkeypatch):
         """Lists that fill with each search round's result, each certificate
-        scan's (w, (mate, y2, blossoms), returned negative pairs) and each
-        matching christofides gets."""
+        scan's (w, (mate, y2, blossoms), returned negative pairs, numpy
+        array or None) and each matching christofides gets."""
         rounds, scans, matchings = [], [], []
         search = tritsp.matching._blossom_search
         scan = tritsp.matching._certificate_scan
@@ -708,13 +764,13 @@ class TestChristofides:
             rounds.append(search(w, *rest))
             return rounds[-1]
 
-        def scan_spy(w, mate, y2, blossoms, negative):
-            out = scan(w, mate, y2, blossoms, negative)
-            scans.append((w, (mate, y2, blossoms), out))
+        def scan_spy(w, mate, y2, blossoms, negative, sub=None):
+            out = scan(w, mate, y2, blossoms, negative, sub)
+            scans.append((w, (mate, y2, blossoms), out, sub))
             return out
 
-        def match_spy(inst, odd):
-            matchings.append(match(inst, odd))
+        def match_spy(inst, odd, **kw):
+            matchings.append(match(inst, odd, **kw))
             return matchings[-1]
 
         monkeypatch.setattr(tritsp.matching, "_blossom_search", search_spy)
@@ -724,20 +780,23 @@ class TestChristofides:
 
     def test_one_certificate_scan_per_search_round(self, monkeypatch):
         # 24 odd vertices, searched on candidate lists: the certificate's
-        # scan of each round's result is the round's only pair scan
+        # scan of each round's result is the round's only pair scan, and
+        # it runs on the solve's numpy cost matrix, in a solve and in a
+        # direct christofides call alike
         rounds, scans, _ = self._spy_rounds(monkeypatch)
         inst = gen_metric(50, seed=2)
         rep = solve(inst)
         assert christofides(inst) == rep.tour
         assert len(rounds) == len(scans) >= 2
-        for result, (w, scanned, _) in zip(rounds, scans):
+        for result, (w, scanned, _, sub) in zip(rounds, scans):
             assert len(w) > tritsp.matching.CANDIDATES + 1
+            assert sub is not None and sub.shape == (len(w), len(w))
             assert all(a is b for a, b in zip(result, scanned))
 
     def test_last_scan_passes_on_the_returned_matching(self, monkeypatch):
         _, scans, matchings = self._spy_rounds(monkeypatch)
         christofides(gen_metric(50, seed=2))
-        w, (mate, y2, blossoms), negative = scans[-1]
+        w, (mate, y2, blossoms), negative, _ = scans[-1]
         assert negative == [] and len(matchings) == 1
         verify_matching_certificate(w, mate, y2, blossoms)
         assert 2 * matchings[0].cost == sum(w[u][mate[u]] for u in range(len(w)))
@@ -748,9 +807,9 @@ class TestChristofides:
         built = []
         real = tritsp.solver._good_skeleton
 
-        def spy(inst, audit, ends, matchings):
+        def spy(inst, audit, ends, matchings, *rest):
             built.append((audit.good, ends, dict(matchings)))
-            return real(inst, audit, ends, matchings)
+            return real(inst, audit, ends, matchings, *rest)
 
         monkeypatch.setattr(tritsp.solver, "_good_skeleton", spy)
         inst = gen_metric(12, seed=4)
@@ -765,6 +824,49 @@ class TestChristofides:
             opt = held_karp(inst)
             assert sorted(tour.order) == list(range(9))
             assert 2 * tour.cost <= 3 * opt.cost
+
+
+class TestOneConversion:
+    """From 16 vertices on, a solve converts its cost matrix to numpy once,
+    and the audit, Prim and the matching all read that one array."""
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        made = []
+        real = tritsp.instance.int_array
+
+        def recording(rows, largest):
+            arr = real(rows, largest)
+            made.append(arr.shape)
+            return arr
+
+        for module in (tritsp.instance, tritsp.forest, tritsp.matching, tritsp.solver):
+            monkeypatch.setattr(module, "int_array", recording)
+        return made
+
+    @pytest.mark.parametrize(
+        "inst",
+        [gen_metric(16, 3), gen_metric(50, 2), gen_planted(30, 6, 1)],
+        ids=["metric-16", "metric-50", "planted-30"],
+    )
+    def test_one_matrix_per_solve(self, monkeypatch, inst):
+        made = self._recorded(monkeypatch)
+        solve(inst)
+        # every other conversion is a vector: Prim's vertices, scan duals
+        assert [shape for shape in made if len(shape) > 1] == [(inst.n, inst.n)]
+
+    def test_standalone_christofides_converts_once(self, monkeypatch):
+        inst = gen_metric(50, 2)
+        made = self._recorded(monkeypatch)
+        tour = christofides(inst)
+        assert [shape for shape in made if len(shape) > 1] == [(inst.n, inst.n)]
+        assert tour == solve(inst).tour
+
+    def test_small_solve_converts_nothing(self, monkeypatch):
+        made = self._recorded(monkeypatch)
+        for inst in (gen_metric(15, 1), gen_planted(12, 5, 1)):
+            solve(inst)
+        assert made == []
 
 
 class TestGuarantee:
