@@ -73,7 +73,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--max-bad", type=_at_least(0), default=SolveOptions.max_bad, metavar="N")
     p.add_argument("--jobs", type=_at_least(1), default=SolveOptions.jobs, metavar="J")
-    p.add_argument("--top", type=int, default=0, metavar="K",
+    p.add_argument("--top", type=_at_least(0), default=0, metavar="K",
                    help="also list the K instances with the worst ratio")
     return parser
 
@@ -164,7 +164,7 @@ def _cmd_bench(args) -> int:
     rows = run_bench(args.dir, args.out, opts)
     summary = aggregate(rows)
     print(format_summary(summary))
-    if args.top > 0:
+    if args.top:
         print()
         print(format_worst(rows, args.top))
     print(

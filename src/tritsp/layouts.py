@@ -29,12 +29,11 @@ class ChainLayout:
     """Ordered chains (each a non-empty ordered tuple of bad vertices).
 
     `vertices` (all bad vertices in chain order, the underlying
-    permutation), `starts` and `ends` are derived once, on construction;
-    they take no part in equality, hashing or repr."""
+    permutation) and `ends` are derived once, on construction; they take
+    no part in equality, hashing or repr."""
 
     chains: tuple[tuple[int, ...], ...]
     vertices: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
     ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -44,12 +43,7 @@ class ChainLayout:
         if len(set(flat)) != len(flat):
             raise ContractViolationError(f"chains overlap: {self.chains}")
         object.__setattr__(self, "vertices", flat)
-        object.__setattr__(self, "starts", tuple(c[0] for c in self.chains))
         object.__setattr__(self, "ends", tuple(c[-1] for c in self.chains))
-
-    @property
-    def t(self) -> int:
-        return len(self.chains)
 
     @property
     def layout_id(self) -> str:

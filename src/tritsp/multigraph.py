@@ -1,11 +1,11 @@
 """Tiny undirected multigraph on vertices 0..n-1 with edge multiplicities.
 
 Just enough surface for the solver: union of a cycle, a forest, and a
-matching, degree parity queries, and edge removal during Euler tours.
-Vertex v's neighbors and multiplicities live in the dict ``_adj[v]``.
-The shortcut stages read these dicts directly in their inner loops, and
-change a graph only through its methods, except the Euler tour, which
-empties the graph it walks by deleting from these dicts.
+matching, and edge removal during the repair.  Vertex v's neighbors and
+multiplicities live in the dict ``_adj[v]``.  The shortcut stages read
+these dicts directly in their inner loops and change a graph through its
+methods, except the ring overlay, which writes into a fresh copy's dicts,
+and the Euler tour, which empties the graph it walks.
 """
 
 from __future__ import annotations
@@ -45,12 +45,6 @@ class MultiGraph:
             self._adj[v][u] = m - 1
         self._edge_count -= 1
 
-    def multiplicity(self, u: int, v: int) -> int:
-        return self._adj[u].get(v, 0)
-
-    def degree(self, v: int) -> int:
-        return sum(self._adj[v].values())
-
     def neighbors(self, v: int) -> list[int]:
         """Distinct neighbors, ascending."""
         return sorted(self._adj[v])
@@ -70,13 +64,10 @@ class MultiGraph:
         """Total number of edge copies."""
         return self._edge_count
 
-    def odd_vertices(self) -> list[int]:
-        return [v for v in range(self.n) if self.degree(v) % 2 == 1]
-
     def copy(self) -> "MultiGraph":
         # skips __init__, whose empty adjacency maps would be replaced
         g = MultiGraph.__new__(MultiGraph)
         g.n = self.n
-        g._adj = [dict(d) for d in self._adj]
+        g._adj = [d.copy() for d in self._adj]
         g._edge_count = self._edge_count
         return g

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import ContractViolationError, SizeRefusalError
 from .instance import Instance, TriangleAudit, audit_triangles
-from .layouts import ChainLayout, build_bad_cycle, cut_chains
+from .layouts import ChainLayout, cut_chains
 from .matching import Matching, _checked_vertices
 from .shortcut import Tour, assemble_eulerian, repair_double_bad_edges
 from .solver import LayoutResult, _good_skeleton, evaluate_layout, held_karp
@@ -178,7 +178,7 @@ def _bound_checks(inst, audit, res: LayoutResult, h, opt_cost: int):
     worst = 0
     for b in bad:
         nbrs = [x for x in h.neighbors(b) if x in bad]
-        doubled = any(h.multiplicity(b, x) > 1 for x in nbrs)
+        doubled = any(h._adj[b][x] > 1 for x in nbrs)
         worst = max(worst, len(nbrs))
         if len(nbrs) > 3 or doubled:
             adjacency_ok = False
@@ -214,7 +214,7 @@ def oracle_bounds(inst: Instance, opt_tour: Tour | None = None) -> BoundReport:
         # the graph evaluate_layout's Euler tour consumed: every stage is
         # deterministic, so rebuilding it gives the same graph
         _, _, union = _good_skeleton(inst, audit, frozenset(layout.ends), {})
-        h = assemble_eulerian(build_bad_cycle(layout.vertices, inst), union)
+        h, _, _ = assemble_eulerian(layout.vertices, union, inst)
         repair_double_bad_edges(h, audit, inst)
         checks = _bound_checks(inst, audit, res, h, opt.cost)
         fails = sum(not ch.passed for ch in checks)

@@ -3,7 +3,8 @@
 Stages: union the forest and the matching into a checked good skeleton
 (once per distinct rooted forest), add a bad cycle's edges to a copy of
 it to get an Eulerian multigraph, reroute doubled bad-bad edges through
-good neighbors, extract an Euler tour (which consumes that copy), then
+good neighbors (only ring edges can be doubled, and the overlay says
+whether one was), extract an Euler tour (which consumes that copy), then
 splice out repeated bad vertices (most negative cost delta first, only
 at occurrences whose removal is provably cost-safe) and finally repeated
 good vertices (keep first occurrence; always safe since every triangle
@@ -71,21 +72,27 @@ def assemble_skeleton(
     n: int, forest: RootedForest, matching: Matching, good
 ) -> MultiGraph:
     """Union of the forest and the matching on n vertices, checked: every
-    degree is even, and every vertex of `good` is connected to a root of
-    the forest.  A cycle through all forest roots then makes the union
-    Eulerian and connected on every vertex it touches."""
+    degree is even, every vertex of `good` reaches a root of the forest,
+    and no edge between two other vertices is doubled (a tree has one root;
+    matched pairs are distinct).  A cycle through all forest roots then
+    makes the union Eulerian and connected on every vertex it touches."""
     h = MultiGraph(n)
     for a, b in forest.edges:
         h.add_edge(a, b)
     for a, b in matching.pairs:
         h.add_edge(a, b)
     adj = h._adj
+    good_set = set(good)
     for v, nbrs in enumerate(adj):
         d = sum(nbrs.values())
         if d % 2 == 1:
             raise ContractViolationError(
                 f"vertex {v} has odd degree {d} after matching union"
             )
+        if d > len(nbrs) and v not in good_set and any(
+            m > 1 and u not in good_set for u, m in nbrs.items()
+        ):
+            raise ContractViolationError(f"a bad-bad edge at {v} is doubled in the skeleton")
     seen = set(forest.roots)
     frontier = list(seen)
     while frontier:
@@ -101,16 +108,28 @@ def assemble_skeleton(
     return h
 
 
-def assemble_eulerian(cycle, skeleton: MultiGraph) -> MultiGraph:
-    """A copy of the checked skeleton with every edge of the bad cycle
-    (vertex pairs, as build_bad_cycle returns them) added.  A cycle
-    through every root of the skeleton's forest keeps all degrees even
-    and joins the trees; euler_tour's closing check confirms that the
-    union is connected."""
+def assemble_eulerian(order, skeleton: MultiGraph, inst: Instance):
+    """(graph, cost, doubled): a copy of the checked skeleton with the ring
+    through `order` (a layout's vertices; one gives no edge, two their pair
+    twice) added, the ring's cost, and whether it doubled an edge.  A ring
+    through every root of the skeleton's forest keeps all degrees even and
+    joins the trees; euler_tour's closing check confirms the connection."""
+    if min(order) < 0 or max(order) >= inst.n:
+        raise ContractViolationError(f"ring vertices {order} out of range for n={inst.n}")
     h = skeleton.copy()
-    for a, b in cycle:
-        h.add_edge(a, b)
-    return h
+    if len(order) == 1:
+        return h, 0, False
+    adj, c = h._adj, inst.cost
+    cost, doubled, u = 0, False, order[-1]
+    for v in order:
+        au = adj[u]
+        m = au.get(v, 0) + 1
+        au[v] = adj[v][u] = m
+        doubled = doubled or m > 1
+        cost += c[u][v]
+        u = v
+    h._edge_count += len(order)
+    return h, cost, doubled
 
 
 def repair_double_bad_edges(
@@ -261,18 +280,15 @@ def splice_good(
     cost of s; each drop appends the new cost."""
     good = audit.good_set
     c = inst.cost
-    s = list(s)
+    out: list[int] = []
     seen: set[int] = set()
-    i = 0
-    while i < len(s):
-        v = s[i]
+    for i, v in enumerate(s):
         if v in good and v in seen:
-            x = s[i - 1]
-            y = s[(i + 1) % len(s)]
-            del s[i]
+            # the walk left of i is `out`, right of it still untouched
             if trace is not None:
+                x, y = out[-1], s[(i + 1) % len(s)]
                 trace.append(trace[-1] + c[x][y] - c[x][v] - c[v][y])
             continue
         seen.add(v)
-        i += 1
-    return s
+        out.append(v)
+    return out

@@ -2,35 +2,33 @@
 
 Every chain layout of the bad vertices is evaluated: bad cycle, rooted
 spanning forest over the good vertices, parity matching, then the
-shortcut pipeline.  A layout is taken as its bare vertex order and its
-end set; only the winner is cut into a ChainLayout and gets a
-LayoutResult.  The bad cycle gives every vertex even degree, so the
+shortcut pipeline.  The bad cycle gives every vertex even degree, so the
 forest (rooted at the chain ends E) and its odd-degree set, and with them
 the matching, depend on E alone, and in fact on E's forest alone: an end
 the forest leaves bare has only ring edges, like an inner chain vertex.
 One Prim per solve builds the good-vertex MST, and each end set's forest
 is one Kruskal from it (`forests_from_mst`).  End sets are grouped by
 their forest's edges, and each group's "good skeleton" (forest, matching
-and their union multigraph, whose parity and reach to the roots are
-checked there) is built once, shared by the group's layouts and dropped.
-Distinct forests often leave the same odd set, so a solve keeps each odd
-set's matching and matches each one once.  Every matching is proved
-minimum by its LP certificate when it is built, as the 2·M <= OPT step of
-the guarantee needs; there is no unchecked configuration.  Per ring only
-the overlay and the walk run (`_run_ring`), on one multigraph, a copy of
-the skeleton: it gets the bad cycle's edges, the repair reroutes edges in
-it in place and the Euler tour consumes it; the splices follow, each
-step's cost traced as a delta.  The result depends on the ring's edge
-multiset alone, so each undirected ring runs once per group, through a
-table that lives while its group is walked; a layout whose reversed twin
-is in the same end set is skipped and counted with it.
-The cheapest resulting tour wins; ties break on the lexicographically
-smallest rotation, then on the first layout in enumeration order.
+and their union multigraph, whose parity, reach to the roots and single
+bad-bad edges are checked there) is built once, shared by the group's
+layouts and dropped.  Distinct forests often leave the same odd set, so a
+solve keeps each odd set's matching and matches each one once.  Every
+matching is proved minimum by its LP certificate when it is built, as the
+2·M <= OPT step of the guarantee needs; there is no unchecked
+configuration.  Each undirected ring runs once per group that holds a
+layout of it, and the layouts are counted, not walked
+(`_evaluate_shard`).  Per ring only the overlay and the walk run
+(`_run_ring`), on one copy of the skeleton: the overlay adds the ring's
+edges and sums their cost in one pass, the repair runs only where it
+doubled an edge, the Euler tour consumes the copy and the splices
+follow, each step's cost traced as a delta.  Only the winner is cut into
+a ChainLayout and gets a LayoutResult.  The cheapest resulting tour
+wins; ties break on the lexicographically smallest rotation, then on the
+first layout in enumeration order.
 
 Under --jobs the forest groups are dealt out largest first, by their
 bound on ring evaluations, each to the shard with the fewest so far
-(`_shards`); each
-worker walks only the layouts of its groups' end sets and returns its own
+(`_shards`); each worker evaluates only its groups and returns its own
 winner; it keeps its own matchings, so two workers may each match one odd
 set.  A serial solve is the same evaluation run on the only shard, so both
 return the same report.
@@ -52,6 +50,7 @@ bad cycle of the best of their (n-1)! single-chain layouts.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -59,9 +58,9 @@ from dataclasses import dataclass, field
 from .errors import ContractViolationError, SizeRefusalError
 from .forest import RootedForest, forests_from_mst, rooted_msf
 from .instance import Instance, TriangleAudit, audit_triangles, dense_cost, int_array
-from .layouts import ChainLayout, build_bad_cycle, cut_chains
-from .layouts import end_sets, layout_orders
-from .layouts import enumerate_layouts  # unused here; perfbench/measure.py wraps it
+from .layouts import ChainLayout, cut_chains, end_sets
+# unused here; perfbench/measure.py wraps them by these names
+from .layouts import build_bad_cycle, enumerate_layouts
 from .matching import Matching, min_cost_perfect_matching
 from .multigraph import MultiGraph
 from .shortcut import (
@@ -101,7 +100,7 @@ class SolveOptions:
 
 
 def _non_increasing(steps) -> bool:
-    return all(steps[i + 1] <= steps[i] for i in range(len(steps) - 1))
+    return sorted(steps, reverse=True) == list(steps)
 
 
 @dataclass(frozen=True)
@@ -179,10 +178,11 @@ def _run_ring(inst, audit, order, skeleton):
     matching_cost, step_costs), LayoutResult's fields after cost; the
     last step is the walk's cost."""
     forest, matching, union = skeleton
-    h = assemble_eulerian(build_bad_cycle(order, inst), union)
-    cycle_cost = walk_cost(inst, order)
+    h, cycle_cost, doubled = assemble_eulerian(order, union, inst)
     steps = [cycle_cost + forest.cost + matching.cost]
-    repaired = repair_double_bad_edges(h, audit, inst, steps)
+    # the skeleton doubles no bad-bad edge (assemble_skeleton), so the
+    # repair has work only where the overlay doubled a ring edge
+    repaired = not doubled or repair_double_bad_edges(h, audit, inst, steps)
     walk = euler_tour(h)
     walk, spliced = splice_bad(walk, audit, inst, steps)
     walk = splice_good(walk, audit, inst, steps)
@@ -256,16 +256,25 @@ def _evaluate_shard(inst, audit, groups):
     """Evaluate the layouts of the forest groups (`_forest_groups`, or one
     shard of them from `_shards`), building each group's skeleton once,
     matching each distinct odd set once and running each undirected ring
-    once per group, and return (best, layouts, certified, monotone,
-    hamiltonian).  best is ((cost, rotation, rank), LayoutResult) of the
-    cheapest layout, or None for an empty shard.  A group's end sets come
-    in rank order and each one's layouts in serial enumeration order, and
-    only a strictly smaller key replaces the best, so a tie keeps the
-    first of its layouts, the one a serial run keeps; across groups and
-    shards the ranks decide.  Only the winner gets its ChainLayout and its
-    LayoutResult.
+    once per group that holds a layout of it, and return (best, layouts,
+    certified, monotone, hamiltonian).  best is ((cost, rotation, rank),
+    LayoutResult) of the cheapest layout, or None for an empty shard.
+
+    The ring (s, p, ..., q), s the smallest bad vertex and p < q, is the
+    layout of end set E ending at q if q is in E, and reversed, ending at
+    p, if p is.  Rings compete on (cost, rotation, rank, last, order) of
+    their first layout in enumeration order, in the first member holding p
+    or q and ending at p if it can (lasts ascend), so a tie keeps the
+    layout a serial run meets first.  Only the winner gets its ChainLayout
+    and its LayoutResult.
     """
     expected = list(range(inst.n))
+    # the (b-1)!/2 rings by (p, q); b >= 3: a violating triangle has three
+    s, *rest = audit.bad
+    rings = {}
+    for middle in itertools.permutations(rest):
+        if middle[0] < middle[-1]:
+            rings.setdefault((middle[0], middle[-1]), []).append((s, *middle))
     best = None
     count = certified = 0
     monotone = hamiltonian = True
@@ -274,42 +283,32 @@ def _evaluate_shard(inst, audit, groups):
         # a root the forest leaves bare has only ring edges, like an
         # inner chain vertex: the group's end sets share every stage
         skeleton = _good_skeleton(inst, audit, members[0][1], matchings, forest)
-        rings = {}  # undirected ring, from s with second < last -> result
-        for rank, ends in members:
-            for order in layout_orders(audit, ends):
-                # (s, v1, ..., last) with v1 in E has the twin (s, last, ...,
-                # v1) in E's block, the same ring; lasts ascend, so the twin
-                # with the smaller last comes first and counts for both.
-                # (Here b >= 3: a violating triangle has three bad vertices.)
-                twins = 1
-                if order[1] in ends:
-                    if order[1] < order[-1]:
-                        continue
-                    twins = 2
-                ring_key = order if order[1] < order[-1] else order[:1] + order[:0:-1]
-                entry = rings.get(ring_key)
-                if entry is None:
-                    # the result depends on the ring's edge multiset alone
-                    # (the repair sorts its pairs, neighbors() is sorted,
-                    # euler_tour takes the min), not on its orientation
-                    walk, ring = _run_ring(inst, audit, order, skeleton)
-                    entry = rings[ring_key] = (ring[-1][-1], walk, ring)
-                    hamiltonian = hamiltonian and sorted(walk) == expected
-                    if ring[0]:
-                        monotone = monotone and _non_increasing(ring[-1])
-                cost, walk, ring = entry
-                count += twins
+        for (p, q), orders in rings.items():
+            touched = [(rank, ends) for rank, ends in members if p in ends or q in ends]
+            if not touched:
+                continue
+            layouts = sum((p in ends) + (q in ends) for _, ends in touched)
+            rank, ends = touched[0]
+            for order in orders:
+                # one orientation serves all: the result depends on the edge
+                # multiset (sorted repair pairs, euler_tour takes the min)
+                walk, ring = _run_ring(inst, audit, order, skeleton)
+                cost = ring[-1][-1]
+                hamiltonian = hamiltonian and sorted(walk) == expected
+                count += layouts
                 if ring[0]:
-                    certified += twins
+                    certified += layouts
+                    monotone = monotone and _non_increasing(ring[-1])
                 # a costlier ring loses on the key's first field
                 if best is None or cost <= best[0][0]:
-                    key = (cost, canonical_rotation(walk), rank)
+                    first = order[:1] + order[:0:-1] if p in ends else order
+                    key = (cost, canonical_rotation(walk), rank, first[-1], first)
                     if best is None or key < best[0]:
-                        best = (key, ends, order, ring)
+                        best = (key, ends, ring)
     if best is not None:
-        key, ends, order, ring = best
-        layout = cut_chains(order, ends)
-        best = (key, LayoutResult(layout.layout_id, key[1], key[0], *ring))
+        key, ends, ring = best
+        layout = cut_chains(key[-1], ends)
+        best = (key[:3], LayoutResult(layout.layout_id, key[1], key[0], *ring))
     return best, count, certified, monotone, hamiltonian
 
 

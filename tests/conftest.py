@@ -23,6 +23,16 @@ CORPUS_MIX = {3: 100, 4: 90, 5: 70, 6: 40}
 CORPUS_SIZES = (6, 7, 8, 9, 10, 11, 12)
 
 
+def multiplicity(g, u, v) -> int:
+    """Copies of edge (u, v) in the multigraph g."""
+    return g._adj[u].get(v, 0)
+
+
+def degree(g, v) -> int:
+    """Edge copies at vertex v of the multigraph g."""
+    return sum(g._adj[v].values())
+
+
 @pytest.fixture
 def inst4():
     return Instance("INST4", ((0, 10, 1, 5), (10, 0, 1, 6), (1, 1, 0, 5), (5, 6, 5, 0)))

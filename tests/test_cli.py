@@ -232,7 +232,9 @@ def corpus_dir(tmp_path_factory):
 
 
 class TestBench:
-    @pytest.mark.parametrize("flag, value", [("--jobs", "0"), ("--max-bad", "-1")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--jobs", "0"), ("--max-bad", "-1"), ("--top", "-1")]
+    )
     def test_out_of_range_arguments_are_usage_errors(self, corpus_dir, tmp_path, flag, value):
         out = tmp_path / "never.csv"
         res = run_cli("bench", "--dir", str(corpus_dir), "--out", str(out), flag, value)

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import degree, multiplicity
 
 from tritsp.errors import ContractViolationError
 from tritsp.forest import RootedForest, rooted_msf
@@ -33,9 +34,12 @@ def inst4_h(inst4, chains):
     g1 = MultiGraph(4)
     for a, b in cyc + list(forest.edges):
         g1.add_edge(a, b)
-    matching = min_cost_perfect_matching(inst4, g1.odd_vertices())
+    odd = [v for v in range(4) if degree(g1, v) % 2]
+    matching = min_cost_perfect_matching(inst4, odd)
     skeleton = assemble_skeleton(4, forest, matching, audit.good)
-    return assemble_eulerian(cyc, skeleton), audit
+    h, cycle_cost, _ = assemble_eulerian(lay.vertices, skeleton, inst4)
+    assert cycle_cost == sum(inst4.cost[a][b] for a, b in cyc)
+    return h, audit
 
 
 class TestCostHelpers:
@@ -51,14 +55,14 @@ class TestAssemble:
     def test_assembles_inst4(self, inst4):
         h, _ = inst4_h(inst4, ((0, 1, 2),))
         assert graph_cost(inst4, h) == 22
-        assert h.multiplicity(2, 3) == 2
+        assert multiplicity(h, 2, 3) == 2
 
     def test_skeleton_is_forest_plus_matching(self, inst4):
         forest = rooted_msf(inst4, (2, 3), (2,))
         h = assemble_skeleton(4, forest, Matching(((2, 3),), 5), (3,))
         assert h.edges() == [(2, 3, 2)]
         # vertices 0 and 1 stay isolated until a bad cycle is overlaid
-        assert h.degree(0) == h.degree(1) == 0
+        assert degree(h, 0) == degree(h, 1) == 0
 
     def test_parity_violation_raises(self, inst4):
         # a matching that misses the forest's odd vertices 1 and 3
@@ -79,13 +83,42 @@ class TestAssemble:
         with pytest.raises(ContractViolationError, match="good vertex 2 disconnected"):
             assemble_skeleton(4, forest, matching, (1, 2, 3))
 
+    def test_doubled_bad_bad_edge_raises(self, inst4):
+        # bad vertices 0 and 1 matched twice: even, connected, but doubled
+        forest = RootedForest(((1, 3), (2, 3)), (1, 2), 11)
+        matching = Matching(((0, 1), (0, 1)), 20)
+        with pytest.raises(ContractViolationError, match="edge at 0 is doubled"):
+            assemble_skeleton(4, forest, matching, (3,))
+        # a doubled edge with a good end is allowed
+        h = assemble_skeleton(4, RootedForest(((2, 3),), (2,), 5), Matching(((2, 3),), 5), (3,))
+        assert multiplicity(h, 2, 3) == 2
+
+    def test_overlay_of_one_and_two_vertices(self, inst4):
+        skeleton = MultiGraph(4)
+        h, cost, doubled = assemble_eulerian((2,), skeleton, inst4)
+        assert (h.edges(), cost, doubled) == ([], 0, False)
+        h, cost, doubled = assemble_eulerian((0, 1), skeleton, inst4)
+        assert (h.edges(), h.edge_count, cost, doubled) == ([(0, 1, 2)], 2, 20, True)
+
+    def test_overlay_doubles_a_skeleton_edge(self, inst4):
+        skeleton = MultiGraph(4)
+        skeleton.add_edge(0, 1)
+        skeleton.add_edge(0, 3)
+        skeleton.add_edge(1, 3)
+        h, cost, doubled = assemble_eulerian((0, 1, 2), skeleton, inst4)
+        assert (multiplicity(h, 0, 1), cost, doubled) == (2, 12, True)
+
+    def test_overlay_rejects_out_of_range_vertices(self, inst4):
+        with pytest.raises(ContractViolationError, match="out of range"):
+            assemble_eulerian((0, 4), MultiGraph(4), inst4)
+
     def test_overlay_leaves_skeleton_unchanged(self, inst4):
         skeleton = MultiGraph(4)
         skeleton.add_edge(2, 3, 2)
-        cyc = build_bad_cycle(ChainLayout(((0, 1, 2),)).vertices, inst4)
-        h = assemble_eulerian(cyc, skeleton)
+        h, cycle_cost, doubled = assemble_eulerian((0, 1, 2), skeleton, inst4)
         assert h.edges() == [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 2)]
         assert h.edge_count == 5
+        assert (cycle_cost, doubled) == (12, False)
         assert skeleton.edges() == [(2, 3, 2)]
 
 
@@ -94,7 +127,7 @@ class TestRepair:
         h, audit = inst4_h(inst4, ((0, 1, 2),))
         # (2,3) is doubled but 2-3 is bad-good, so nothing to repair
         assert repair_double_bad_edges(h, audit, inst4) is True
-        assert h.multiplicity(2, 3) == 2
+        assert multiplicity(h, 2, 3) == 2
 
     def test_doubled_bad_bad_edge(self):
         # ring 0-2-1-3 plus a doubled bad-bad edge (0,1); vertex 2 is the
@@ -109,11 +142,11 @@ class TestRepair:
         before = graph_cost(inst, h)
         trace = [before]
         assert repair_double_bad_edges(h, audit, inst, trace) is True
-        assert h.multiplicity(0, 1) == 1
-        assert h.multiplicity(1, 2) == 2  # rerouted copy
-        assert h.multiplicity(0, 2) == 0
+        assert multiplicity(h, 0, 1) == 1
+        assert multiplicity(h, 1, 2) == 2  # rerouted copy
+        assert multiplicity(h, 0, 2) == 0
         assert trace[-1] == graph_cost(inst, h) <= before
-        assert all(h.degree(v) % 2 == 0 for v in range(4))
+        assert all(degree(h, v) % 2 == 0 for v in range(4))
 
     def test_doubled_pairs_repaired_in_edge_order(self):
         # (0, 1) is rerouted through 4 before (2, 3) through 5, as h.edges()
@@ -136,7 +169,7 @@ class TestRepair:
         h.add_edge(0, 1, 2)
         audit = TriangleAudit(((0, 1, 2),), (0, 1, 2), ())
         assert repair_double_bad_edges(h, audit, inst) is False
-        assert h.multiplicity(0, 1) == 2  # left in place
+        assert multiplicity(h, 0, 1) == 2  # left in place
 
 
 class TestEulerTour:
@@ -186,7 +219,7 @@ class TestEulerTour:
                     a, b = ring[i], ring[(i + 1) % len(ring)]
                     if a != b:
                         h.add_edge(a, b)
-            if not all(h.degree(v) > 0 for v in range(n)):
+            if not all(degree(h, v) > 0 for v in range(n)):
                 continue
             reach = {0}
             frontier = [0]
@@ -376,10 +409,9 @@ class TestDeltaTraces:
         layout = layouts[pick % len(layouts)]
         ends = frozenset(layout.ends)
         forest, matching, skeleton = _good_skeleton(inst, audit, ends, {})
-        cycle = build_bad_cycle(layout.vertices, inst)
-        h = assemble_eulerian(cycle, skeleton)
+        h, _, doubled = assemble_eulerian(layout.vertices, skeleton, inst)
         if b == 2:
-            assert [tuple(sorted(pair)) for pair in cycle] == [bad, bad]
+            assert multiplicity(h, *bad) == 2 and doubled
 
         # step 0: ring cost + forest + matching is the cost of the union
         res = evaluate_layout(inst, audit, layout)

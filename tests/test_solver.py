@@ -267,11 +267,11 @@ class TestSolveRegimes:
         assert par == seq and par.best == seq.best
 
     def test_workers_enumerate_only_their_end_sets(self, monkeypatch):
-        # each shard asks for the vertex orders of its own forest groups'
-        # end sets, one set at a time: the groups dealt to it largest
-        # first by their bound on ring evaluations, each to the shard with
-        # the smaller bound so far (ties to the lower index), walked in
-        # order of first rank, each group's sets by rank
+        # each shard receives the end sets of its own forest groups: the
+        # groups dealt to it largest first by their bound on ring
+        # evaluations, each to the shard with the smaller bound so far
+        # (ties to the lower index), in order of first rank, each group's
+        # sets by rank
         monkeypatch.setattr(tritsp.solver, "_SERIAL_MAX", 64)
         inst = gen_planted(11, 5, seed=7)
         audit = audit_triangles(inst)
@@ -285,20 +285,14 @@ class TestSolveRegimes:
             dealt[shard].append(i)
         asked = []
         real_shard = tritsp.solver._evaluate_shard
-        real_orders = tritsp.solver.layout_orders
 
         def spy_shard(inst, audit, groups):
-            asked.append([])
+            asked.append([ends for _, members in groups for _, ends in members])
             return real_shard(inst, audit, groups)
-
-        def orders_spy(audit, ends):
-            asked[-1].append(ends)  # the shard running now
-            return real_orders(audit, ends)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
         monkeypatch.setattr(tritsp.solver, "_evaluate_shard", spy_shard)
-        monkeypatch.setattr(tritsp.solver, "layout_orders", orders_spy)
         rep = solve(inst, SolveOptions(jobs=2))
         assert asked == [
             list(itertools.chain(*(ranked[i] for i in sorted(ids)))) for ids in dealt
@@ -685,6 +679,22 @@ class TestSkeletonChecks:
             evaluate_layout(inst4, audit, ChainLayout(((0, 2, 1),)))
         with pytest.raises(ContractViolationError, match="odd degree"):
             solve(inst4)
+
+    def test_doubled_bad_bad_skeleton_edge_raises(self, monkeypatch):
+        # a matching that pairs two bad vertices twice keeps every degree
+        # even, but leaves a doubled bad-bad edge no ring put there
+        inst = gen_planted(9, 4, seed=2)
+        a, b = audit_triangles(inst).bad[:2]
+        real = tritsp.solver.min_cost_perfect_matching
+
+        def doubling(inst, odd, **kw):
+            matching = real(inst, odd, **kw)
+            pairs = matching.pairs + ((a, b), (a, b))
+            return Matching(pairs, matching.cost + 2 * inst.cost[a][b])
+
+        monkeypatch.setattr(tritsp.solver, "min_cost_perfect_matching", doubling)
+        with pytest.raises(ContractViolationError, match="doubled in the skeleton"):
+            solve(inst)
 
     def test_good_vertex_reaching_no_end_raises(self, monkeypatch):
         # a forest that drops every edge of one good vertex; the matching,
