@@ -10,7 +10,9 @@ files, sorted): the instance name, then sha256 digests of
 - solve: repr of the SolveReport and of its `.best` layout result (which
   the report's equality leaves out), or of the exception solve raised;
 - audit: repr of the TriangleAudit;
-- exact: repr of the Held-Karp tour, or "-" beyond n = 18.
+- exact: repr of the Held-Karp tour, or "-" beyond n = 18;
+- saved: the native JSON bytes of the loaded instance (save_instance), so
+  the digest covers loading too.
 
 tritsp is imported from PYTHONPATH, so one copy of this script checks any
 tree: run it against two trees on the same inputs and diff the outputs.
@@ -24,7 +26,7 @@ import sys
 from pathlib import Path
 
 import tritsp.solver
-from tritsp.instance import audit_triangles, load_instance
+from tritsp.instance import audit_triangles, load_instance, save_instance
 from tritsp.solver import _HK_MAX, SolveOptions, held_karp, solve
 
 
@@ -51,6 +53,7 @@ def digest_line(inst, opts: SolveOptions) -> str:
     exact = repr(held_karp(inst)) if inst.n <= _HK_MAX else None
     fields = [inst.name, _digest(solved), _digest(audit)]
     fields.append("-" if exact is None else _digest(exact))
+    fields.append(_digest(save_instance(inst).decode()))
     return " ".join(fields)
 
 

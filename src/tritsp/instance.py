@@ -2,7 +2,9 @@
 and the two instance generators (uniform metric, planted violations).
 
 All costs are plain Python ints and every downstream computation stays in
-exact integer arithmetic.
+exact integer arithmetic.  An Instance holds one int object per unordered
+pair: cost[j][i] is cost[i][j], whatever matrix the caller passed, so a
+matrix parsed from JSON keeps n(n-1)/2 off-diagonal ints, not n(n-1).
 """
 
 from __future__ import annotations
@@ -54,20 +56,30 @@ def _check_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _well_formed(cost) -> bool:
-    """True for a non-empty square tuple of int tuples with non-negative
-    entries, a zero diagonal and symmetry; checked by C-level passes."""
+def _well_formed(cost) -> tuple[tuple[int, ...], ...] | None:
+    """The matrix `cost` as Instance stores it (_one_per_pair) when `cost`
+    is a non-empty square tuple of int tuples with non-negative entries, a
+    zero diagonal and symmetry, else None; checked by C-level passes."""
     n = len(cost)
     if n == 0 or set(map(type, cost)) != {tuple} or set(map(len, cost)) != {n}:
-        return False
-    types: set[type] = set()
-    for row in cost:
-        types.update(map(type, row))
-    if types != {int} or min(map(min, cost)) < 0:
-        return False
-    if any(row[i] for i, row in enumerate(cost)):
-        return False
-    return tuple(zip(*cost)) == cost
+        return None
+    if set(map(type, itertools.chain.from_iterable(cost))) != {int}:
+        return None
+    if min(map(min, cost)) < 0 or any(row[i] for i, row in enumerate(cost)):
+        return None
+    shared = _one_per_pair(cost)
+    # equal to cost exactly when cost is symmetric; the cells on and above
+    # the diagonal are cost's own objects, which compare by identity
+    return shared if shared == cost else None
+
+
+def _one_per_pair(rows):
+    """The tuple of tuples `rows` with each cell below the diagonal taken
+    from its mirror above it: cost[j][i] is cost[i][j], and the caller's
+    lower-triangle objects can be freed.  Equal to `rows` when `rows` is
+    symmetric."""
+    cols = tuple(zip(*rows))
+    return tuple(cols[i][:i] + row[i:] for i, row in enumerate(rows))
 
 
 def _scan_cells(cost) -> None:
@@ -98,7 +110,12 @@ def _scan_cells(cost) -> None:
 
 @dataclass(frozen=True)
 class Instance:
-    """A complete undirected graph given by name and symmetric cost matrix."""
+    """A complete undirected graph given by name and symmetric cost matrix.
+
+    The matrix is validated as given, then stored as a tuple of int tuples
+    that holds one int object per unordered pair: cost[j][i] is cost[i][j],
+    the caller's object above the diagonal.  Equality and repr see the same
+    values, and later changes to the caller's rows do not reach it."""
 
     name: str
     cost: tuple[tuple[int, ...], ...]
@@ -107,8 +124,11 @@ class Instance:
         # the C-level test accepts every well-formed matrix of tuples of
         # ints; anything else goes through the cell-by-cell scan, which
         # raises on the first defect it meets
-        if not _well_formed(self.cost):
+        shared = _well_formed(self.cost)
+        if shared is None:
             _scan_cells(self.cost)
+            shared = _one_per_pair(tuple(map(tuple, self.cost)))
+        object.__setattr__(self, "cost", shared)
 
     @property
     def n(self) -> int:

@@ -86,9 +86,11 @@ __all__ = [
     "solve",
 ]
 
-# a pool pays off only past this many ring evaluations (_rings_bound): on
-# planted instances two workers took 1.0-6.7x one worker's time at bounds
-# up to 720, 0.75-1.07x at 804-924 and 0.49-0.85x from 1260 on
+# a pool pays off only past this many ring evaluations (_rings_bound, the
+# exact count): on planted instances two workers took 1.0-6.7x one worker's
+# time at bounds up to 720, 0.75-1.07x at 804-924 and 0.49-0.85x from 1260
+# on.  Those figures were taken on an older bound, min((b-1)!/2, layouts)
+# per forest group, which is never below the exact count
 _SERIAL_MAX = 800
 _HK_MAX = 18
 
@@ -221,17 +223,18 @@ def _forest_groups(inst, audit, dense=None):
 
 
 def _group_rings(audit, members) -> int:
-    """At most how many rings a forest group with the end sets `members`
-    evaluates: the (b-1)!/2 undirected rings through the bad vertices, or
-    the group's layouts if they are fewer, (b-2)! per last vertex, which
-    is any end but the smallest bad vertex."""
-    b = len(audit.bad)
-    layouts = math.factorial(b - 2) * sum(len(ends - {audit.bad[0]}) for _, ends in members)
-    return min(math.factorial(b - 1) // 2, layouts)
+    """How many rings a forest group with the end sets `members` evaluates
+    (_evaluate_shard): the (b-3)! rings (s, p, ..., q) of each pair p < q
+    of bad vertices other than s, the smallest, that one of its end sets
+    touches: every pair but those of two vertices that no end set holds."""
+    rest = audit.bad[1:]
+    untouched = len(set(rest).difference(*(ends for _, ends in members)))
+    pairs = math.comb(len(rest), 2) - math.comb(untouched, 2)
+    return pairs * math.factorial(len(rest) - 2)
 
 
 def _rings_bound(audit, groups) -> int:
-    """At most how many rings a solve evaluates."""
+    """How many rings a solve evaluates."""
     return sum(_group_rings(audit, members) for _, members in groups)
 
 

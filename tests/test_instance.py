@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import subprocess
@@ -180,6 +181,16 @@ class TestValidation:
     def test_accepts_list_rows_and_int_subclasses(self):
         inst = Instance("x", [[0, _Cost(3)], (3, 0)])
         assert inst.cost[0][1] == 3
+        assert type(inst.cost[0][1]) is _Cost and inst.cost[1][0] is inst.cost[0][1]
+
+    def test_list_rows_are_copied(self):
+        rows = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        inst = Instance("x", rows)
+        rows[0][1] = 99
+        expect = ((0, 1, 2), (1, 0, 1), (2, 1, 0))
+        assert inst.cost == expect
+        assert inst == Instance("x", expect)
+        assert hash(inst) == hash(Instance("x", expect))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(AsymmetricCostError):
@@ -204,6 +215,89 @@ class TestValidation:
     def test_from_rows(self):
         inst = Instance.from_rows("y", [[0, 3], [3, 0]])
         assert inst.n == 2 and inst.cost[0][1] == 3
+
+
+# costs past CPython's small-int cache, so each cell a parser reads is an
+# int object of its own
+_BIG = (
+    (0, 1000, 2**70, 1500),
+    (1000, 0, 2**70 + 1, 700),
+    (2**70, 2**70 + 1, 0, 900),
+    (1500, 700, 900, 0),
+)
+
+
+def _fresh_rows():
+    """_BIG as lists of lists, each cell a new int object."""
+    return [[int(str(x)) for x in row] for row in _BIG]
+
+
+def _json_text():
+    return json.dumps({"name": "big", "n": 4, "cost": _fresh_rows()})
+
+
+def _json_file(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(_json_text())
+    return load_instance(path)
+
+
+def _tsplib_explicit(tmp_path):
+    lines = ["NAME: big", "TYPE: TSP", "DIMENSION: 4", "EDGE_WEIGHT_TYPE: EXPLICIT",
+             "EDGE_WEIGHT_FORMAT: FULL_MATRIX", "EDGE_WEIGHT_SECTION"]
+    lines += [" ".join(map(str, row)) for row in _BIG] + ["EOF"]
+    return load_instance("\n".join(lines).encode())
+
+
+# every way to build an Instance of _BIG
+_BUILDS_OF_BIG = {
+    "json_file": _json_file,
+    "json_bytes": lambda tmp_path: load_instance(_json_text().encode()),
+    "tsplib_explicit": _tsplib_explicit,
+    "from_rows": lambda tmp_path: Instance.from_rows("big", _fresh_rows()),
+    "tuple_rows": lambda tmp_path: Instance("big", tuple(map(tuple, _fresh_rows()))),
+    "list_rows": lambda tmp_path: Instance("big", _fresh_rows()),
+}
+
+
+def _tsplib_euc2d():
+    lines = ["NAME: pts", "TYPE: TSP", "DIMENSION: 4", "EDGE_WEIGHT_TYPE: EUC_2D",
+             "NODE_COORD_SECTION", "1 0 0", "2 3000 0", "3 0 4000", "4 5000 5000", "EOF"]
+    return load_instance("\n".join(lines).encode())
+
+
+def assert_one_per_pair(inst):
+    c = inst.cost
+    assert type(c) is tuple and set(map(type, c)) == {tuple}
+    assert all(c[j][i] is c[i][j] for i in range(inst.n) for j in range(i + 1, inst.n))
+
+
+class TestOnePerPair:
+    def test_fresh_rows_hold_two_objects_per_pair(self):
+        rows = _fresh_rows()
+        assert rows[0][2] == rows[2][0] and rows[0][2] is not rows[2][0]
+
+    @pytest.mark.parametrize("build", _BUILDS_OF_BIG.values(), ids=_BUILDS_OF_BIG)
+    def test_every_path_stores_one_int_per_pair(self, build, tmp_path):
+        inst = build(tmp_path)
+        assert inst.cost == _BIG
+        assert set(map(type, itertools.chain.from_iterable(inst.cost))) == {int}
+        assert_one_per_pair(inst)
+
+    @pytest.mark.parametrize(
+        "build",
+        [_tsplib_euc2d, lambda: gen_metric(30, 1), lambda: gen_planted(12, 5, 3)],
+        ids=["tsplib_euc2d", "gen_metric", "gen_planted"],
+    )
+    def test_parsed_coordinates_and_generators_share_too(self, build):
+        assert_one_per_pair(build())
+
+    def test_json_n60_holds_one_int_per_pair(self):
+        inst = load_instance(save_instance(gen_metric(60, 1)))
+        n = inst.n
+        # the off-diagonal pairs plus the cached 0 of the diagonal
+        assert len({id(x) for row in inst.cost for x in row}) <= n * (n - 1) // 2 + 1
+        assert inst == gen_metric(60, 1)
 
 
 class TestAudit:

@@ -1,5 +1,6 @@
 """Smoke tests of the helper scripts under scripts/, run as subprocesses."""
 
+import hashlib
 import re
 import subprocess
 import sys
@@ -20,17 +21,20 @@ def run_script(name, *args):
 
 
 class TestReportDigest:
-    def test_one_line_of_four_fields_per_file(self, data_dir):
+    def test_one_line_of_five_fields_per_file(self, data_dir):
         out = run_script("report_digest.py", data_dir, "--jobs", "1").stdout
         lines = out.splitlines()
         # inst4.json and sq4.json, then sq4.tsp
         assert [line.split()[0] for line in lines] == ["INST4", "SQ4", "SQ4"]
         for line in lines:
             name, *digests = line.split()
-            assert len(digests) == 3
+            assert len(digests) == 4
             assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
         # the JSON and TSPLIB squares are the same instance
         assert lines[1] == lines[2]
+        # the last field digests the loaded instance's native JSON
+        saved = save_instance(load_instance(Path(data_dir) / "inst4.json"))
+        assert lines[0].split()[-1] == hashlib.sha256(saved).hexdigest()
 
     def test_forced_pool_equals_serial(self, data_dir, tmp_path):
         # the planted instance's end sets give both shards layouts, so each

@@ -61,11 +61,15 @@ def _forest_groups(inst):
 
 
 def _group_rings(inst, members):
-    """At most how many rings a forest group evaluates: its layouts,
-    counted one by one, or the (b-1)!/2 undirected rings if fewer."""
+    """How many rings a forest group evaluates: the distinct undirected
+    rings among its layouts, each read from the smallest bad vertex in the
+    direction of the smaller second vertex."""
     audit = audit_triangles(inst)
-    layouts = sum(1 for _, ends in members for _ in layout_orders(audit, ends))
-    return min(layouts, math.factorial(len(audit.bad) - 1) // 2)
+    return len({
+        min(order, order[:1] + order[:0:-1])
+        for _, ends in members
+        for order in layout_orders(audit, ends)
+    })
 
 
 def _rings_bound(inst):
@@ -192,7 +196,7 @@ class TestSolveRegimes:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
         # 48 layouts, 384 (the most a planted b = 5 instance has) and 720,
-        # with at most 23, 192 and 660 ring evaluations
+        # with 23, 180 and 606 ring evaluations
         for n, bad, seed in ((10, 4, 123), (11, 5, 7), (8, 6, 1)):
             inst = gen_planted(n, bad, seed=seed)
             seq = solve(inst)
@@ -200,12 +204,12 @@ class TestSolveRegimes:
             assert solve(inst, SolveOptions(jobs=2)) == seq
 
     def test_many_layouts_start_a_pool(self, monkeypatch):
-        # 3840 layouts in 26 forest groups: up to 1260 ring evaluations,
-        # more than _SERIAL_MAX
+        # 3840 layouts in 26 forest groups: 1140 ring evaluations, more
+        # than _SERIAL_MAX
         inst = gen_planted(12, 6, seed=2)
         seq = solve(inst)
         assert seq.layouts == 3840
-        assert _rings_bound(inst) == 1260 > tritsp.solver._SERIAL_MAX
+        assert _rings_bound(inst) == 1140 > tritsp.solver._SERIAL_MAX
         pools = []
 
         def inline_pool(max_workers):
@@ -304,7 +308,8 @@ class TestSolveRegimes:
         # one forest group of gen_planted(20, 7, 3) holds 26880 of its
         # 46080 layouts but 360 of its ring evaluations; shards by index
         # modulo 2 ran 2256 and 1512 rings, shards by layout count 360
-        # and 3408
+        # and 3408, shards by the older bound min((b-1)!/2, layouts) 1824
+        # and 1944 for bounds of 2280 each
         inst = gen_planted(20, 7, seed=3)
         audit = audit_triangles(inst)
         groups = tritsp.solver._forest_groups(inst, audit)
@@ -320,7 +325,7 @@ class TestSolveRegimes:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(tritsp.solver, "_run_ring", counting)
                 tritsp.solver._evaluate_shard(inst, audit, part)
-        assert bounds == [2280, 2280] and runs == [1824, 1944]
+        assert bounds == runs == [1944, 1824]
         assert sorted(f.edges for shard in shards for f, _ in shard) == sorted(
             f.edges for f, _ in groups
         )
@@ -330,6 +335,26 @@ class TestSolveRegimes:
             == sorted(members[0][0] for _, members in shard)
             for shard in shards
         )
+
+    @pytest.mark.parametrize(
+        "args, rings",
+        [((20, 7, 2), 9144), ((20, 7, 3), 3768), ((12, 6, 1), 282), ((12, 5, 3), 168)],
+    )
+    def test_rings_bound_counts_the_ring_runs(self, monkeypatch, args, rings):
+        # the pool gate reads the rings a serial solve runs, not a bound
+        # above them (the older min((b-1)!/2, layouts) per forest group
+        # read 10320, 4560, 324 and 180 here)
+        inst = gen_planted(*args)
+        runs = []
+        real_run = tritsp.solver._run_ring
+
+        def counting(*call):
+            runs.append(1)
+            return real_run(*call)
+
+        monkeypatch.setattr(tritsp.solver, "_run_ring", counting)
+        solve(inst)
+        assert _rings_bound(inst) == len(runs) == rings
 
     def test_only_the_winner_gets_its_layout_objects(self, monkeypatch):
         # rings are evaluated on bare vertex orders: a serial solve builds
@@ -361,7 +386,7 @@ class TestSolveRegimes:
             pools.append(_InlinePool(max_workers))
             return pools[-1]
 
-        # its 6 forest groups bound the rings at 324: a lower _SERIAL_MAX
+        # its 6 forest groups run 282 rings: a lower _SERIAL_MAX
         # makes jobs=2 pool it
         monkeypatch.setattr(tritsp.solver, "_SERIAL_MAX", 64)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
