@@ -17,7 +17,7 @@ files, sorted): the instance name, then sha256 digests of
 tritsp is imported from PYTHONPATH, so one copy of this script checks any
 tree: run it against two trees on the same inputs and diff the outputs.
 --force-pool sends every chain-regime solve with J > 1 through the
-process pool, however few its layouts.
+process pool, however few rings it runs.
 """
 
 import argparse

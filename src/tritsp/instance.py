@@ -130,6 +130,11 @@ class Instance:
             shared = _one_per_pair(tuple(map(tuple, self.cost)))
         object.__setattr__(self, "cost", shared)
 
+    def __reduce__(self):
+        # pickle writes ints by value; rebuilding through the constructor
+        # shares them again, so a pool worker holds one triangle
+        return type(self), (self.name, self.cost)
+
     @property
     def n(self) -> int:
         return len(self.cost)

@@ -182,10 +182,8 @@ def _bound_checks(inst, audit, res: LayoutResult, h, opt_cost: int):
         worst = max(worst, len(nbrs))
         if len(nbrs) > 3 or doubled:
             adjacency_ok = False
-    # the structural claim is proved for certified layouts only
-    checks.append(
-        BoundCheck("bad_adjacency", adjacency_ok or not res.certified, worst, 3)
-    )
+    # the structural claim, proved for every repaired layout
+    checks.append(BoundCheck("bad_adjacency", adjacency_ok, worst, 3))
     checks.append(
         BoundCheck(
             "tour_within_5_halves_opt",
@@ -218,11 +216,9 @@ def oracle_bounds(inst: Instance, opt_tour: Tour | None = None) -> BoundReport:
         repair_double_bad_edges(h, audit, inst)
         checks = _bound_checks(inst, audit, res, h, opt.cost)
         fails = sum(not ch.passed for ch in checks)
-        candidates.append(
-            (fails, not res.certified, direction == "reverse", direction, layout, res, checks)
-        )
-    candidates.sort(key=lambda t: t[:3])
-    _, _, _, direction, layout, res, checks = candidates[0]
+        candidates.append((fails, direction == "reverse", direction, layout, res, checks))
+    candidates.sort(key=lambda t: t[:2])
+    _, _, direction, layout, res, checks = candidates[0]
     return BoundReport(
         instance=inst.name,
         opt_cost=opt.cost,

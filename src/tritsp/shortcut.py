@@ -13,10 +13,10 @@ with a good vertex is metric).
 Each mutating stage can append the walk/multiset cost after every
 individual step to a caller-supplied list, so tests can assert that cost
 never increases; the list must already end with the current cost, and
-each step appends that value plus the step's cost delta.  "Justified"
-return flags report whether every step was covered by a
-triangle-inequality argument (degenerate layouts may need the defensive
-fallbacks, which still terminate but void the certificate).
+each step appends that value plus the step's cost delta.  Every step is
+a triangle inequality through a good vertex or an identity; the repair
+and the bad splice raise ContractViolationError where they find no such
+step, which their stated preconditions rule out.
 """
 
 from __future__ import annotations
@@ -134,51 +134,39 @@ def assemble_eulerian(order, skeleton: MultiGraph, inst: Instance):
 
 def repair_double_bad_edges(
     h: MultiGraph, audit: TriangleAudit, inst: Instance, trace: list | None = None
-) -> bool:
-    """Reroute doubled bad-bad edges in place: drop one copy of (u, v),
-    replace an edge from u (or v) to a good neighbor g by (g, v) (resp.
-    (g, u)).  Safe by the metric triangle through g; parity and connectivity
-    are preserved.  Returns False if some doubled bad-bad edge survives
-    because neither endpoint ever had a good neighbor (degenerate layouts).
+) -> None:
+    """Reroute doubled bad-bad edges in place: for each doubled pair (u, v),
+    u < v, in ascending order, drop one copy of (u, v) and replace the edge
+    from u to its smallest good neighbor g by (g, v).  Safe by the metric
+    triangle through g; parity and connectivity are preserved.
 
-    Pairs are scanned in ascending (u, v) order, the order of h.edges(),
-    and the scan restarts after every reroute.  `trace`, if given, must end
-    with the cost of h; each reroute appends the new cost."""
+    Precondition: each doubled pair has multiplicity 2 and u has a good
+    neighbor.  A chains-regime ring over a skeleton meets it: b >= 3, so the
+    ring is a simple cycle, and the skeleton holds each bad-bad edge once
+    (assemble_skeleton), as a matching edge, since the forest joins no two
+    roots.  So a doubled pair is a ring edge matched once more, and u, being
+    matched, has odd forest degree, so a forest edge to a good vertex.
+    Each end has one partner, so the pairs are disjoint.  Raises
+    ContractViolationError if u has no good neighbor.
+    `trace`, if given, must end with the cost of h; each reroute appends
+    the new cost."""
     bad = audit.bad_set
     adj = h._adj
     c = inst.cost
-    while True:
-        progressed = False
-        stuck = False
-        doubled = [
-            (u, v)
-            for u in bad
-            for v, mult in adj[u].items()
-            if mult > 1 and u < v and v in bad
-        ]
-        doubled.sort()
-        for u, v in doubled:
-            g = next((x for x in h.neighbors(u) if x not in bad), None)
-            if g is not None:
-                h.remove_edge(u, v)
-                h.remove_edge(u, g)
-                h.add_edge(g, v)
-                delta = c[g][v] - c[u][v] - c[u][g]
-            else:
-                g = next((x for x in h.neighbors(v) if x not in bad), None)
-                if g is None:
-                    stuck = True
-                    continue
-                h.remove_edge(u, v)
-                h.remove_edge(v, g)
-                h.add_edge(g, u)
-                delta = c[g][u] - c[u][v] - c[v][g]
-            progressed = True
-            if trace is not None:
-                trace.append(trace[-1] + delta)
-            break  # re-scan: adjacency changed
-        if not progressed:
-            return not stuck
+    doubled = sorted(
+        (u, v) for u in bad for v, mult in adj[u].items() if mult > 1 and u < v and v in bad
+    )
+    for u, v in doubled:
+        g = min((x for x in adj[u] if x not in bad), default=None)
+        if g is None:
+            raise ContractViolationError(
+                f"doubled bad-bad edge ({u}, {v}): {u} has no good neighbor"
+            )
+        h.remove_edge(u, v)
+        h.remove_edge(u, g)
+        h.add_edge(g, v)
+        if trace is not None:
+            trace.append(trace[-1] + c[g][v] - c[u][v] - c[u][g])
 
 
 def euler_tour(h: MultiGraph) -> list[int]:
@@ -188,7 +176,7 @@ def euler_tour(h: MultiGraph) -> list[int]:
     so h is left with no edges; pass a copy to keep the graph.
 
     Every trail the walk extends from a vertex t must close at t; one that
-    gets stuck elsewhere ends at a vertex of odd degree.  Once every trail
+    halts elsewhere does so at a vertex of odd degree.  Once every trail
     closed, the edges reached form an Eulerian component, so a walk that
     misses edges means the multigraph is disconnected over its edges."""
     adj = h._adj
@@ -224,20 +212,26 @@ def euler_tour(h: MultiGraph) -> list[int]:
 
 def splice_bad(
     s, audit: TriangleAudit, inst: Instance, trace: list | None = None
-) -> tuple[list[int], bool]:
+) -> list[int]:
     """Remove repeated bad-vertex occurrences one at a time until every bad
     vertex is unique.  Each round removes the occurrence with the most
     negative delta c(x,y) - c(x,b) - c(b,y) among those provably safe to
     cut: a good cyclic neighbor (metric triangle), equal neighbors, or an
-    adjacent duplicate (both identities).  If a round finds no safe
-    occurrence the minimum-delta one is cut anyway and the walk is flagged
-    unjustified.  `trace`, if given, must end with the cost of s; each cut
-    appends the new cost."""
+    adjacent duplicate (both identities).
+
+    Precondition: every round finds a safe occurrence.  The Euler tour of a
+    repaired chains-regime graph meets it: a repeated bad vertex is a chain
+    end, and at most 3 of its edge-ends lead to bad vertices (2 ring edges,
+    at most 1 matching edge; its forest edges and the repair's go to good
+    vertices), so of its r >= 2 occurrences at most one has two bad
+    neighbors.  No round removes a good vertex, so an occurrence next to one
+    stays safe until it is cut itself.  Raises ContractViolationError when
+    a round finds no safe occurrence.  `trace`, if given, must end with the
+    cost of s; each cut appends the new cost."""
     bad = audit.bad_set
     good = audit.good_set
     c = inst.cost
     s = list(s)
-    justified = True
     counts: dict[int, int] = {}
     for v in s:
         if v in bad:
@@ -246,30 +240,28 @@ def splice_bad(
     while repeated:
         length = len(s)
         best = None
-        fallback = None
         for pos in range(length):
             v = s[pos]
             if v not in repeated:
                 continue
             x = s[pos - 1]
             y = s[(pos + 1) % length]
-            delta = c[x][y] - c[x][v] - c[v][y]
-            cand = (delta, pos)
             if x in good or y in good or x == y or x == v or y == v:
+                cand = (c[x][y] - c[x][v] - c[v][y], pos)
                 if best is None or cand < best:
                     best = cand
-            if fallback is None or cand < fallback:
-                fallback = cand
         if best is None:
-            justified = False
-            best = fallback
+            raise ContractViolationError(
+                f"no occurrence of the repeated bad vertices {sorted(repeated)} "
+                "is safe to cut"
+            )
         v = s.pop(best[1])
         counts[v] -= 1
         if counts[v] == 1:
             repeated.discard(v)
         if trace is not None:
             trace.append(trace[-1] + best[0])
-    return s, justified
+    return s
 
 
 def splice_good(

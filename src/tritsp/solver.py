@@ -128,9 +128,10 @@ class SolveReport:
     k_t: int
     regime: str
     layouts: int = 0
+    # equals layouts: every shortcut step is proved safe (shortcut.py)
     certified: int = 0
-    # AND over certified layouts of per-step cost monotonicity, and over
-    # all layouts of "output is a permutation of the vertices"
+    # AND over all layouts of per-step cost monotonicity and of "output is
+    # a permutation of the vertices"
     steps_monotone: bool = True
     tours_hamiltonian: bool = True
     best: LayoutResult | None = field(default=None, compare=False)
@@ -174,38 +175,40 @@ def _good_skeleton(
 
 
 def _run_ring(inst, audit, order, skeleton):
-    """Run the ring through `order` (a layout's vertices) over its forest's
-    skeleton: overlay, repair, Euler tour, both splices.  Returns
-    (walk, ring): ring is (certified, cycle_cost, forest_cost,
-    matching_cost, step_costs), LayoutResult's fields after cost; the
-    last step is the walk's cost."""
+    """Run the ring through `order` (a layout's vertices, at least 3) over
+    its forest's skeleton: overlay, repair, Euler tour, both splices, each
+    step proved cost-safe or refused with ContractViolationError by the
+    stage (shortcut.py), so every LayoutResult is certified.  Returns (walk,
+    ring): ring is (cycle_cost, forest_cost, matching_cost, step_costs),
+    LayoutResult's fields after certified; the last step is the walk's
+    cost."""
     forest, matching, union = skeleton
     h, cycle_cost, doubled = assemble_eulerian(order, union, inst)
     steps = [cycle_cost + forest.cost + matching.cost]
     # the skeleton doubles no bad-bad edge (assemble_skeleton), so the
     # repair has work only where the overlay doubled a ring edge
-    repaired = not doubled or repair_double_bad_edges(h, audit, inst, steps)
+    if doubled:
+        repair_double_bad_edges(h, audit, inst, steps)
     walk = euler_tour(h)
-    walk, spliced = splice_bad(walk, audit, inst, steps)
+    walk = splice_bad(walk, audit, inst, steps)
     walk = splice_good(walk, audit, inst, steps)
-    certified = repaired and spliced
-    ring = (certified, cycle_cost, forest.cost, matching.cost, tuple(steps))
-    return walk, ring
+    return walk, (cycle_cost, forest.cost, matching.cost, tuple(steps))
 
 
 def evaluate_layout(
     inst: Instance, audit: TriangleAudit, layout: ChainLayout
 ) -> LayoutResult:
-    """Run one chain layout, which must chain exactly the bad vertices,
-    through the whole pipeline on its own skeleton."""
-    if set(layout.vertices) != audit.bad_set:
+    """Run one chain layout, which must chain exactly the bad vertices (at
+    least 3, as every violating triangle has), through the whole pipeline
+    on its own skeleton."""
+    if set(layout.vertices) != audit.bad_set or len(audit.bad) < 3:
         raise ContractViolationError(
             f"layout {layout.layout_id} does not chain exactly the bad "
-            f"vertices {audit.bad}"
+            f"vertices {audit.bad}, at least 3 of them"
         )
     skeleton = _good_skeleton(inst, audit, frozenset(layout.ends), {})
     walk, ring = _run_ring(inst, audit, layout.vertices, skeleton)
-    return LayoutResult(layout.layout_id, canonical_rotation(walk), ring[-1][-1], *ring)
+    return LayoutResult(layout.layout_id, canonical_rotation(walk), ring[-1][-1], True, *ring)
 
 
 def _forest_groups(inst, audit, dense=None):
@@ -260,7 +263,7 @@ def _evaluate_shard(inst, audit, groups):
     shard of them from `_shards`), building each group's skeleton once,
     matching each distinct odd set once and running each undirected ring
     once per group that holds a layout of it, and return (best, layouts,
-    certified, monotone, hamiltonian).  best is ((cost, rotation, rank),
+    monotone, hamiltonian).  best is ((cost, rotation, rank),
     LayoutResult) of the cheapest layout, or None for an empty shard.
 
     The ring (s, p, ..., q), s the smallest bad vertex and p < q, is the
@@ -279,7 +282,7 @@ def _evaluate_shard(inst, audit, groups):
         if middle[0] < middle[-1]:
             rings.setdefault((middle[0], middle[-1]), []).append((s, *middle))
     best = None
-    count = certified = 0
+    count = 0
     monotone = hamiltonian = True
     matchings = {}
     for forest, members in groups:
@@ -298,10 +301,8 @@ def _evaluate_shard(inst, audit, groups):
                 walk, ring = _run_ring(inst, audit, order, skeleton)
                 cost = ring[-1][-1]
                 hamiltonian = hamiltonian and sorted(walk) == expected
+                monotone = monotone and _non_increasing(ring[-1])
                 count += layouts
-                if ring[0]:
-                    certified += layouts
-                    monotone = monotone and _non_increasing(ring[-1])
                 # a costlier ring loses on the key's first field
                 if best is None or cost <= best[0][0]:
                     first = order[:1] + order[:0:-1] if p in ends else order
@@ -311,8 +312,8 @@ def _evaluate_shard(inst, audit, groups):
     if best is not None:
         key, ends, ring = best
         layout = cut_chains(key[-1], ends)
-        best = (key[:3], LayoutResult(layout.layout_id, key[1], key[0], *ring))
-    return best, count, certified, monotone, hamiltonian
+        best = (key[:3], LayoutResult(layout.layout_id, key[1], key[0], True, *ring))
+    return best, count, monotone, hamiltonian
 
 
 def _trivial_tour(inst: Instance) -> Tour:
@@ -439,19 +440,20 @@ def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(shard, _shards(audit, groups, jobs)))
 
-    bests, counts, certified, monotone, hamiltonian = zip(*parts)
+    bests, counts, monotone, hamiltonian = zip(*parts)
     found = [b for b in bests if b is not None]
     if not found:
         raise ContractViolationError("no layout produced a tour")
     _, best = min(found, key=lambda b: b[0])
     tour = Tour(best.order, best.cost, best.layout_id)
+    layouts = sum(counts)
     return SolveReport(
         tour,
         audit.k,
         audit.k_t,
         "chains",
-        sum(counts),
-        sum(certified),
+        layouts,
+        layouts,
         all(monotone),
         all(hamiltonian),
         best,

@@ -1,5 +1,6 @@
 import itertools
 import json
+import pickle
 import random
 import subprocess
 import sys
@@ -298,6 +299,14 @@ class TestOnePerPair:
         # the off-diagonal pairs plus the cached 0 of the diagonal
         assert len({id(x) for row in inst.cost for x in row}) <= n * (n - 1) // 2 + 1
         assert inst == gen_metric(60, 1)
+
+    def test_pickle_round_trip_keeps_one_int_per_pair(self):
+        inst = load_instance(save_instance(gen_metric(60, 1)))
+        back = pickle.loads(pickle.dumps(inst))
+        n = back.n
+        assert len({id(x) for row in back.cost for x in row}) <= n * (n - 1) // 2 + 1
+        assert back == inst and hash(back) == hash(inst)
+        assert_one_per_pair(back)
 
 
 class TestAudit:

@@ -5,7 +5,7 @@ solver once did: a layout whose reversed twin is in the same end set is
 counted with it, and each undirected ring runs once per forest group.  Its
 rings run through `_reference_ring`: the bad cycle as pairs added edge by
 edge, the ring cost by walk_cost and the repair on every ring.
-`_evaluate_shard` must return the same five results on any groups.
+`_evaluate_shard` must return the same four results on any groups.
 """
 
 import concurrent.futures
@@ -36,19 +36,18 @@ def _reference_ring(inst, audit, order, skeleton):
         h.add_edge(a, b)
     cycle_cost = walk_cost(inst, order)
     steps = [cycle_cost + forest.cost + matching.cost]
-    repaired = repair_double_bad_edges(h, audit, inst, steps)
+    repair_double_bad_edges(h, audit, inst, steps)
     walk = euler_tour(h)
-    walk, spliced = splice_bad(walk, audit, inst, steps)
+    walk = splice_bad(walk, audit, inst, steps)
     walk = splice_good(walk, audit, inst, steps)
-    ring = (repaired and spliced, cycle_cost, forest.cost, matching.cost, tuple(steps))
-    return walk, ring
+    return walk, (cycle_cost, forest.cost, matching.cost, tuple(steps))
 
 
 def _reference_shard(inst, audit, groups):
-    """_evaluate_shard's five results from a walk over every layout order."""
+    """_evaluate_shard's four results from a walk over every layout order."""
     expected = list(range(inst.n))
     best = None
-    count = certified = 0
+    count = 0
     monotone = hamiltonian = True
     matchings = {}
     for forest, members in groups:
@@ -70,20 +69,17 @@ def _reference_shard(inst, audit, groups):
                     walk, ring = _reference_ring(inst, audit, order, skeleton)
                     entry = rings[ring_key] = (ring[-1][-1], walk, ring)
                     hamiltonian = hamiltonian and sorted(walk) == expected
-                    if ring[0]:
-                        monotone = monotone and tritsp.solver._non_increasing(ring[-1])
+                    monotone = monotone and tritsp.solver._non_increasing(ring[-1])
                 cost, walk, ring = entry
                 count += twins
-                if ring[0]:
-                    certified += twins
                 key = (cost, canonical_rotation(walk), rank)
                 if best is None or key < best[0]:
                     best = (key, ends, order, ring)
     if best is not None:
         key, ends, order, ring = best
         layout = cut_chains(order, ends)
-        best = (key, LayoutResult(layout.layout_id, key[1], key[0], *ring))
-    return best, count, certified, monotone, hamiltonian
+        best = (key, LayoutResult(layout.layout_id, key[1], key[0], True, *ring))
+    return best, count, monotone, hamiltonian
 
 
 def _assert_walks_agree(inst):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from tritsp.errors import ContractViolationError, SizeRefusalError
 from tritsp.forest import RootedForest, rooted_msf
-from tritsp.instance import Instance, audit_triangles, gen_metric, gen_planted
+from tritsp.instance import Instance, TriangleAudit, audit_triangles, gen_metric, gen_planted
 from tritsp.layouts import ChainLayout, cut_chains, end_sets, enumerate_layouts, layout_orders
 from tritsp.matching import Matching, verify_matching_certificate
 from tritsp.multigraph import MultiGraph
@@ -469,6 +469,16 @@ class TestEvaluateLayout:
                 evaluate_layout(inst, audit, ChainLayout(chains))
         res = evaluate_layout(inst, audit, ChainLayout(((4, 5), (6, 7))))
         assert sorted(res.order) == list(range(8))
+
+    def test_fewer_than_three_bad_vertices_refused(self):
+        # two bad vertices make a doubled ring edge, which a matching edge
+        # can triple; every audit with a violating triangle has three
+        inst = gen_planted(6, 3, seed=3)
+        audit = audit_triangles(inst)
+        two = TriangleAudit(audit.violating, (0, 3), (1, 2, 4, 5))
+        for chains in (((0, 3),), ((0,), (3,))):
+            with pytest.raises(ContractViolationError, match="at least 3 of them"):
+                evaluate_layout(inst, two, ChainLayout(chains))
 
 
 def _uncached_report(inst):
