@@ -46,17 +46,25 @@ them, negative pairs in row-major order).  The blossom stages run in
 Python on lists of exact ints either way.  A matching called on its own
 stays pure Python, so numpy stays unloaded.
 
-Every matching is thus checked against its LP certificate before it is
-returned, so a matching that is not minimum raises instead of silently
-weakening the 2·M <= OPT bound behind the 2.5 guarantee.  In tests the
-search is checked against a bitmask-DP reference, oracles.brute_matching.
+An odd set of at most EXHAUSTIVE (8) vertices is not searched at all when
+its least perfect matching is unique: the costs of all (m - 1)!! <= 105
+perfect matchings are listed, which proves that one minimal.  A set whose
+least cost is tied takes the search, so it keeps the search's choice.
+Every other matching is checked against its LP certificate before it is
+returned.  Either way a matching that is not minimum cannot be returned,
+and the 2·M <= OPT bound behind the 2.5 guarantee rests on a proof: an
+external checker (ROADMAP item 8) can re-prove a small set by listing its
+matchings and a larger one from its certificate.  In tests both paths are
+checked against a bitmask-DP reference, oracles.brute_matching.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from math import inf
-from operator import itemgetter, sub
+from itertools import chain
+from math import inf, prod
+from operator import add, itemgetter, sub
 
 from .errors import ContractViolationError
 from .instance import Instance, int_array
@@ -89,26 +97,29 @@ def _checked_vertices(inst: Instance, odd) -> list[int]:
 
 def min_cost_perfect_matching(inst: Instance, odd, _dense=None) -> Matching:
     """Minimum-cost perfect matching on the subgraph induced by `odd`,
-    using original instance costs.  Its dual certificate is checked before
-    it returns (raises on any violation), so every matching is proved
-    minimum.  `_dense` is instance.dense_cost(inst), from a caller that
-    built it already: an odd set of more than CANDIDATES + 1 vertices then
-    runs its O(m^2) steps on its rows and columns."""
+    using original instance costs.  Every matching returned is proved
+    minimum: a set of at most EXHAUSTIVE vertices with a unique least
+    matching by listing all its matchings, any other by the search's dual
+    certificate, checked before it returns (raises on any violation).
+    `_dense` is instance.dense_cost(inst), from a caller that built it
+    already: an odd set of more than CANDIDATES + 1 vertices then runs its
+    O(m^2) steps on its rows and columns."""
     verts = _checked_vertices(inst, odd)
     m = len(verts)
     if m == 0:
         return Matching((), 0)
     pick = itemgetter(*verts)  # m >= 2: picks a tuple
     w = [pick(inst.cost[a]) for a in verts]
-    sub = None
-    if _dense is not None and m > CANDIDATES + 1:
-        import numpy as np  # loaded already: the caller built `_dense`
+    least = _unique_least_pairing(w) if m <= EXHAUSTIVE else None
+    if least is None:
+        sub = None
+        if _dense is not None and m > CANDIDATES + 1:
+            import numpy as np  # loaded already: the caller built `_dense`
 
-        sub = _dense[np.ix_(verts, verts)]
-    mate = _priced_search(w, sub)[0]  # its last certificate scan passed
-    pairs = tuple(
-        (verts[i], verts[mate[i]]) for i in range(m) if i < mate[i]
-    )
+            sub = _dense[np.ix_(verts, verts)]
+        mate = _priced_search(w, sub)[0]  # its last certificate scan passed
+        least = [(i, mate[i]) for i in range(m) if i < mate[i]]
+    pairs = tuple((verts[i], verts[j]) for i, j in least)
     return Matching(pairs, sum(inst.cost[a][b] for a, b in pairs))
 
 
@@ -116,6 +127,64 @@ def min_cost_perfect_matching(inst: Instance, odd, _dense=None) -> Matching:
 # sets of 166-186 vertices, 15 needed one pricing round on every set
 # measured, 10 and 6 needed a second round on some, and 25 was slower
 CANDIDATES = 15
+
+# odd sets of at most this many vertices list every perfect matching first:
+# per call on random Euclidean sets, 0.6-29 us against the search's 8-65 us
+# for m = 2-8; at m = 10 (945 matchings) a bitmask DP is slower than the search
+EXHAUSTIVE = 8
+
+
+def _pairings(vs):
+    """Every perfect matching of the tuple `vs`, each as a tuple of pairs:
+    the first vertex of `vs` with each later one in turn, then a matching
+    of the rest."""
+    if not vs:
+        yield ()
+        return
+    for k in range(1, len(vs)):
+        for rest in _pairings(vs[1:k] + vs[k + 1 :]):
+            yield ((vs[0], vs[k]), *rest)
+
+
+def _checked_table(m, table):
+    """`table` if it lists every perfect matching of range(m) once: each
+    entry pairs every vertex, as pairs (a, b), a < b, in order of a, so
+    that distinct entries are distinct matchings, and there are (m - 1)!!
+    distinct entries.  Raises ContractViolationError otherwise."""
+    for pairs in table:
+        if (
+            sorted(chain.from_iterable(pairs)) != list(range(m))
+            or list(pairs) != sorted(pairs)
+            or any(a > b for a, b in pairs)
+        ):
+            raise ContractViolationError(
+                f"{pairs} is not a perfect matching of range({m}) in order"
+            )
+    if len(set(table)) != len(table):
+        raise ContractViolationError(f"the table of {m} vertices repeats a matching")
+    if len(table) != prod(range(m - 1, 0, -2)):
+        raise ContractViolationError(f"the table of {m} vertices misses a matching")
+    return table
+
+
+@functools.cache
+def _table(m):
+    """(every perfect matching of range(m), checked, and its pairs by
+    position: the first pair of every matching, then the second...)."""
+    table = _checked_table(m, tuple(_pairings(tuple(range(m)))))
+    return table, tuple(zip(*table))
+
+
+def _unique_least_pairing(w):
+    """The least perfect matching of the cost rows `w` (even length, at
+    least 2) as pairs (i, j), i < j, in order, or None when another matching
+    costs as little."""
+    table, columns = _table(len(w))
+    costs = [w[a][b] for a, b in columns[0]]
+    for column in columns[1:]:
+        costs = list(map(add, costs, [w[a][b] for a, b in column]))
+    least = min(costs)
+    return table[costs.index(least)] if costs.count(least) == 1 else None
 
 
 def _priced_search(w, sub=None):

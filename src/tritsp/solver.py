@@ -13,16 +13,17 @@ and their union multigraph, whose parity, reach to the roots and single
 bad-bad edges are checked there) is built once, shared by the group's
 layouts and dropped.  Distinct forests often leave the same odd set, so a
 solve keeps each odd set's matching and matches each one once.  Every
-matching is proved minimum by its LP certificate when it is built, as the
-2·M <= OPT step of the guarantee needs; there is no unchecked
-configuration.  Each undirected ring runs once per group that holds a
-layout of it, and the layouts are counted, not walked
-(`_evaluate_shard`).  Per ring only the overlay and the walk run
-(`_run_ring`), on one copy of the skeleton: the overlay adds the ring's
-edges and sums their cost in one pass, the repair runs only where it
-doubled an edge, the Euler tour consumes the copy and the splices
-follow, each step's cost traced as a delta.  Only the winner is cut into
-a ChainLayout and gets a LayoutResult.  The cheapest resulting tour
+matching is proved minimum when it is built, as the 2·M <= OPT step of
+the guarantee needs: an odd set of at most 8 vertices whose least
+matching is unique by listing every perfect matching, any other by its
+LP certificate; there is no unchecked configuration.  Each undirected
+ring runs once per group that holds a layout of it, and the layouts are
+counted, not walked (`_evaluate_shard`).  Per ring only the overlay and
+the walk run (`_run_ring`), on one copy of the skeleton: the overlay adds
+the ring's edges and sums their cost in one pass, the repair runs only
+where it doubled an edge, the Euler tour consumes the copy and the
+splices follow, each step's cost traced as a delta.  Only the winner is
+cut into a ChainLayout and gets a LayoutResult.  The cheapest resulting tour
 wins; ties break on the lexicographically smallest rotation, then on the
 first layout in enumeration order.
 
@@ -160,10 +161,10 @@ def _good_skeleton(
     odd(cycle + forest) = odd(forest).  On a metric instance every vertex
     is good, and ends {0} give the spanning tree and parity matching of
     Christofides.  `matchings` maps each odd set met so far to its
-    matching, which was certified when it was built and depends on nothing
-    else, so each distinct odd set is matched once per dict.  `dense` is
-    the solve's numpy cost matrix (instance.dense_cost) or None; Prim and
-    the matching read it."""
+    matching, which was proved minimum when it was built and depends on
+    nothing else, so each distinct odd set is matched once per dict.
+    `dense` is the solve's numpy cost matrix (instance.dense_cost) or None;
+    Prim and the matching read it."""
     if forest is None:
         forest = rooted_msf(inst, audit.good_set | ends, ends, _dense=dense)
     odd = _odd_vertices(inst.n, forest.edges)

@@ -49,33 +49,30 @@ class TestBlossom:
         m = min_cost_perfect_matching(inst4, [1, 3])
         assert m.pairs == ((1, 3),) and m.cost == 6
 
-    def test_two_vertices_take_the_search(self, monkeypatch):
-        # a pair goes the one path: the jump start matches it with both
-        # doubled duals at the edge's cost, and the certificate scan
-        # certifies that at once
-        search = tritsp.matching._blossom_search
-        scan = tritsp.matching._certificate_scan
-        rounds, scans = [], []
+    def test_two_vertices_skip_the_search(self, monkeypatch):
+        # a pair has one perfect matching, so listing it proves it least:
+        # the exhaustive path returns it, and neither the search nor its
+        # certificate scan runs
+        least = tritsp.matching._unique_least_pairing
+        listed = []
 
-        def search_spy(w, cand, *rest):
-            rounds.append(search(w, cand, *rest))
-            return rounds[-1]
+        def least_spy(w):
+            listed.append(least(w))
+            return listed[-1]
 
-        def scan_spy(w, mate, y2, blossoms, negative, *rest):
-            scans.append(scan(w, mate, y2, blossoms, negative, *rest))
-            return scans[-1]
+        def no_search(*args):
+            raise AssertionError("a pair runs no search")
 
-        monkeypatch.setattr(tritsp.matching, "_blossom_search", search_spy)
-        monkeypatch.setattr(tritsp.matching, "_certificate_scan", scan_spy)
+        monkeypatch.setattr(tritsp.matching, "_unique_least_pairing", least_spy)
+        monkeypatch.setattr(tritsp.matching, "_blossom_search", no_search)
+        monkeypatch.setattr(tritsp.matching, "_certificate_scan", no_search)
         rng = random.Random(4)
         for trial in range(1, 41):
             inst = random_instance(rng, 6, rng.choice([0, 1, 50, 2**70]))
             a, b = sorted(rng.sample(range(6), 2))
             m = min_cost_perfect_matching(inst, [b, a])
             assert m == brute_matching(inst, [a, b])
-            c = inst.cost[a][b]
-            assert rounds[-1] == ([1, 0], [c, c], []) and scans[-1] == []
-            assert len(rounds) == len(scans) == trial
+            assert listed == [((0, 1),)] * trial
 
     @pytest.mark.parametrize("candidates", [0, 10**9])
     @pytest.mark.parametrize(
@@ -115,11 +112,15 @@ class TestBlossom:
             for j in range(i + 1, n):
                 rows[i][j] = rows[j][i] = int(rng.random() >= zeros)
         inst = Instance.from_rows(f"zo{seed}", rows)
-        assert min_cost_perfect_matching(inst, odd).cost == brute_matching(inst, odd).cost
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tritsp.matching, "EXHAUSTIVE", 0)  # search every set
+            assert min_cost_perfect_matching(inst, odd).cost == brute_matching(inst, odd).cost
 
-    def test_forces_blossom(self):
+    def test_forces_blossom(self, monkeypatch):
         # triangle of cheap edges plus three satellites: any perfect
         # matching must leave the odd cycle, exercising blossom handling
+        # in a search that six vertices would otherwise skip
+        monkeypatch.setattr(tritsp.matching, "EXHAUSTIVE", 0)
         rows = [[0] * 6 for _ in range(6)]
         cheap = {(0, 1): 1, (1, 2): 1, (0, 2): 1, (0, 3): 2, (1, 4): 2, (2, 5): 2}
         for (i, j), w in cheap.items():
@@ -162,6 +163,121 @@ class TestBlossom:
         m = min_cost_perfect_matching(inst, odd)
         assert m.cost == brute_matching(inst, odd).cost
         assert m.cost == sum(inst.cost[a][b] for a, b in m.pairs)
+
+
+def _without_pair(inst, a, b):
+    """`inst` with the pair (a, b) dearer than any matching without it."""
+    rows = [list(row) for row in inst.cost]
+    rows[a][b] = rows[b][a] = sum(map(sum, rows)) + 1
+    return Instance.from_rows(inst.name, rows)
+
+
+class TestExhaustive:
+    """Odd sets of at most EXHAUSTIVE vertices list every perfect matching:
+    a unique least one is returned with no search, a tie takes the search."""
+
+    def test_tables_list_every_matching(self):
+        assert tritsp.matching.EXHAUSTIVE == 8
+        for m, count in [(2, 1), (4, 3), (6, 15), (8, 105)]:
+            table, columns = tritsp.matching._table(m)
+            assert len(table) == count and len(columns) == m // 2
+            assert tritsp.matching._table(m)[0] is table  # built once
+
+    @pytest.mark.parametrize("m", [4, 6, 8])
+    def test_table_check_rejects_a_bad_table(self, m):
+        table = tritsp.matching._table(m)[0]
+        check = tritsp.matching._checked_table
+        assert check(m, table) is table
+        with pytest.raises(ContractViolationError, match="misses"):
+            check(m, table[1:])
+        with pytest.raises(ContractViolationError, match="repeats"):
+            check(m, table[:-1] + table[:1])
+        # the first matching again, its pairs reversed, in place of the last
+        # one: distinct tuples, the right count, one matching twice
+        with pytest.raises(ContractViolationError, match="in order"):
+            check(m, table[:-1] + (table[0][::-1],))
+        with pytest.raises(ContractViolationError, match="not a perfect matching"):
+            check(m, (((0, 1), (1, 2)) + table[0][2:],) + table[1:])
+
+    @given(st.integers(0, 100000))
+    @settings(max_examples=200)
+    def test_equals_brute_force(self, seed):
+        # sets of 2-8 vertices, 0-1 tie-heavy costs among them: a least
+        # matching that every matching leaving out one of its pairs costs
+        # more than is unique, is brute_matching's and takes no search; a
+        # tied one takes one search
+        rng = random.Random(seed)
+        m = 2 * rng.randint(1, tritsp.matching.EXHAUSTIVE // 2)
+        n = rng.randint(m, m + 3)
+        odd = rng.sample(range(n), m)
+        if rng.random() < 0.3:
+            zeros = rng.choice([0.05, 0.2, 0.5])
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rows[i][j] = rows[j][i] = int(rng.random() >= zeros)
+            inst = Instance.from_rows(f"zo{seed}", rows)
+        else:
+            inst = random_instance(rng, n, rng.choice([1, 3, 10, 100, 2**70]))
+        search = tritsp.matching._priced_search
+        searched = []
+
+        def spy(w, sub=None):
+            searched.append(len(w))
+            return search(w, sub)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tritsp.matching, "_priced_search", spy)
+            got = min_cost_perfect_matching(inst, odd)
+        best = brute_matching(inst, odd)
+        runner_up = min(brute_matching(_without_pair(inst, a, b), odd).cost for a, b in best.pairs)
+        assert got.cost == best.cost <= runner_up
+        if runner_up > best.cost:
+            assert got == best and searched == []
+        else:
+            assert searched == [m]
+
+    def test_a_tie_returns_the_search_result(self, monkeypatch):
+        # every pair costs 7, so all 15 matchings of six vertices are
+        # least: one search runs, and its matching is the one returned
+        search = tritsp.matching._priced_search
+        results = []
+
+        def spy(w, sub=None):
+            results.append(search(w, sub))
+            return results[-1]
+
+        monkeypatch.setattr(tritsp.matching, "_priced_search", spy)
+        inst = Instance.from_rows("flat", [[7 * (i != j) for j in range(8)] for i in range(8)])
+        odd = [1, 2, 4, 5, 6, 7]
+        m = min_cost_perfect_matching(inst, odd)
+        assert len(results) == 1
+        mate = results[0][0]
+        assert m.pairs == tuple((odd[i], odd[mate[i]]) for i in range(6) if i < mate[i])
+        assert m.cost == 21
+
+    def test_ten_vertices_take_the_search(self, monkeypatch):
+        least = tritsp.matching._unique_least_pairing
+        search = tritsp.matching._priced_search
+        listed, searched = [], []
+
+        def least_spy(w):
+            listed.append(len(w))
+            return least(w)
+
+        def search_spy(w, sub=None):
+            searched.append(len(w))
+            return search(w, sub)
+
+        monkeypatch.setattr(tritsp.matching, "_unique_least_pairing", least_spy)
+        monkeypatch.setattr(tritsp.matching, "_priced_search", search_spy)
+        rng = random.Random(10)
+        inst = random_instance(rng, 12)
+        assert min_cost_perfect_matching(inst, range(8)).cost == brute_matching(inst, range(8)).cost
+        assert listed == [8]
+        m = min_cost_perfect_matching(inst, range(10))
+        assert m.cost == brute_matching(inst, range(10)).cost
+        assert listed == [8] and searched[-1] == 10
 
 
 class TestBruteMatching:
@@ -394,13 +510,11 @@ class TestSiftedScan:
         odd = rng.sample(range(n), 2 * rng.randint(1, n // 2))
         inst = random_instance(rng, n, rng.choice([1, 3, 10, 100]))
         expect = brute_matching(inst, odd).cost
-        saved = tritsp.matching.CANDIDATES
-        try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tritsp.matching, "EXHAUSTIVE", 0)  # search every set
             for candidates in (1, 2, 4):
-                tritsp.matching.CANDIDATES = candidates
+                mp.setattr(tritsp.matching, "CANDIDATES", candidates)
                 assert min_cost_perfect_matching(inst, odd).cost == expect
-        finally:
-            tritsp.matching.CANDIDATES = saved
 
     # Full lists, where every vertex scans every partner, are the per-edge
     # search trajectory for trajectory: each digest of (mate, y2, blossoms)
@@ -439,8 +553,10 @@ class TestSiftedScan:
     @pytest.mark.parametrize("candidates", [0, 10**9])
     def test_costs_beyond_int64(self, monkeypatch, candidates):
         # costs of 2**62 and more are exact ints, on lists of the pairs
-        # (2i, 2i + 1) alone, repaired by pricing, and on full lists
+        # (2i, 2i + 1) alone, repaired by pricing, and on full lists, in a
+        # search of every set
         monkeypatch.setattr(tritsp.matching, "CANDIDATES", candidates)
+        monkeypatch.setattr(tritsp.matching, "EXHAUSTIVE", 0)
         rng = random.Random(11)
         for _ in range(30):
             n = rng.randint(4, 12)

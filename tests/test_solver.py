@@ -778,9 +778,9 @@ class TestChristofides:
         assert tour.order == (0, 1) and tour.cost == 6
 
     def test_verify_checks_the_certificate(self, monkeypatch):
-        # a plain solve of a metric instance checks its matching's
-        # certificate (a scan that finds no negative pair), and so does a
-        # direct christofides call
+        # a plain solve of a metric instance whose odd set has more than
+        # EXHAUSTIVE vertices checks its matching's certificate (a scan that
+        # finds no negative pair), and so does a direct christofides call
         checked = []
         scan = tritsp.matching._certificate_scan
 
@@ -789,9 +789,10 @@ class TestChristofides:
             return checked[-1][1]
 
         monkeypatch.setattr(tritsp.matching, "_certificate_scan", spy)
-        inst = gen_metric(12, seed=3)
+        inst = gen_metric(16, seed=2)
         rep = solve(inst)
-        assert len(checked) == 1 and checked[0][0] > 0 and checked[0][1] == []
+        assert len(checked) == 1 and checked[0][1] == []
+        assert checked[0][0] > tritsp.matching.EXHAUSTIVE
         assert christofides(inst) == rep.tour
         assert len(checked) == 2 and checked[1] == checked[0]
 
@@ -944,7 +945,8 @@ class TestGuarantee:
 
 class TestCertifiedMatchings:
     """Every solve proves each matching minimum: a search that returns
-    feasible duals which do not certify its matching makes solve raise."""
+    feasible duals which do not certify its matching makes solve raise.
+    Odd sets of more than EXHAUSTIVE vertices are always searched."""
 
     @staticmethod
     def _perturbed_search(monkeypatch):
@@ -964,8 +966,8 @@ class TestCertifiedMatchings:
     def test_metric_solve_raises(self, monkeypatch):
         searched = self._perturbed_search(monkeypatch)
         with pytest.raises(ContractViolationError, match="matched edge"):
-            solve(gen_metric(12, seed=4))
-        assert searched and searched[0] >= 4
+            solve(gen_metric(16, seed=2))
+        assert searched and searched[0] > tritsp.matching.EXHAUSTIVE
 
     def test_candidate_path_solve_raises(self, monkeypatch):
         # 24 odd vertices: the search runs on candidate lists and the
@@ -978,8 +980,45 @@ class TestCertifiedMatchings:
 
     def test_planted_solve_raises(self, monkeypatch):
         searched = self._perturbed_search(monkeypatch)
-        inst = gen_planted(12, 4, seed=5)
+        inst = gen_planted(12, 4, seed=2)
         with pytest.raises(ContractViolationError, match="matched edge"):
             solve(inst)
         assert audit_triangles(inst).k > 0
-        assert searched and searched[0] >= 4
+        assert searched and searched[0] > tritsp.matching.EXHAUSTIVE
+
+
+class TestExhaustiveMatchings:
+    """Listing every matching of a small odd set changes no report."""
+
+    @staticmethod
+    def _tie_heavy(rng, name):
+        # costs in [lo, 2 lo + 2]: metric or a few bad vertices, with many
+        # matchings of equal cost
+        n, lo, extra = rng.randint(5, 8), rng.randint(1, 4), rng.randint(0, 2)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.randint(lo, 2 * lo + extra)
+        return Instance.from_rows(name, rows)
+
+    def test_search_everywhere_gives_equal_reports(self, monkeypatch):
+        rng = random.Random(26)
+        insts = [
+            gen_planted(rng.randint(6, 14), rng.randint(3, 5), rng.randrange(10**6))
+            for _ in range(40)
+        ] + [self._tie_heavy(rng, f"tie{k}") for k in range(40)]
+        least = tritsp.matching._unique_least_pairing
+        found = []
+
+        def spy(w):
+            found.append(least(w))
+            return found[-1]
+
+        monkeypatch.setattr(tritsp.matching, "_unique_least_pairing", spy)
+        reports = [solve(inst) for inst in insts]
+        # the listing path carried most sets, and some ties took the search
+        assert sum(f is not None for f in found) > len(insts) and None in found
+        monkeypatch.setattr(tritsp.matching, "EXHAUSTIVE", 0)
+        for inst, rep in zip(insts, reports):
+            searched = solve(inst)
+            assert searched == rep and searched.best == rep.best, inst.name
