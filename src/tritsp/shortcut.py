@@ -10,13 +10,14 @@ at occurrences whose removal is provably cost-safe) and finally repeated
 good vertices (keep first occurrence; always safe since every triangle
 with a good vertex is metric).
 
-Each mutating stage can append the walk/multiset cost after every
-individual step to a caller-supplied list, so tests can assert that cost
-never increases; the list must already end with the current cost, and
-each step appends that value plus the step's cost delta.  Every step is
-a triangle inequality through a good vertex or an identity; the repair
-and the bad splice raise ContractViolationError where they find no such
-step, which their stated preconditions rule out.
+Each mutating stage can append the cost after every step to a
+caller-supplied list, which must end with the current cost; each step
+appends that value plus its delta.  Every step is a triangle inequality
+through a good vertex or an identity, so the trace never rises; the
+repair and the bad splice raise ContractViolationError where they find
+no such step, which their preconditions rule out.  If every vertex has
+an edge, the walk ends Hamiltonian: euler_tour takes every edge or
+raises, then splice_bad and splice_good leave each vertex once.
 """
 
 from __future__ import annotations

@@ -22,13 +22,14 @@ counted, not walked (`_evaluate_shard`).  Per ring only the overlay and
 the walk run (`_run_ring`), on one copy of the skeleton: the overlay adds
 the ring's edges and sums their cost in one pass, the repair runs only
 where it doubled an edge, the Euler tour consumes the copy and the
-splices follow, each step's cost traced as a delta.  Only the winner is
-cut into a ChainLayout and gets a LayoutResult.  The cheapest resulting tour
-wins; ties break on the lexicographically smallest rotation, then on the
-first layout in enumeration order.
+splices follow, each step's cost traced as a delta.  Every walk is
+Hamiltonian and no step raises its cost, by proof (`_run_ring`), so the
+report checks both on the winner, the only ring cut into a ChainLayout.
+The cheapest resulting tour wins; ties break on the lexicographically
+smallest rotation, then on the first layout in enumeration order.
 
 Under --jobs the forest groups are dealt out largest first, by their
-bound on ring evaluations, each to the shard with the fewest so far
+exact ring evaluations, each to the shard with the fewest so far
 (`_shards`); each worker evaluates only its groups and returns its own
 winner; it keeps its own matchings, so two workers may each match one odd
 set.  A serial solve is the same evaluation run on the only shard, so both
@@ -102,10 +103,6 @@ class SolveOptions:
     jobs: int = 1
 
 
-def _non_increasing(steps) -> bool:
-    return sorted(steps, reverse=True) == list(steps)
-
-
 @dataclass(frozen=True)
 class LayoutResult:
     layout_id: str
@@ -119,7 +116,7 @@ class LayoutResult:
 
     @property
     def steps_monotone(self) -> bool:
-        return _non_increasing(self.step_costs)
+        return sorted(self.step_costs, reverse=True) == list(self.step_costs)
 
 
 @dataclass(frozen=True)
@@ -131,8 +128,8 @@ class SolveReport:
     layouts: int = 0
     # equals layouts: every shortcut step is proved safe (shortcut.py)
     certified: int = 0
-    # AND over all layouts of per-step cost monotonicity and of "output is
-    # a permutation of the vertices"
+    # the winner's steps never raise its cost, and its tour is a permutation
+    # of the vertices: both hold on every layout by proof (_run_ring)
     steps_monotone: bool = True
     tours_hamiltonian: bool = True
     best: LayoutResult | None = field(default=None, compare=False)
@@ -182,7 +179,10 @@ def _run_ring(inst, audit, order, skeleton):
     stage (shortcut.py), so every LayoutResult is certified.  Returns (walk,
     ring): ring is (cycle_cost, forest_cost, matching_cost, step_costs),
     LayoutResult's fields after certified; the last step is the walk's
-    cost."""
+    cost.  The walk is Hamiltonian by shortcut.py's argument, since every
+    vertex has an edge: a bad one on the ring, a good one on its checked
+    path to a root, and a reroute leaves u a copy of (u, v).  So solve
+    checks that, and that step_costs never rises, on the winner alone."""
     forest, matching, union = skeleton
     h, cycle_cost, doubled = assemble_eulerian(order, union, inst)
     steps = [cycle_cost + forest.cost + matching.cost]
@@ -263,58 +263,56 @@ def _evaluate_shard(inst, audit, groups):
     """Evaluate the layouts of the forest groups (`_forest_groups`, or one
     shard of them from `_shards`), building each group's skeleton once,
     matching each distinct odd set once and running each undirected ring
-    once per group that holds a layout of it, and return (best, layouts,
-    monotone, hamiltonian).  best is ((cost, rotation, rank),
-    LayoutResult) of the cheapest layout, or None for an empty shard.
+    once per group that holds a layout of it, and return (best, layouts).
+    best is ((cost, rotation, rank), LayoutResult) of the cheapest layout,
+    or None for an empty shard.
 
     The ring (s, p, ..., q), s the smallest bad vertex and p < q, is the
     layout of end set E ending at q if q is in E, and reversed, ending at
-    p, if p is.  Rings compete on (cost, rotation, rank, last, order) of
-    their first layout in enumeration order, in the first member holding p
-    or q and ending at p if it can (lasts ascend), so a tie keeps the
-    layout a serial run meets first.  Only the winner gets its ChainLayout
-    and its LayoutResult.
+    p, if p is: a group holds holds[p] + holds[q] layouts of it (holds[v]:
+    its end sets holding v).  Rings compete on (cost, rotation, rank, last,
+    order) of their first layout in enumeration order, in the first member
+    holding p or q (first[v]) and ending at p if it can (lasts ascend), so
+    a tie keeps the layout a serial run meets first.  Only the winner gets
+    its ChainLayout and its LayoutResult.
     """
-    expected = list(range(inst.n))
-    # the (b-1)!/2 rings by (p, q); b >= 3: a violating triangle has three
+    # the (b-1)!/2 rings; b >= 3: a violating triangle has three
     s, *rest = audit.bad
-    rings = {}
-    for middle in itertools.permutations(rest):
-        if middle[0] < middle[-1]:
-            rings.setdefault((middle[0], middle[-1]), []).append((s, *middle))
+    rings = [(s, *mid) for mid in itertools.permutations(rest) if mid[0] < mid[-1]]
     best = None
     count = 0
-    monotone = hamiltonian = True
     matchings = {}
     for forest, members in groups:
         # a root the forest leaves bare has only ring edges, like an
         # inner chain vertex: the group's end sets share every stage
         skeleton = _good_skeleton(inst, audit, members[0][1], matchings, forest)
-        for (p, q), orders in rings.items():
-            touched = [(rank, ends) for rank, ends in members if p in ends or q in ends]
-            if not touched:
+        holds, first = [0] * inst.n, [len(members)] * inst.n
+        for i, (_, ends) in enumerate(members):
+            for v in ends:
+                holds[v] += 1
+                first[v] = min(first[v], i)
+        for order in rings:
+            p, q = order[1], order[-1]
+            layouts = holds[p] + holds[q]
+            if not layouts:
                 continue
-            layouts = sum((p in ends) + (q in ends) for _, ends in touched)
-            rank, ends = touched[0]
-            for order in orders:
-                # one orientation serves all: the result depends on the edge
-                # multiset (sorted repair pairs, euler_tour takes the min)
-                walk, ring = _run_ring(inst, audit, order, skeleton)
-                cost = ring[-1][-1]
-                hamiltonian = hamiltonian and sorted(walk) == expected
-                monotone = monotone and _non_increasing(ring[-1])
-                count += layouts
-                # a costlier ring loses on the key's first field
-                if best is None or cost <= best[0][0]:
-                    first = order[:1] + order[:0:-1] if p in ends else order
-                    key = (cost, canonical_rotation(walk), rank, first[-1], first)
-                    if best is None or key < best[0]:
-                        best = (key, ends, ring)
+            # one orientation serves all: the result depends on the edge
+            # multiset (sorted repair pairs, euler_tour takes the min)
+            walk, ring = _run_ring(inst, audit, order, skeleton)
+            cost = ring[-1][-1]
+            count += layouts
+            # a costlier ring loses on the key's first field
+            if best is None or cost <= best[0][0]:
+                rank, ends = members[min(first[p], first[q])]
+                oriented = order[:1] + order[:0:-1] if p in ends else order
+                key = (cost, canonical_rotation(walk), rank, oriented[-1], oriented)
+                if best is None or key < best[0]:
+                    best = (key, ends, ring)
     if best is not None:
         key, ends, ring = best
         layout = cut_chains(key[-1], ends)
         best = (key[:3], LayoutResult(layout.layout_id, key[1], key[0], True, *ring))
-    return best, count, monotone, hamiltonian
+    return best, count
 
 
 def _trivial_tour(inst: Instance) -> Tour:
@@ -441,7 +439,7 @@ def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(shard, _shards(audit, groups, jobs)))
 
-    bests, counts, monotone, hamiltonian = zip(*parts)
+    bests, counts = zip(*parts)
     found = [b for b in bests if b is not None]
     if not found:
         raise ContractViolationError("no layout produced a tour")
@@ -455,7 +453,7 @@ def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
         "chains",
         layouts,
         layouts,
-        all(monotone),
-        all(hamiltonian),
+        best.steps_monotone,
+        sorted(best.order) == list(range(n)),
         best,
     )

@@ -16,7 +16,9 @@ from tritsp.forest import rooted_msf
 from tritsp.instance import Instance, audit_triangles, gen_metric, gen_planted
 from tritsp.matching import min_cost_perfect_matching
 from tritsp.oracles import brute_matching, brute_msf_cost, held_karp, oracle_bounds
-from tritsp.solver import SolveOptions, christofides, solve
+from tritsp.solver import SolveOptions, _forest_groups, christofides, solve
+
+from test_ring_walk import _reference_shard
 
 
 def _announce(label, detail):
@@ -118,16 +120,21 @@ def test_forest_against_brute_force():
 
 
 def test_shortcut_safety(solved_corpus):
-    """On certified layouts the walk cost never increases step to step and
-    the final walk is a permutation of the vertices."""
+    """On every ring of every solve the walk cost never increases step to
+    step and the final walk is a permutation of the vertices: the solver
+    proves both and checks its winner, and the test-side reference walk
+    (`test_ring_walk._reference_shard`) re-runs and checks every ring."""
     for inst, rep, _ in solved_corpus:
         assert rep.certified == rep.layouts, inst.name
         assert rep.steps_monotone, inst.name
         assert rep.tours_hamiltonian, inst.name
+        audit = audit_triangles(inst)
+        best, layouts = _reference_shard(inst, audit, _forest_groups(inst, audit))
+        assert (best[1], layouts) == (rep.best, rep.layouts), inst.name
     _announce(
         "shortcut safety",
         f"{sum(r.layouts for _, r, _ in solved_corpus)} certified layout "
-        "evaluations, all cost-monotone and Hamiltonian",
+        "evaluations, every ring re-run and checked cost-monotone and Hamiltonian",
     )
 
 

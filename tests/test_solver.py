@@ -19,7 +19,7 @@ from tritsp.layouts import ChainLayout, cut_chains, end_sets, enumerate_layouts,
 from tritsp.matching import Matching, verify_matching_certificate
 from tritsp.multigraph import MultiGraph
 from tritsp.oracles import held_karp
-from tritsp.shortcut import walk_cost
+from tritsp.shortcut import canonical_rotation, walk_cost
 import tritsp.forest
 import tritsp.instance
 import tritsp.matching
@@ -558,6 +558,7 @@ class TestSkeletonCache:
         assert rep.best == best
         assert (rep.layouts, rep.certified) == (layouts, certified)
         assert rep.steps_monotone == monotone
+        assert monotone is True
 
     def test_one_skeleton_per_forest(self, monkeypatch):
         # one Prim per solve (the good-vertex MST), one skeleton per
@@ -682,6 +683,66 @@ class TestSkeletonCache:
                     assert dataclasses.replace(res2, layout_id=res.layout_id) == res
                     compared += 1
         assert compared > 0
+
+
+class TestReportFields:
+    """steps_monotone and tours_hamiltonian hold on every ring by proof
+    (_run_ring), so solve checks them on the winner only: a fault there
+    reaches the report, a losing ring's does not."""
+
+    @staticmethod
+    def _fault(monkeypatch, inst, fault, on_winner=True):
+        # apply fault(walk, ring) to the runs of the clean winner's ring, or
+        # else to every run of a costlier ring
+        won = solve(inst).best
+        target = (won.cycle_cost, won.forest_cost, won.matching_cost, won.step_costs)
+        real = tritsp.solver._run_ring
+
+        def faulty(*args):
+            walk, ring = real(*args)
+            if on_winner:
+                hit = ring == target and canonical_rotation(walk) == won.order
+            else:
+                hit = ring[-1][-1] > won.cost
+            return fault(walk, ring) if hit else (walk, ring)
+
+        monkeypatch.setattr(tritsp.solver, "_run_ring", faulty)
+        return won
+
+    @staticmethod
+    def _drop_last(walk, ring):
+        # the rotation loses its last vertex, so it stays the least
+        return list(canonical_rotation(walk)[:-1]), ring
+
+    @staticmethod
+    def _rise(walk, ring):
+        # a first step that rises, same last step: same cost
+        steps = ring[-1]
+        return walk, (*ring[:-1], (steps[0] - 1, *steps))
+
+    def test_winner_missing_a_vertex(self, monkeypatch):
+        inst = gen_planted(12, 6, seed=1)
+        won = self._fault(monkeypatch, inst, self._drop_last)
+        rep = solve(inst)
+        assert rep.tour.cost == won.cost and rep.tour.order == won.order[:-1]
+        assert rep.tours_hamiltonian is False
+        assert rep.steps_monotone is True
+
+    def test_winner_trace_rising(self, monkeypatch):
+        inst = gen_planted(12, 6, seed=1)
+        won = self._fault(monkeypatch, inst, self._rise)
+        rep = solve(inst)
+        assert (rep.tour.cost, rep.tour.order) == (won.cost, won.order)
+        assert rep.steps_monotone is False
+        assert rep.tours_hamiltonian is True
+
+    def test_losing_rings_not_checked(self, monkeypatch):
+        inst = gen_planted(12, 6, seed=1)
+        clean = solve(inst)
+        self._fault(monkeypatch, inst, lambda w, r: self._rise(*self._drop_last(w, r)), False)
+        rep = solve(inst)
+        assert rep == clean and rep.best == clean.best
+        assert rep.steps_monotone is rep.tours_hamiltonian is True
 
 
 class TestSkeletonChecks:
