@@ -51,14 +51,14 @@ class ChainLayout:
 
 
 def end_sets(audit: TriangleAudit, good_count: int) -> Iterator[frozenset[int]]:
-    """Yield the end sets of the canonical layouts, by size and then
-    lexicographically: every set of bad vertices but the smallest alone,
-    which never ends the last chain.  Sets of more than good_count are
-    skipped: a layout mirroring an optimal tour needs a good vertex
-    between consecutive chains."""
+    """Yield the end sets of the canonical layouts of audit.bad (at least 3
+    vertices), by size and then lexicographically: every set of bad vertices
+    but the smallest alone, which never ends the last chain.  Sets of more
+    than good_count are skipped: a layout mirroring an optimal tour needs a
+    good vertex between consecutive chains."""
     bad = audit.bad
-    if len(bad) < 2:
-        raise ContractViolationError(f"layouts need 2 bad vertices, got {len(bad)}")
+    if len(bad) < 3:
+        raise ContractViolationError(f"layouts need 3 bad vertices, got {len(bad)}")
     for size in range(1, min(len(bad), good_count) + 1):
         for ends in itertools.combinations(bad, size):
             if ends != bad[:1]:

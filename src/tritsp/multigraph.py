@@ -2,10 +2,10 @@
 
 Just enough surface for the solver: union of a cycle, a forest, and a
 matching, and edge removal during the repair.  Vertex v's neighbors and
-multiplicities live in the dict ``_adj[v]``.  The shortcut stages read
-these dicts directly in their inner loops and change a graph through its
-methods, except the ring overlay, which writes into a fresh copy's dicts,
-and the Euler tour, which empties the graph it walks.
+multiplicities live in the dict ``_adj[v]``, its only state.  The
+shortcut stages read these dicts directly in their inner loops and change
+a graph through its methods, except the ring overlay, which writes into a
+fresh copy's dicts, and the Euler tour, which empties the graph it walks.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ class MultiGraph:
             raise ContractViolationError(f"n must be >= 1, got {n}")
         self.n = n
         self._adj: list[dict[int, int]] = [{} for _ in range(n)]
-        self._edge_count = 0
 
     def add_edge(self, u: int, v: int, mult: int = 1) -> None:
         if u == v:
@@ -30,7 +29,6 @@ class MultiGraph:
             raise ContractViolationError(f"multiplicity must be >= 1, got {mult}")
         self._adj[u][v] = self._adj[u].get(v, 0) + mult
         self._adj[v][u] = self._adj[v].get(u, 0) + mult
-        self._edge_count += mult
 
     def remove_edge(self, u: int, v: int) -> None:
         """Remove one copy of (u, v)."""
@@ -43,7 +41,6 @@ class MultiGraph:
         else:
             self._adj[u][v] = m - 1
             self._adj[v][u] = m - 1
-        self._edge_count -= 1
 
     def neighbors(self, v: int) -> list[int]:
         """Distinct neighbors, ascending."""
@@ -62,12 +59,11 @@ class MultiGraph:
     @property
     def edge_count(self) -> int:
         """Total number of edge copies."""
-        return self._edge_count
+        return sum(sum(d.values()) for d in self._adj) // 2
 
     def copy(self) -> "MultiGraph":
         # skips __init__, whose empty adjacency maps would be replaced
         g = MultiGraph.__new__(MultiGraph)
         g.n = self.n
         g._adj = [d.copy() for d in self._adj]
-        g._edge_count = self._edge_count
         return g

@@ -111,15 +111,13 @@ def assemble_skeleton(
 
 def assemble_eulerian(order, skeleton: MultiGraph, inst: Instance):
     """(graph, cost, doubled): a copy of the checked skeleton with the ring
-    through `order` (a layout's vertices; one gives no edge, two their pair
-    twice) added, the ring's cost, and whether it doubled an edge.  A ring
-    through every root of the skeleton's forest keeps all degrees even and
-    joins the trees; euler_tour's closing check confirms the connection."""
-    if min(order) < 0 or max(order) >= inst.n:
-        raise ContractViolationError(f"ring vertices {order} out of range for n={inst.n}")
+    through `order` (a layout's vertices, at least 3) added, the ring's
+    cost, and whether it doubled an edge.  A ring through every root of the
+    skeleton's forest keeps all degrees even and joins the trees;
+    euler_tour's closing check confirms the connection."""
+    if len(order) < 3 or min(order) < 0 or max(order) >= inst.n:
+        raise ContractViolationError(f"ring {order} too short or out of range for n={inst.n}")
     h = skeleton.copy()
-    if len(order) == 1:
-        return h, 0, False
     adj, c = h._adj, inst.cost
     cost, doubled, u = 0, False, order[-1]
     for v in order:
@@ -129,7 +127,6 @@ def assemble_eulerian(order, skeleton: MultiGraph, inst: Instance):
         doubled = doubled or m > 1
         cost += c[u][v]
         u = v
-    h._edge_count += len(order)
     return h, cost, doubled
 
 
@@ -173,8 +170,8 @@ def repair_double_bad_edges(
 def euler_tour(h: MultiGraph) -> list[int]:
     """Closed walk using every edge exactly once, starting at the smallest
     vertex of nonzero degree, always following the smallest available
-    neighbor.  The walk consumes h: it removes each edge as it takes it,
-    so h is left with no edges; pass a copy to keep the graph.
+    neighbor.  The walk consumes h, removing each edge as it takes it: h
+    ends empty, or the walk raises.  Pass a copy to keep the graph.
 
     Every trail the walk extends from a vertex t must close at t; one that
     halts elsewhere does so at a vertex of odd degree.  Once every trail
@@ -203,11 +200,10 @@ def euler_tour(h: MultiGraph) -> list[int]:
         if v != t:
             raise ContractViolationError(f"vertex {v} has odd degree")
         out.append(stack.pop())
+    if any(adj):
+        raise ContractViolationError("multigraph is not connected over its edges")
     # the pop order is the circuit traversed backwards, itself a valid
     # closed walk in an undirected multigraph
-    if len(out) != h.edge_count + 1:
-        raise ContractViolationError("multigraph is not connected over its edges")
-    h._edge_count = 0
     return out[:-1]
 
 

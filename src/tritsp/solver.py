@@ -17,16 +17,17 @@ matching is proved minimum when it is built, as the 2·M <= OPT step of
 the guarantee needs: an odd set of at most 8 vertices whose least
 matching is unique by listing every perfect matching, any other by its
 LP certificate; there is no unchecked configuration.  Each undirected
-ring runs once per group that holds a layout of it, and the layouts are
-counted, not walked (`_evaluate_shard`).  Per ring only the overlay and
-the walk run (`_run_ring`), on one copy of the skeleton: the overlay adds
-the ring's edges and sums their cost in one pass, the repair runs only
-where it doubled an edge, the Euler tour consumes the copy and the
-splices follow, each step's cost traced as a delta.  Every walk is
-Hamiltonian and no step raises its cost, by proof (`_run_ring`), so the
-report checks both on the winner, the only ring cut into a ChainLayout.
-The cheapest resulting tour wins; ties break on the lexicographically
-smallest rotation, then on the first layout in enumeration order.
+ring runs once per group that holds a layout of it (`_evaluate_shard`),
+and the layouts are counted by formula, not walked (`_layout_count`).
+Per ring only the overlay and the walk run (`_run_ring`), on one copy of
+the skeleton: the overlay adds the ring's edges and sums their cost in
+one pass, the repair runs only where it doubled an edge, the Euler tour
+consumes the copy and the splices follow, each step's cost traced as a
+delta.  Every walk is Hamiltonian and no step raises its cost, by proof
+(`_run_ring`), so the report checks both on the winner, the only ring
+cut into a ChainLayout.  The cheapest resulting tour wins; ties break on
+the lexicographically smallest rotation, then on the first layout in
+enumeration order.
 
 Under --jobs the forest groups are dealt out largest first, by their
 exact ring evaluations, each to the shard with the fewest so far
@@ -89,10 +90,9 @@ __all__ = [
 ]
 
 # a pool pays off only past this many ring evaluations (_rings_bound, the
-# exact count): on planted instances two workers took 1.0-6.7x one worker's
-# time at bounds up to 720, 0.75-1.07x at 804-924 and 0.49-0.85x from 1260
-# on.  Those figures were taken on an older bound, min((b-1)!/2, layouts)
-# per forest group, which is never below the exact count
+# exact count): on planted instances two workers took 1.1-2.2x one
+# worker's time at 450-720 rings, 0.85-1.7x at 780-870 and 0.79-1.4x at
+# 1134-1896, on a 2-vCPU host whose second vCPU was contended (README)
 _SERIAL_MAX = 800
 _HK_MAX = 18
 
@@ -259,51 +259,55 @@ def _shards(audit, groups, jobs):
     return [[groups[i] for i in sorted(ids)] for ids in taken]
 
 
+def _layout_count(audit, groups) -> int:
+    """How many layouts the forest groups hold: (b-2)! per end set E and
+    last vertex in E - {s}, s the smallest bad vertex (layout_orders)."""
+    s = audit.bad[0]
+    lasts = sum(len(ends - {s}) for _, members in groups for _, ends in members)
+    return math.factorial(len(audit.bad) - 2) * lasts
+
+
 def _evaluate_shard(inst, audit, groups):
     """Evaluate the layouts of the forest groups (`_forest_groups`, or one
     shard of them from `_shards`), building each group's skeleton once,
     matching each distinct odd set once and running each undirected ring
-    once per group that holds a layout of it, and return (best, layouts).
-    best is ((cost, rotation, rank), LayoutResult) of the cheapest layout,
-    or None for an empty shard.
+    once per group that holds a layout of it.  Returns ((cost, rotation,
+    rank), LayoutResult) of the cheapest layout, or None for an empty shard.
 
     The ring (s, p, ..., q), s the smallest bad vertex and p < q, is the
     layout of end set E ending at q if q is in E, and reversed, ending at
-    p, if p is: a group holds holds[p] + holds[q] layouts of it (holds[v]:
-    its end sets holding v).  Rings compete on (cost, rotation, rank, last,
-    order) of their first layout in enumeration order, in the first member
-    holding p or q (first[v]) and ending at p if it can (lasts ascend), so
-    a tie keeps the layout a serial run meets first.  Only the winner gets
-    its ChainLayout and its LayoutResult.
+    p, if p is.  It competes on (cost, rotation, rank, last, order) of its
+    first layout in enumeration order: in member min(first[p], first[q])
+    (first[v]: the first member holding v; len(members), and the ring is
+    skipped, if none), ending at p if it can (lasts ascend), so a tie keeps
+    the layout a serial run meets first.  Only the winner gets its
+    ChainLayout and its LayoutResult.
     """
     # the (b-1)!/2 rings; b >= 3: a violating triangle has three
     s, *rest = audit.bad
     rings = [(s, *mid) for mid in itertools.permutations(rest) if mid[0] < mid[-1]]
     best = None
-    count = 0
     matchings = {}
     for forest, members in groups:
         # a root the forest leaves bare has only ring edges, like an
         # inner chain vertex: the group's end sets share every stage
         skeleton = _good_skeleton(inst, audit, members[0][1], matchings, forest)
-        holds, first = [0] * inst.n, [len(members)] * inst.n
+        first = [len(members)] * inst.n
         for i, (_, ends) in enumerate(members):
             for v in ends:
-                holds[v] += 1
                 first[v] = min(first[v], i)
         for order in rings:
             p, q = order[1], order[-1]
-            layouts = holds[p] + holds[q]
-            if not layouts:
+            i = min(first[p], first[q])
+            if i == len(members):
                 continue
             # one orientation serves all: the result depends on the edge
             # multiset (sorted repair pairs, euler_tour takes the min)
             walk, ring = _run_ring(inst, audit, order, skeleton)
             cost = ring[-1][-1]
-            count += layouts
             # a costlier ring loses on the key's first field
             if best is None or cost <= best[0][0]:
-                rank, ends = members[min(first[p], first[q])]
+                rank, ends = members[i]
                 oriented = order[:1] + order[:0:-1] if p in ends else order
                 key = (cost, canonical_rotation(walk), rank, oriented[-1], oriented)
                 if best is None or key < best[0]:
@@ -312,7 +316,7 @@ def _evaluate_shard(inst, audit, groups):
         key, ends, ring = best
         layout = cut_chains(key[-1], ends)
         best = (key[:3], LayoutResult(layout.layout_id, key[1], key[0], True, *ring))
-    return best, count
+    return best
 
 
 def _trivial_tour(inst: Instance) -> Tour:
@@ -439,13 +443,12 @@ def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(shard, _shards(audit, groups, jobs)))
 
-    bests, counts = zip(*parts)
-    found = [b for b in bests if b is not None]
+    found = [b for b in parts if b is not None]
     if not found:
         raise ContractViolationError("no layout produced a tour")
     _, best = min(found, key=lambda b: b[0])
     tour = Tour(best.order, best.cost, best.layout_id)
-    layouts = sum(counts)
+    layouts = _layout_count(audit, groups)
     return SolveReport(
         tour,
         audit.k,

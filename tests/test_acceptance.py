@@ -123,7 +123,8 @@ def test_shortcut_safety(solved_corpus):
     """On every ring of every solve the walk cost never increases step to
     step and the final walk is a permutation of the vertices: the solver
     proves both and checks its winner, and the test-side reference walk
-    (`test_ring_walk._reference_shard`) re-runs and checks every ring."""
+    (`test_ring_walk._reference_shard`) re-runs and checks every ring.  The
+    layouts that walk counts one by one check the formula solve reports."""
     for inst, rep, _ in solved_corpus:
         assert rep.certified == rep.layouts, inst.name
         assert rep.steps_monotone, inst.name

@@ -1,5 +1,7 @@
 import pytest
 from conftest import degree, multiplicity
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tritsp.errors import ContractViolationError
 from tritsp.multigraph import MultiGraph
@@ -53,3 +55,20 @@ def test_copy_is_independent():
     h.add_edge(1, 2)
     assert multiplicity(g, 1, 2) == 0
     assert multiplicity(h, 1, 2) == 1
+
+
+@given(st.lists(st.tuples(st.sampled_from("arc"), st.integers(0, 4), st.integers(0, 4),
+                          st.integers(1, 3)), max_size=40))
+@settings(max_examples=200)
+def test_edge_count_equals_a_recount(ops):
+    # edge_count is derived from the adjacency maps: after any sequence of
+    # adds, removes and copies it equals the sum of the listed multiplicities
+    g = MultiGraph(5)
+    for op, u, v, mult in ops:
+        if op == "a" and u != v:
+            g.add_edge(u, v, mult)
+        elif op == "r" and multiplicity(g, u, v) > 0:
+            g.remove_edge(u, v)
+        elif op == "c":
+            g = g.copy()
+        assert g.edge_count == sum(m for _, _, m in g.edges())

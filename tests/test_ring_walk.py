@@ -7,7 +7,9 @@ rings run through `_reference_ring`: the bad cycle as pairs added edge by
 edge, the ring cost by walk_cost and the repair on every ring.  It asserts
 that every ring's walk is Hamiltonian and its step trace never rises,
 which the solver holds by proof and checks on the winner only.
-`_evaluate_shard` must return the same (best, layouts) on any groups.
+`_evaluate_shard` must return the same best on any groups, and the
+layouts the reference walk counts must equal the formula `solve` reports
+them by (`_layout_count`).
 """
 
 import concurrent.futures
@@ -16,10 +18,17 @@ import os
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_layouts import fake_audit
 
 import tritsp.solver
 from tritsp.instance import Instance, audit_triangles, gen_planted
-from tritsp.layouts import build_bad_cycle, cut_chains, layout_orders
+from tritsp.layouts import (
+    build_bad_cycle,
+    cut_chains,
+    end_sets,
+    enumerate_layouts,
+    layout_orders,
+)
 from tritsp.shortcut import (
     canonical_rotation,
     euler_tour,
@@ -46,8 +55,9 @@ def _reference_ring(inst, audit, order, skeleton):
 
 
 def _reference_shard(inst, audit, groups):
-    """_evaluate_shard's (best, layouts) from a walk over every layout
-    order, asserting on every ring what the solver proves."""
+    """(best, layouts) from a walk over every layout order, asserting on
+    every ring what the solver proves: best is _evaluate_shard's, and
+    layouts counts the layouts one by one."""
     expected = list(range(inst.n))
     best = None
     count = 0
@@ -86,14 +96,18 @@ def _reference_shard(inst, audit, groups):
 
 
 def _assert_walks_agree(inst):
+    """The shard walk's best is the reference walk's, on all the groups and
+    on each of two shards, and so is the layout count of solve and of
+    `_layout_count` on each shard."""
     audit = audit_triangles(inst)
     groups = tritsp.solver._forest_groups(inst, audit)
-    whole = tritsp.solver._evaluate_shard(inst, audit, groups)
-    assert whole == _reference_shard(inst, audit, groups)
+    whole = _reference_shard(inst, audit, groups)
+    assert tritsp.solver._evaluate_shard(inst, audit, groups) == whole[0]
+    assert solve(inst).layouts == whole[1]
     for part in tritsp.solver._shards(audit, groups, 2):
-        assert tritsp.solver._evaluate_shard(inst, audit, part) == _reference_shard(
-            inst, audit, part
-        )
+        best, layouts = _reference_shard(inst, audit, part)
+        assert tritsp.solver._evaluate_shard(inst, audit, part) == best
+        assert tritsp.solver._layout_count(audit, part) == layouts
     return whole
 
 
@@ -123,6 +137,22 @@ class TestRingMajorWalk:
         audit = audit_triangles(inst)
         assume(audit.k > 0 and audit.good)
         _assert_walks_agree(inst)
+
+
+class TestLayoutCount:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_formula_counts_the_enumeration(self, data):
+        # any bad labels, b 3-7, any good count from 1 to b, and the ranked
+        # end sets dealt over 1-3 groups, as the forest grouping splits them
+        b = data.draw(st.integers(3, 7))
+        audit = fake_audit(data.draw(st.sets(st.integers(0, 20), min_size=b, max_size=b)))
+        g = data.draw(st.integers(1, b))
+        k = data.draw(st.integers(1, 3))
+        ranked = list(enumerate(end_sets(audit, g)))
+        groups = [(None, ranked[i::k]) for i in range(k) if ranked[i::k]]
+        count = sum(1 for _ in enumerate_layouts(audit, g))
+        assert tritsp.solver._layout_count(audit, groups) == count
 
 
 def _report_sha(rep):

@@ -95,11 +95,12 @@ class TestAssemble:
         assert multiplicity(h, 2, 3) == 2
 
     def test_overlay_of_one_and_two_vertices(self, inst4):
+        # a ring needs 3 vertices, as every layout of a violating triangle has
         skeleton = MultiGraph(4)
-        h, cost, doubled = assemble_eulerian((2,), skeleton, inst4)
-        assert (h.edges(), cost, doubled) == ([], 0, False)
-        h, cost, doubled = assemble_eulerian((0, 1), skeleton, inst4)
-        assert (h.edges(), h.edge_count, cost, doubled) == ([(0, 1, 2)], 2, 20, True)
+        for order in ((2,), (0, 1)):
+            with pytest.raises(ContractViolationError, match="too short"):
+                assemble_eulerian(order, skeleton, inst4)
+        assert skeleton.edges() == []
 
     def test_overlay_doubles_a_skeleton_edge(self, inst4):
         skeleton = MultiGraph(4)
@@ -208,8 +209,27 @@ class TestEulerTour:
         h = MultiGraph(4)
         h.add_edge(0, 1, 2)
         h.add_edge(2, 3, 2)
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="not connected"):
             euler_tour(h)
+
+    def test_rejects_disjoint_triangles(self):
+        # every degree is even, but the walk from 0 never reaches 3-4-5,
+        # whose edges are left in the graph
+        h = MultiGraph(6)
+        for a, b in ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)):
+            h.add_edge(a, b)
+        with pytest.raises(ContractViolationError, match="not connected"):
+            euler_tour(h)
+        assert h.edges() == [(3, 4, 1), (3, 5, 1), (4, 5, 1)]
+
+    def test_rejects_triangle_plus_doubled_edge(self):
+        h = MultiGraph(6)
+        for a, b in ((1, 2), (2, 3), (3, 1)):
+            h.add_edge(a, b)
+        h.add_edge(4, 5, 2)
+        with pytest.raises(ContractViolationError, match="not connected"):
+            euler_tour(h)
+        assert (h.edges(), h.edge_count) == ([(4, 5, 2)], 2)
 
     def test_uses_every_edge_once(self):
         rng = random.Random(4)
