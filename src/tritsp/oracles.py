@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ContractViolationError, SizeRefusalError
@@ -174,14 +175,9 @@ def _bound_checks(inst, audit, res: LayoutResult, h, opt_cost: int):
         ),
     ]
     bad = set(audit.bad)
-    adjacency_ok = True
-    worst = 0
-    for b in bad:
-        nbrs = [x for x in h.neighbors(b) if x in bad]
-        doubled = any(h._adj[b][x] > 1 for x in nbrs)
-        worst = max(worst, len(nbrs))
-        if len(nbrs) > 3 or doubled:
-            adjacency_ok = False
+    bad_edges = [(u, v, m) for u, v, m in h.edges() if u in bad and v in bad]
+    worst = max(Counter(x for u, v, _ in bad_edges for x in (u, v)).values(), default=0)
+    adjacency_ok = worst <= 3 and all(m == 1 for _, _, m in bad_edges)
     # the structural claim, proved for every repaired layout
     checks.append(BoundCheck("bad_adjacency", adjacency_ok, worst, 3))
     checks.append(

@@ -22,6 +22,7 @@ raises, then splice_bad and splice_good leave each vertex once.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .errors import ContractViolationError
@@ -85,13 +86,12 @@ def assemble_skeleton(
     adj = h._adj
     good_set = set(good)
     for v, nbrs in enumerate(adj):
-        d = sum(nbrs.values())
-        if d % 2 == 1:
+        if len(nbrs) % 2 == 1:
             raise ContractViolationError(
-                f"vertex {v} has odd degree {d} after matching union"
+                f"vertex {v} has odd degree {len(nbrs)} after matching union"
             )
-        if d > len(nbrs) and v not in good_set and any(
-            m > 1 and u not in good_set for u, m in nbrs.items()
+        if v not in good_set and any(
+            x == y and x not in good_set for x, y in zip(nbrs, nbrs[1:])
         ):
             raise ContractViolationError(f"a bad-bad edge at {v} is doubled in the skeleton")
     seen = set(forest.roots)
@@ -122,9 +122,9 @@ def assemble_eulerian(order, skeleton: MultiGraph, inst: Instance):
     cost, doubled, u = 0, False, order[-1]
     for v in order:
         au = adj[u]
-        m = au.get(v, 0) + 1
-        au[v] = adj[v][u] = m
-        doubled = doubled or m > 1
+        doubled = doubled or v in au
+        insort(au, v)
+        insort(adj[v], u)
         cost += c[u][v]
         u = v
     return h, cost, doubled
@@ -145,17 +145,20 @@ def repair_double_bad_edges(
     roots.  So a doubled pair is a ring edge matched once more, and u, being
     matched, has odd forest degree, so a forest edge to a good vertex.
     Each end has one partner, so the pairs are disjoint.  Raises
-    ContractViolationError if u has no good neighbor.
+    ContractViolationError if a pair has another multiplicity or u has no
+    good neighbor.
     `trace`, if given, must end with the cost of h; each reroute appends
     the new cost."""
     bad = audit.bad_set
     adj = h._adj
     c = inst.cost
-    doubled = sorted(
-        (u, v) for u in bad for v, mult in adj[u].items() if mult > 1 and u < v and v in bad
-    )
+    doubled = sorted({
+        (u, v) for u in bad for v, w in zip(adj[u], adj[u][1:]) if v == w and u < v and v in bad
+    })
     for u, v in doubled:
-        g = min((x for x in adj[u] if x not in bad), default=None)
+        if adj[u].count(v) != 2:
+            raise ContractViolationError(f"bad-bad edge ({u}, {v}) is not doubled exactly")
+        g = next((x for x in adj[u] if x not in bad), None)
         if g is None:
             raise ContractViolationError(
                 f"doubled bad-bad edge ({u}, {v}): {u} has no good neighbor"
@@ -187,13 +190,8 @@ def euler_tour(h: MultiGraph) -> list[int]:
         v = t = stack[-1]
         nv = adj[v]
         while nv:
-            u = min(nv)
-            m = nv[u]
-            if m == 1:
-                del nv[u]
-                del adj[u][v]
-            else:
-                nv[u] = adj[u][v] = m - 1
+            u = nv.pop(0)
+            adj[u].remove(v)
             stack.append(u)
             v = u
             nv = adj[u]

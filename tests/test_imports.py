@@ -1,4 +1,5 @@
-"""Every name a tritsp module imports is used there or exported."""
+"""Every name a tritsp module imports is used there or exported, and only
+the modules that own the format read MultiGraph's adjacency lists."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,9 @@ KEEP_ALIVE = {
     ("solver.py", "enumerate_layouts"),
     ("solver.py", "graph_cost"),
 }
+# the class itself and the per-ring stages, which walk and write its lists;
+# every other module goes through MultiGraph's methods
+ADJ_READERS = {"multigraph.py", "shortcut.py"}
 
 
 def _unused_imports(path):
@@ -35,3 +39,13 @@ def test_no_dead_imports():
     assert len(modules) > 10
     unused = {(path.name, name) for path in modules for name in _unused_imports(path)}
     assert unused == KEEP_ALIVE
+
+
+def test_adjacency_lists_read_only_by_their_owners():
+    readers = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "_adj"
+    }
+    assert readers == ADJ_READERS

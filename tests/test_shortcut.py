@@ -2,7 +2,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from conftest import degree, multiplicity
 
@@ -116,7 +116,8 @@ class TestAssemble:
 
     def test_overlay_leaves_skeleton_unchanged(self, inst4):
         skeleton = MultiGraph(4)
-        skeleton.add_edge(2, 3, 2)
+        skeleton.add_edge(2, 3)
+        skeleton.add_edge(2, 3)
         h, cycle_cost, doubled = assemble_eulerian((0, 1, 2), skeleton, inst4)
         assert h.edges() == [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 2)]
         assert h.edge_count == 5
@@ -137,8 +138,7 @@ class TestRepair:
         rows = [[0, 8, 2, 3], [8, 0, 2, 3], [2, 2, 0, 3], [3, 3, 3, 0]]
         inst = Instance.from_rows("dbl", rows)
         h = MultiGraph(4)
-        h.add_edge(0, 1, 2)
-        for a, b in ((0, 2), (2, 1), (1, 3), (3, 0)):
+        for a, b in ((0, 1), (0, 1), (0, 2), (2, 1), (1, 3), (3, 0)):
             h.add_edge(a, b)
         audit = TriangleAudit(((0, 1, 2),), (0, 1), (2, 3))
         before = graph_cost(inst, h)
@@ -156,8 +156,8 @@ class TestRepair:
         rows = [[0 if i == j else (i + 1) * (j + 1) for j in range(6)] for i in range(6)]
         inst = Instance.from_rows("two", rows)
         h = MultiGraph(6)
-        for a, b, m in ((2, 3, 2), (2, 5, 1), (0, 1, 2), (0, 4, 1)):
-            h.add_edge(a, b, m)
+        for a, b in ((2, 3), (2, 3), (2, 5), (0, 1), (0, 1), (0, 4)):
+            h.add_edge(a, b)
         audit = TriangleAudit((), (0, 1, 2, 3), (4, 5))
         trace = [graph_cost(inst, h)]
         assert repair_double_bad_edges(h, audit, inst, trace) is None
@@ -168,20 +168,87 @@ class TestRepair:
         rows = [[0, 5, 5], [5, 0, 5], [5, 5, 0]]
         inst = Instance.from_rows("stuck", rows)
         h = MultiGraph(3)
-        h.add_edge(0, 1, 2)
+        h.add_edge(0, 1)
+        h.add_edge(0, 1)
         audit = TriangleAudit(((0, 1, 2),), (0, 1, 2), ())
         with pytest.raises(ContractViolationError, match="0 has no good neighbor"):
             repair_double_bad_edges(h, audit, inst)
         assert multiplicity(h, 0, 1) == 2  # left in place
         # a good neighbor of v alone does not help: no chains-regime graph
         # doubles (u, v) with u bare of good neighbors
-        h.add_edge(1, 2, 2)
+        h.add_edge(1, 2)
+        h.add_edge(1, 2)
         audit = TriangleAudit(((0, 1, 2),), (0, 1), (2,))
         with pytest.raises(ContractViolationError, match="0 has no good neighbor"):
             repair_double_bad_edges(h, audit, inst)
 
+    def test_tripled_pair_raises(self):
+        # rerouting one copy of a tripled pair would leave it doubled, so
+        # multiplicity 3 breaks the precondition and nothing is changed
+        rows = [[0, 8, 2, 3], [8, 0, 2, 3], [2, 2, 0, 3], [3, 3, 3, 0]]
+        inst = Instance.from_rows("tri", rows)
+        h = MultiGraph(4)
+        for a, b in ((0, 1), (0, 1), (0, 1), (0, 2), (2, 1)):
+            h.add_edge(a, b)
+        audit = TriangleAudit(((0, 1, 2),), (0, 1), (2, 3))
+        with pytest.raises(ContractViolationError, match=r"\(0, 1\) is not doubled exactly"):
+            repair_double_bad_edges(h, audit, inst)
+        assert h.edges() == [(0, 1, 3), (0, 2, 1), (1, 2, 1)]
+
+
+def _dict_euler_tour(edges, n):
+    """The walk on multiplicity dicts, as MultiGraph once stored its
+    adjacency: from the smallest vertex with an edge, always to the
+    smallest neighbor.  The reference euler_tour must reproduce."""
+    adj = [{} for _ in range(n)]
+    for u, v, m in edges:
+        adj[u][v] = adj[v][u] = m
+    stack = [next(v for v in range(n) if adj[v])]
+    out = []
+    while stack:
+        v = stack[-1]
+        nv = adj[v]
+        while nv:
+            u = min(nv)
+            m = nv[u]
+            if m == 1:
+                del nv[u]
+                del adj[u][v]
+            else:
+                nv[u] = adj[u][v] = m - 1
+            stack.append(u)
+            v = u
+            nv = adj[u]
+        out.append(stack.pop())
+    return out[:-1]
+
+
+@st.composite
+def _eulerian_multigraphs(draw):
+    """A union of random closed walks through vertex 0 on at most 10
+    vertices: connected over its edges, every degree even, and doubled
+    edges wherever a walk goes back or two walks share an edge."""
+    n = draw(st.integers(2, 10))
+    vertex = st.integers(0, n - 1)
+    walks = draw(st.lists(st.lists(vertex, min_size=1, max_size=8), min_size=1, max_size=4))
+    h = MultiGraph(n)
+    for walk in walks:
+        ring = [0] + walk
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            if a != b:
+                h.add_edge(a, b)
+    assume(h.edge_count > 0)
+    return h
+
 
 class TestEulerTour:
+    @given(_eulerian_multigraphs())
+    @settings(max_examples=300)
+    def test_walk_matches_the_dict_reference(self, h):
+        expected = _dict_euler_tour(h.edges(), h.n)
+        assert euler_tour(h) == expected
+        assert h.edge_count == 0
+
     def test_inst4_single_chain_walk(self, inst4):
         h, _ = inst4_h(inst4, ((0, 1, 2),))
         assert euler_tour(h) == [0, 2, 3, 2, 1]
@@ -207,8 +274,8 @@ class TestEulerTour:
 
     def test_rejects_disconnected_edges(self):
         h = MultiGraph(4)
-        h.add_edge(0, 1, 2)
-        h.add_edge(2, 3, 2)
+        for a, b in ((0, 1), (0, 1), (2, 3), (2, 3)):
+            h.add_edge(a, b)
         with pytest.raises(ContractViolationError, match="not connected"):
             euler_tour(h)
 
@@ -224,9 +291,8 @@ class TestEulerTour:
 
     def test_rejects_triangle_plus_doubled_edge(self):
         h = MultiGraph(6)
-        for a, b in ((1, 2), (2, 3), (3, 1)):
+        for a, b in ((1, 2), (2, 3), (3, 1), (4, 5), (4, 5)):
             h.add_edge(a, b)
-        h.add_edge(4, 5, 2)
         with pytest.raises(ContractViolationError, match="not connected"):
             euler_tour(h)
         assert (h.edges(), h.edge_count) == ([(4, 5, 2)], 2)
