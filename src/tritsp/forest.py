@@ -1,25 +1,25 @@
 """Minimum spanning forests with prescribed roots, one root per tree.
 
-Computed by contracting all roots into a single super-vertex and running
-dense Prim on the contracted complete graph; the super-edge to a non-root v
-costs min over roots r of c(r, v).  Re-expanding assigns every tree to the
-root its super-edge used, so components never share a root.
+Such a forest is a minimum spanning forest (MSF) of the complete graph
+with all roots contracted into a single super-vertex; re-expanding gives
+every tree the root its edge into the super-vertex used, so components
+never share a root.
 
 Edges compare by the integer key cost * n**2 + min * n + max (n the
 instance's size, min and max the edge's endpoints), which orders them as
-(cost, (min, max)) tuples do.  Keys are distinct, so the contracted MSF is
-unique.  Prim holds each outside vertex's least key to the tree, moves the
-vertex of least key in and decodes its edge as divmod(key % n**2, n).
-Below _FOREST_NUMPY_MIN vertices the keys sit in a dict; from there on
-Prim scans its rows in numpy, forming each row's keys when it moves the
-row's vertex in, from the solve's one numpy cost matrix when it has one.
-Both paths pick the same vertex at every step, so their edges and cost
-are equal.
+(cost, (min, max)) tuples do, and decode as divmod(key % n**2, n).  Keys
+are distinct, so the contracted MSF is unique, and every exact algorithm
+returns its edges.  Below _FOREST_NUMPY_MIN vertices `_kruskal` finds it
+on the keys of every vertex pair: joining the roots into one component
+before its scan contracts them.  From there on a dense Prim on the
+contracted graph scans its rows in numpy, forming each row's keys when it
+moves the row's vertex in, from the solve's one numpy cost matrix when it
+has one.
 
 `forests_from_mst` gives the same forests for many root sets E over one
-fixed vertex set G (E outside G) from a single Prim: the MST of G.  A
-G-edge off that tree is the largest key on a cycle inside G, so it is in
-no contracted MSF either; Kruskal over the tree's edges plus each
+fixed vertex set G (E outside G) from a single MST of G.  A G-edge off
+that tree is the largest key on a cycle inside G, so it is in no
+contracted MSF either; `_kruskal` over the tree's edges plus each
 vertex's cheapest keyed edge into E therefore finds the unique contracted
 MSF, the forest rooted_msf(G | E, E) returns.
 """
@@ -27,15 +27,15 @@ MSF, the forest rooted_msf(G | E, E) returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import ContractViolationError
 from .instance import Instance, int_array
 
 __all__ = ["RootedForest", "rooted_msf", "forests_from_mst"]
 
-# from this many vertices on, Prim's scans in numpy beat the Python loop
-# (measured crossover on CEIL_2D: 20 to 24); smaller forests leave numpy
-# unloaded
+# from this many vertices on, the forest is a Prim scanning in numpy;
+# smaller forests run the pure-Python Kruskal and leave numpy unloaded
 _FOREST_NUMPY_MIN = 24
 
 
@@ -59,40 +59,21 @@ def rooted_msf(inst: Instance, vertices, roots, _dense=None) -> RootedForest:
     if verts and not (0 <= verts[0] and verts[-1] < inst.n):
         raise ContractViolationError(f"vertices {verts} out of range for n={inst.n}")
 
-    c = inst.cost
+    c, n = inst.cost, inst.n
     if len(verts) >= _FOREST_NUMPY_MIN:
-        edges = _prim_numpy(c, inst.n, verts, rts, inst.max_cost, _dense)
+        edges = _prim_numpy(c, n, verts, rts, inst.max_cost, _dense)
     else:
-        edges = _prim_python(c, inst.n, verts, rts)
+        keys = [c[a][b] * n * n + a * n + b for a, b in combinations(verts, 2)]
+        edges, _ = _kruskal(keys, n, rts, len(verts) - len(rts))
     edges.sort()
     total = sum(c[a][b] for a, b in edges)
     return RootedForest(tuple(edges), tuple(rts), total)
 
 
-def _prim_python(c, n, verts, rts):
-    """Edges of the rooted MSF in selection order."""
-    n2 = n * n
-    root_set = set(rts)
-    key = {
-        v: min(c[r][v] * n2 + min(r, v) * n + max(r, v) for r in rts)
-        for v in verts
-        if v not in root_set
-    }
-    edges: list[tuple[int, int]] = []
-    while key:
-        v = min(key, key=key.__getitem__)
-        edges.append(divmod(key.pop(v) % n2, n))
-        cv = c[v]
-        for u, k in key.items():
-            cand = cv[u] * n2 + (v * n + u if v < u else u * n + v)
-            if cand < k:
-                key[u] = cand
-    return edges
-
-
 def _prim_numpy(c, n, verts, rts, top, dense=None):
-    """_prim_python with its keys in a numpy array, relaxed a cost row at a
-    time.  `top` is the largest cost of `c`; `dense`, when given, is `c` as
+    """Edges of the rooted MSF in selection order, by Prim on the contracted
+    graph with its keys in a numpy array, relaxed a cost row at a time.
+    `top` is the largest cost of `c`; `dense`, when given, is `c` as
     one n x n array, whose rows are widened to the keys' dtype one at a
     time, so no n x n array of keys is ever formed."""
     import numpy as np  # loaded on first use: small forests never load it
@@ -152,25 +133,34 @@ def forests_from_mst(inst: Instance, mst: RootedForest):
         if not rts or not into.keys() >= set(rts):
             raise ContractViolationError(f"roots {rts} are not a set outside the tree")
         keys = tree + [min(k) for k in zip(*(into[r] for r in rts))]
-        keys.sort()
-        up = list(range(n))  # union-find; every root stands for rts[0]
-        for r in rts:
-            up[r] = rts[0]
-        edges = []
-        total = 0
-        for k in keys:
-            a, b = edge = divmod(k % n2, n)
-            while up[a] != a:
-                up[a] = a = up[up[a]]
-            while up[b] != b:
-                up[b] = b = up[up[b]]
-            if a != b:
-                up[a] = b
-                edges.append(edge)
-                total += k // n2
-                if len(edges) == len(good):
-                    break
+        edges, total = _kruskal(keys, n, rts, len(good))
         edges.sort()
         return RootedForest(tuple(edges), tuple(rts), total)
 
     return forest
+
+
+def _kruskal(keys, n, roots, count):
+    """(edges, cost): Kruskal over the integer edge keys `keys` on vertices
+    0..n-1, with every one of `roots` joined into one component first.
+    The edges that join two components come out ascending, and the scan
+    stops at the `count`th of them; cost is their summed cost."""
+    n2 = n * n
+    up = list(range(n))  # union-find; every root stands for roots[0]
+    for r in roots:
+        up[r] = roots[0]
+    edges = []
+    total = 0
+    for k in sorted(keys):
+        a, b = edge = divmod(k % n2, n)
+        while up[a] != a:
+            up[a] = a = up[up[a]]
+        while up[b] != b:
+            up[b] = b = up[up[b]]
+        if a != b:
+            up[a] = b
+            edges.append(edge)
+            total += k // n2
+            if len(edges) == count:
+                break
+    return edges, total

@@ -759,15 +759,13 @@ def _certificate_scan(w, mate, y2, blossoms, negative, sub=None):
     # the first violation in scan order raises, and a loose matched edge
     # raises even where negative pairs are listed
     if loose and (negative is not None or not below or loose[0] < below[0]):
-        u, v = loose[0]
-        s = _slack(w, y2, blossoms, u, v)
+        u, v, s = loose[0]
         raise ContractViolationError(f"matched edge ({u},{v}) has slack {s}")
     if below:
         if negative is None:
-            u, v = below[0]
-            s = _slack(w, y2, blossoms, u, v)
+            u, v, s = below[0]
             raise ContractViolationError(f"negative reduced slack {s} on ({u},{v})")
-        negative.extend(below)
+        negative.extend((u, v) for u, v, _ in below)
         return negative
     for mem, z in blossoms:
         if z > 0:
@@ -786,15 +784,10 @@ def _certificate_scan(w, mate, y2, blossoms, negative, sub=None):
     return negative
 
 
-def _slack(w, y2, blossoms, u, v):
-    """The doubled reduced slack of the pair (u, v)."""
-    z = sum(z for mem, z in blossoms if u in mem and v in mem)
-    return 2 * w[u][v] - y2[u] - y2[v] + 2 * z
-
-
 def _pair_scan(w, mate, y2, blossoms):
     """(below, loose): the pairs (u, v), u < v, of negative reduced slack,
-    and the matched ones of positive slack, each in row-major order."""
+    and the matched ones of positive slack, each in row-major order as
+    (u, v, s), s the pair's doubled reduced slack."""
     m = len(w)
     held, z2 = _pair_blossom_duals(m, blossoms)
     below, loose = [], []
@@ -803,9 +796,9 @@ def _pair_scan(w, mate, y2, blossoms):
         for v in range(u + 1, m):
             s = 2 * wu[v] - yu - y2[v] + zu[held[v]]
             if s < 0:
-                below.append((u, v))
+                below.append((u, v, s))
             elif mu == v and s != 0:
-                loose.append((u, v))
+                loose.append((u, v, s))
     return below, loose
 
 
@@ -826,8 +819,9 @@ def _dense_pair_scan(sub, mate, y2, blossoms):
     for mem, z in blossoms:
         if z:
             s[np.ix_(mem, mem)] += 2 * z
-    below = list(zip(*(a.tolist() for a in np.nonzero(np.triu(s < 0, 1)))))
+    at = np.nonzero(np.triu(s < 0, 1))
+    below = list(zip(*(a.tolist() for a in at), s[at].tolist()))
     us = [u for u in range(m) if u < mate[u]]
     vs = [mate[u] for u in us]
-    loose = [(u, v) for u, v, x in zip(us, vs, s[us, vs].tolist()) if x > 0]
+    loose = [(u, v, x) for u, v, x in zip(us, vs, s[us, vs].tolist()) if x > 0]
     return below, loose

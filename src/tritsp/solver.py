@@ -6,12 +6,14 @@ shortcut pipeline.  The bad cycle gives every vertex even degree, so the
 forest (rooted at the chain ends E) and its odd-degree set, and with them
 the matching, depend on E alone, and in fact on E's forest alone: an end
 the forest leaves bare has only ring edges, like an inner chain vertex.
-One Prim per solve builds the good-vertex MST, and each end set's forest
-is one Kruskal from it (`forests_from_mst`).  End sets are grouped by
-their forest's edges, and each group's "good skeleton" (forest, matching
-and their union multigraph, whose parity, reach to the roots and single
-bad-bad edges are checked there) is built once, shared by the group's
-layouts and dropped.  Distinct forests often leave the same odd set, so a
+One rooted_msf per solve builds the good-vertex MST (below 24 good
+vertices by the same Kruskal as the forests, from there on by a numpy
+Prim), and each end set's forest is one Kruskal from it
+(`forests_from_mst`).  End sets are grouped by their forest's edges, and
+each group's "good skeleton" (forest, matching and their union
+multigraph, whose parity, reach to the roots and single bad-bad edges are
+checked there) is built once, shared by the group's layouts and
+dropped.  Distinct forests often leave the same odd set, so a
 solve keeps each odd set's matching and matches each one once.  Every
 matching is proved minimum when it is built, as the 2·M <= OPT step of
 the guarantee needs: an odd set of at most 8 vertices whose least
@@ -37,9 +39,9 @@ set.  A serial solve is the same evaluation run on the only shard, so both
 return the same report.
 
 From 16 vertices on a solve converts its cost matrix to numpy once
-(`instance.dense_cost`): the triangle audit searches it, Prim reads its
-rows, and in the metric regime the matching takes its odd set's rows and
-columns from it.  The shards match on Python lists, and the array is
+(`instance.dense_cost`): the triangle audit searches it, the MST's numpy
+Prim reads its rows, and in the metric regime the matching takes its odd
+set's rows and columns from it.  The shards match on Python lists, and the array is
 dropped before they run.
 
 Special regimes short-circuit the enumeration: n <= 3 has a unique tour,
@@ -215,8 +217,9 @@ def evaluate_layout(
 def _forest_groups(inst, audit, dense=None):
     """The ranked end sets grouped by their rooted forest: a list, in
     order of first rank, of (forest, [(rank, ends), ...]) with ranks
-    ascending.  Every forest comes from one good-vertex MST, whose Prim
-    reads `dense` (instance.dense_cost) when it is given."""
+    ascending.  Every forest comes from one good-vertex MST, whose numpy
+    Prim (from 24 good vertices on) reads `dense` (instance.dense_cost)
+    when it is given."""
     mst = rooted_msf(inst, audit.good, audit.good[:1], _dense=dense)
     forest_of = forests_from_mst(inst, mst)
     groups = {}

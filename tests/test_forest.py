@@ -8,13 +8,35 @@ from hypothesis import strategies as st
 
 import tritsp.forest
 from tritsp.errors import ContractViolationError
-from tritsp.forest import forests_from_mst, rooted_msf
+from tritsp.forest import _kruskal, forests_from_mst, rooted_msf
 from tritsp.instance import Instance, int_array
 from tritsp.oracles import brute_msf_cost
 
-# rooted_msf's output when its Python Prim compared (cost, (min, max),
-# root) tuples; the integer key must order edges the same way
+# rooted_msf's output when its pure-Python path was a Prim comparing
+# (cost, (min, max), root) tuples; the integer key, and the Kruskal that
+# replaced that Prim, must give the same forests
 FORESTS_DIGEST = "f984c647df8895dbe6083324b75dce64950c777df4e4d5c2d5f9c97838efc5a7"
+
+
+def _prim_python(c, n, verts, rts):
+    """Edges of the rooted MSF in selection order."""
+    n2 = n * n
+    root_set = set(rts)
+    key = {
+        v: min(c[r][v] * n2 + min(r, v) * n + max(r, v) for r in rts)
+        for v in verts
+        if v not in root_set
+    }
+    edges: list[tuple[int, int]] = []
+    while key:
+        v = min(key, key=key.__getitem__)
+        edges.append(divmod(key.pop(v) % n2, n))
+        cv = c[v]
+        for u, k in key.items():
+            cand = cv[u] * n2 + (v * n + u if v < u else u * n + v)
+            if cand < k:
+                key[u] = cand
+    return edges
 
 
 def random_instance(rng, n, hi=40):
@@ -96,9 +118,67 @@ class TestRootedMsf:
         assert f.cost == sum(inst.cost[a][b] for a, b in f.edges)
 
 
+class TestPythonKruskal:
+    """Below _FOREST_NUMPY_MIN vertices rooted_msf is one _kruskal over the
+    keys of every vertex pair; the contracted Prim it replaced
+    (_prim_python above) is the reference."""
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=150)
+    def test_matches_the_prim_reference(self, seed):
+        # small cost ranges tie many edges, large ones pass int64 keys;
+        # random vertex and root subsets
+        rng = random.Random(seed)
+        n = rng.randint(2, 2 * tritsp.forest._FOREST_NUMPY_MIN)
+        inst = random_instance(rng, n, hi=rng.choice([0, 1, 2, 5, 1000, 2**70]))
+        verts = sorted(rng.sample(range(n), rng.randint(1, n)))
+        roots = sorted(rng.sample(verts, rng.randint(1, min(len(verts), 4))))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tritsp.forest, "_FOREST_NUMPY_MIN", 10**9)
+            got = rooted_msf(inst, verts, roots)
+        edges = sorted(_prim_python(inst.cost, n, verts, roots))
+        assert got.edges == tuple(edges)
+        assert got.cost == sum(inst.cost[a][b] for a, b in edges)
+
+    @staticmethod
+    def keys(n, edges):
+        # (cost, a, b) triples, a < b, as the integer keys _kruskal sorts
+        return [c * n * n + a * n + b for c, a, b in edges]
+
+    def test_roots_are_one_component(self):
+        # the free root-root pair would join two components of plain
+        # Kruskal; with the roots joined first it closes a cycle
+        keys = self.keys(5, [(0, 0, 4), (3, 1, 4), (2, 1, 2), (7, 0, 3), (5, 3, 4)])
+        assert _kruskal(keys, 5, [0, 4], 3) == ([(1, 2), (1, 4), (3, 4)], 10)
+
+    def test_stops_at_count(self):
+        keys = self.keys(6, [(1, 0, 1), (2, 1, 2), (3, 2, 3), (4, 3, 4), (5, 4, 5)])
+        for count in range(1, 6):
+            edges, cost = _kruskal(keys, 6, [0], count)
+            assert edges == [(i, i + 1) for i in range(count)]
+            assert cost == sum(range(1, count + 1))
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60)
+    def test_ascending_and_costed(self, seed):
+        # edges leave in key order, and the cost is their decoded costs' sum
+        rng = random.Random(seed)
+        n = rng.randint(2, 12)
+        inst = random_instance(rng, n, hi=rng.choice([1, 3, 2**70]))
+        roots = sorted(rng.sample(range(n), rng.randint(1, n)))
+        keys = [
+            inst.cost[a][b] * n * n + a * n + b for a in range(n) for b in range(a + 1, n)
+        ]
+        edges, cost = _kruskal(keys, n, roots, n - len(roots))
+        assert len(edges) == n - len(roots)
+        got = [inst.cost[a][b] * n * n + a * n + b for a, b in edges]
+        assert got == sorted(got)
+        assert cost == sum(inst.cost[a][b] for a, b in edges)
+
+
 class TestNumpyPrim:
     """From _FOREST_NUMPY_MIN vertices on, Prim runs in numpy on integer
-    keys; the forest must equal the Python loop's."""
+    keys; the forest must equal the pure-Python Kruskal's."""
 
     @staticmethod
     def both_paths(monkeypatch, inst, verts, roots):
@@ -110,7 +190,7 @@ class TestNumpyPrim:
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=150)
-    def test_matches_python_prim(self, seed):
+    def test_matches_python_kruskal(self, seed):
         # small cost ranges tie many edges; random vertex and root subsets
         rng = random.Random(seed)
         n = rng.randint(2, 2 * tritsp.forest._FOREST_NUMPY_MIN)
