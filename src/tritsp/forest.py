@@ -36,7 +36,10 @@ __all__ = ["RootedForest", "rooted_msf", "forests_from_mst"]
 
 # from this many vertices on, the forest is a Prim scanning in numpy;
 # smaller forests run the pure-Python Kruskal and leave numpy unloaded
-_FOREST_NUMPY_MIN = 24
+# (complete CEIL_2D sets, one root, the solve's matrix given: Kruskal 54,
+# 101, 158, 239, 451 us against Prim 131, 174, 214, 255, 345 us at n = 24,
+# 32, 40, 48, 64)
+_FOREST_NUMPY_MIN = 48
 
 
 @dataclass(frozen=True)

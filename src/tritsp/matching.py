@@ -36,15 +36,16 @@ compares each edge's slack with stored numbers only: tight edges are
 those of slack 0, and least-slack edges keep their slacks in a frame that
 dual updates leave unchanged.
 
-A solve that has converted its cost matrix to numpy (instance.dense_cost)
-passes it in: an odd set of more than CANDIDATES + 1 vertices then takes
-its rows and columns from it, and the O(m^2) steps run on that array with
-the Python steps' results: the candidate lists (a stable argsort keeps
-the (cost, index) order), the jump start (a row at a time, in index
-order) and the pricing scans (every slack at once, in a dtype that holds
-them, negative pairs in row-major order).  The blossom stages run in
-Python on lists of exact ints either way.  A matching called on its own
-stays pure Python, so numpy stays unloaded.
+Odd-set size alone picks the steps.  An odd set of at most CANDIDATES + 1
+vertices runs in pure Python on full lists, so numpy stays unloaded.  A
+larger one runs its O(m^2) steps on its costs as a numpy array: the
+candidate lists (a stable argsort keeps the (cost, index) order), the jump
+start (a row at a time, in index order) and the pricing scans (every
+slack at once, in a dtype that holds them, negative pairs in row-major
+order).  It takes the array's rows and columns from the solve's cost
+matrix (instance.dense_cost) when the solve passes it, and otherwise
+converts its own costs, in the dtype dense_cost would give.  The blossom
+stages run in Python on lists of exact ints either way.
 
 An odd set of at most EXHAUSTIVE (8) vertices is not searched at all when
 its least perfect matching is unique: the costs of all (m - 1)!! <= 105
@@ -101,9 +102,9 @@ def min_cost_perfect_matching(inst: Instance, odd, _dense=None) -> Matching:
     minimum: a set of at most EXHAUSTIVE vertices with a unique least
     matching by listing all its matchings, any other by the search's dual
     certificate, checked before it returns (raises on any violation).
-    `_dense` is instance.dense_cost(inst), from a caller that built it
-    already: an odd set of more than CANDIDATES + 1 vertices then runs its
-    O(m^2) steps on its rows and columns."""
+    An odd set of more than CANDIDATES + 1 vertices runs its O(m^2) steps
+    in numpy, on the rows and columns of `_dense` (instance.dense_cost(inst),
+    from a caller that built it already) or else on its own costs."""
     verts = _checked_vertices(inst, odd)
     m = len(verts)
     if m == 0:
@@ -113,10 +114,13 @@ def min_cost_perfect_matching(inst: Instance, odd, _dense=None) -> Matching:
     least = _unique_least_pairing(w) if m <= EXHAUSTIVE else None
     if least is None:
         sub = None
-        if _dense is not None and m > CANDIDATES + 1:
-            import numpy as np  # loaded already: the caller built `_dense`
+        if m > CANDIDATES + 1:
+            if _dense is None:
+                sub = int_array(w, 2 * inst.max_cost)  # dense_cost's dtype
+            else:
+                import numpy as np  # loaded already: the caller built `_dense`
 
-            sub = _dense[np.ix_(verts, verts)]
+                sub = _dense[np.ix_(verts, verts)]
         mate = _priced_search(w, sub)[0]  # its last certificate scan passed
         least = [(i, mate[i]) for i in range(m) if i < mate[i]]
     pairs = tuple((verts[i], verts[j]) for i, j in least)
@@ -192,10 +196,11 @@ def _priced_search(w, sub=None):
     prices every pair against the search's duals; the pairs that price
     negative join the lists and the search runs again from the jump start,
     until none does.  A negative pair that is a candidate already breaks
-    the search's invariant and raises.  `sub`, when given, is `w` as a
-    numpy array: the lists, the jump start and the scan then run on it,
-    with the same results."""
-    cand = _candidate_lists(w, sub)
+    the search's invariant and raises.  `sub` is `w` as a numpy array or
+    None: with it the lists, the jump start and the scan run on it; without
+    it every vertex lists every partner, so the first scan certifies."""
+    m = len(w)
+    cand = [range(m)] * m if sub is None else _candidate_lists(sub)
     while True:
         mate, y2, blossoms = _blossom_search(w, cand, sub)
         negative = _certificate_scan(w, mate, y2, blossoms, [], sub)
@@ -212,31 +217,12 @@ def _priced_search(w, sub=None):
             row.sort()
 
 
-def _candidate_lists(w, sub=None):
+def _candidate_lists(sub):
     """Each vertex's CANDIDATES cheapest partners by (cost, index), made
     symmetric, plus the pairs (2i, 2i + 1), so that the lists hold a
-    perfect matching; each list in index order.  With at most CANDIDATES
-    + 1 vertices that is every partner: the lists are then range(m), as
-    in a search without lists, whose scans skip u itself.  `sub` is `w`
-    as a numpy array or None."""
-    m = len(w)
-    if m <= CANDIDATES + 1:
-        return [range(m)] * m
-    if sub is not None:
-        return _dense_candidate_lists(sub)
-    near = [{u ^ 1} for u in range(m)]
-    for u, row in enumerate(w):
-        best = sorted(range(m), key=row.__getitem__)[: CANDIDATES + 1]
-        for v in [v for v in best if v != u][:CANDIDATES]:
-            near[u].add(v)
-            near[v].add(u)
-    return [sorted(vs) for vs in near]
-
-
-def _dense_candidate_lists(sub):
-    """_candidate_lists on `sub`, a numpy array of more than CANDIDATES + 1
-    rows, as one boolean matrix: a stable argsort keeps the (cost, index)
-    order of each row, and a row lists its partners in index order."""
+    perfect matching; each list in index order.  `sub` is the costs as a
+    numpy array, taken as one boolean matrix: a stable argsort keeps the
+    (cost, index) order of each row."""
     import numpy as np  # loaded already: `sub` is an array
 
     m = len(sub)
@@ -302,8 +288,9 @@ def _blossom_search(w, cand, sub=None):
     [(sorted member tuple, dual)] for every blossom alive at termination.
     `cand[u]` lists the partners u scans (symmetric, with a perfect
     matching among them; [range(m)] * m scans every pair).  The duals are
-    feasible on the pairs scanned.  `sub` is `w` as a numpy array or
-    None; with it the jump start runs in numpy, the stages do not."""
+    feasible on the pairs scanned.  `sub` is `w` as a numpy array, given
+    for a set of more than CANDIDATES + 1 vertices, or None; with it the
+    jump start runs in numpy, the stages do not."""
     m = len(w)
 
     # Jump start: every vertex's doubled dual is its cheapest edge, which is
@@ -695,32 +682,6 @@ def _blossom_search(w, cand, sub=None):
     return mate, y2, blossoms
 
 
-def _pair_blossom_duals(m, blossoms):
-    """(held, z2): held[u] is the bit mask of the blossoms holding u, and
-    z2[held[u]][held[v]] is twice the dual sum of the blossoms holding both
-    u and v, the part of the pair's reduced slack that blossoms add.
-
-    That sum depends only on the set of blossoms holding each end (in a
-    laminar family, one set per innermost blossom), so it is tabled once
-    per pair of distinct sets, and each distinct intersection (in a laminar
-    family, a chain of nested blossoms) is summed once."""
-    held = [0] * m
-    for i, (mem, _) in enumerate(blossoms):
-        for u in mem:
-            held[u] |= 1 << i
-    kinds = dict.fromkeys(held)
-    sums = {0: 0}
-    z2: dict[int, dict[int, int]] = {}
-    for a in kinds:
-        row = z2[a] = {}
-        for b in kinds:
-            x = a & b
-            if x not in sums:
-                sums[x] = 2 * sum(z for i, (_, z) in enumerate(blossoms) if x >> i & 1)
-            row[b] = sums[x]
-    return held, z2
-
-
 def verify_matching_certificate(w, mate, y2, blossoms) -> None:
     """LP optimality certificate: reduced slacks non-negative everywhere,
     zero on matched edges; blossom duals non-negative on odd sets; every
@@ -787,14 +748,21 @@ def _certificate_scan(w, mate, y2, blossoms, negative, sub=None):
 def _pair_scan(w, mate, y2, blossoms):
     """(below, loose): the pairs (u, v), u < v, of negative reduced slack,
     and the matched ones of positive slack, each in row-major order as
-    (u, v, s), s the pair's doubled reduced slack."""
+    (u, v, s), s the pair's doubled reduced slack; each blossom of positive
+    dual adds it to the pairs inside, as in _dense_pair_scan."""
     m = len(w)
-    held, z2 = _pair_blossom_duals(m, blossoms)
+    z2 = [[0] * m for _ in range(m)]
+    for mem, z in blossoms:
+        if z:
+            for u in mem:
+                row = z2[u]
+                for v in mem:
+                    row[v] += 2 * z
     below, loose = [], []
     for u in range(m):
-        wu, yu, zu, mu = w[u], y2[u], z2[held[u]], mate[u]
+        wu, yu, zu, mu = w[u], y2[u], z2[u], mate[u]
         for v in range(u + 1, m):
-            s = 2 * wu[v] - yu - y2[v] + zu[held[v]]
+            s = 2 * wu[v] - yu - y2[v] + zu[v]
             if s < 0:
                 below.append((u, v, s))
             elif mu == v and s != 0:

@@ -6,7 +6,7 @@ shortcut pipeline.  The bad cycle gives every vertex even degree, so the
 forest (rooted at the chain ends E) and its odd-degree set, and with them
 the matching, depend on E alone, and in fact on E's forest alone: an end
 the forest leaves bare has only ring edges, like an inner chain vertex.
-One rooted_msf per solve builds the good-vertex MST (below 24 good
+One rooted_msf per solve builds the good-vertex MST (below 48 good
 vertices by the same Kruskal as the forests, from there on by a numpy
 Prim), and each end set's forest is one Kruskal from it
 (`forests_from_mst`).  End sets are grouped by their forest's edges, and
@@ -41,8 +41,9 @@ return the same report.
 From 16 vertices on a solve converts its cost matrix to numpy once
 (`instance.dense_cost`): the triangle audit searches it, the MST's numpy
 Prim reads its rows, and in the metric regime the matching takes its odd
-set's rows and columns from it.  The shards match on Python lists, and the array is
-dropped before they run.
+set's rows and columns from it.  The array is dropped before the shards
+run: a matching there converts its own costs only when its odd set is
+large enough for the numpy steps (more than 16 vertices).
 
 Special regimes short-circuit the enumeration: n <= 3 has a unique tour,
 instances with no violating triangle go through the tree-plus-matching
@@ -218,7 +219,7 @@ def _forest_groups(inst, audit, dense=None):
     """The ranked end sets grouped by their rooted forest: a list, in
     order of first rank, of (forest, [(rank, ends), ...]) with ranks
     ascending.  Every forest comes from one good-vertex MST, whose numpy
-    Prim (from 24 good vertices on) reads `dense` (instance.dense_cost)
+    Prim (from 48 good vertices on) reads `dense` (instance.dense_cost)
     when it is given."""
     mst = rooted_msf(inst, audit.good, audit.good[:1], _dense=dense)
     forest_of = forests_from_mst(inst, mst)
@@ -434,7 +435,7 @@ def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
         )
 
     groups = _forest_groups(inst, audit, dense)
-    del dense  # the shards match on Python lists
+    del dense  # the shards convert only their large odd sets' costs
     jobs = min(opts.jobs, os.cpu_count() or 1)
     if jobs <= 1 or _rings_bound(audit, groups) <= _SERIAL_MAX:
         parts = [_evaluate_shard(inst, audit, groups)]

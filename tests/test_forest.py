@@ -129,7 +129,7 @@ class TestPythonKruskal:
         # small cost ranges tie many edges, large ones pass int64 keys;
         # random vertex and root subsets
         rng = random.Random(seed)
-        n = rng.randint(2, 2 * tritsp.forest._FOREST_NUMPY_MIN)
+        n = rng.randint(2, 48)
         inst = random_instance(rng, n, hi=rng.choice([0, 1, 2, 5, 1000, 2**70]))
         verts = sorted(rng.sample(range(n), rng.randint(1, n)))
         roots = sorted(rng.sample(verts, rng.randint(1, min(len(verts), 4))))
@@ -193,7 +193,7 @@ class TestNumpyPrim:
     def test_matches_python_kruskal(self, seed):
         # small cost ranges tie many edges; random vertex and root subsets
         rng = random.Random(seed)
-        n = rng.randint(2, 2 * tritsp.forest._FOREST_NUMPY_MIN)
+        n = rng.randint(2, 48)
         inst = random_instance(rng, n, hi=rng.choice([0, 1, 2, 5, 1000]))
         verts = rng.sample(range(n), rng.randint(1, n))
         roots = rng.sample(verts, rng.randint(1, min(len(verts), 4)))
@@ -232,7 +232,7 @@ class TestNumpyPrim:
         # tie-heavy costs, random vertex and root subsets: edges, roots and
         # cost of both paths
         rng = random.Random(14)
-        most = 2 * tritsp.forest._FOREST_NUMPY_MIN  # both_paths patches it
+        most = 48  # both_paths patches it
         lines = []
         for _ in range(300):
             n = rng.randint(2, most)

@@ -92,10 +92,13 @@ class TestBlossom:
         # the greedy start matches every vertex, so no stage runs: the
         # start's duals come back as they are, odd ones unrounded.  The
         # start reads whole rows, so lists of the pairs (2i, 2i + 1) alone
-        # give the same start as lists of every partner.
+        # give the same start as lists of every partner, in Python and in
+        # numpy.
         monkeypatch.setattr(tritsp.matching, "CANDIDATES", candidates)
-        cand = tritsp.matching._candidate_lists(w)
-        assert tritsp.matching._blossom_search(w, cand) == ([1, 0, 3, 2], y2, [])
+        sub = as_array(w)
+        cand = tritsp.matching._candidate_lists(sub)
+        for arr in (None, sub):
+            assert tritsp.matching._blossom_search(w, cand, arr) == ([1, 0, 3, 2], y2, [])
 
     @given(st.integers(0, 100000))
     @settings(max_examples=150)
@@ -449,14 +452,36 @@ def scaled_matrices(scale):
     return out
 
 
+def as_array(w):
+    """`w` as dense_cost converts a cost matrix: int_array of twice the
+    largest cost."""
+    return int_array(w, 2 * max(map(max, w)))
+
+
+def python_candidate_lists(w):
+    """The pure-Python candidate-list builder that _candidate_lists
+    replaced, kept as its oracle: each vertex's CANDIDATES cheapest
+    partners by (cost, index), made symmetric, plus the pairs (2i, 2i + 1),
+    each list in index order.  At most CANDIDATES + 1 vertices list every
+    partner but u itself."""
+    m = len(w)
+    near = [{u ^ 1} for u in range(m)]
+    for u, row in enumerate(w):
+        best = sorted(range(m), key=row.__getitem__)[: tritsp.matching.CANDIDATES + 1]
+        for v in [v for v in best if v != u][: tritsp.matching.CANDIDATES]:
+            near[u].add(v)
+            near[v].add(u)
+    return [sorted(vs) for vs in near]
+
+
 def full_and_sifted(monkeypatch, ws, candidates):
     """Each matrix's full-list search and the certified cost of its search
-    on candidate lists of `candidates` partners, checked equal to the full
-    search's cost; the full results are returned."""
+    on the numpy candidate lists of `candidates` partners, checked equal to
+    the full search's cost; the full results are returned."""
     full = [tritsp.matching._blossom_search(w, [range(len(w))] * len(w)) for w in ws]
     monkeypatch.setattr(tritsp.matching, "CANDIDATES", candidates)
     for trial, (w, (mate, _, _)) in enumerate(zip(ws, full)):
-        sifted = tritsp.matching._priced_search(w)
+        sifted = tritsp.matching._priced_search(w, as_array(w))
         verify_matching_certificate(w, *sifted)
         cost = sum(w[i][mate[i]] for i in range(len(w)))
         assert sum(w[i][sifted[0][i]] for i in range(len(w))) == cost, (trial, candidates)
@@ -629,7 +654,7 @@ class TestSiftedScan:
 
         monkeypatch.setattr(tritsp.matching, "_blossom_search", raised)
         inst = ceil2d_instance(40, 3)
-        # on Python lists and on the numpy cost matrix
+        # on the set's own costs converted and on the solve's numpy matrix
         for dense in (None, dense_cost(inst)):
             with pytest.raises(ContractViolationError, match=r"candidate pair \(0,\d+\) prices negative"):
                 min_cost_perfect_matching(inst, range(40), _dense=dense)
@@ -646,45 +671,70 @@ class TestSiftedScan:
 
 
 def dense_and_pure(monkeypatch, ws, candidates):
-    """Each matrix's priced search on Python lists and on its numpy array
-    (int_array of twice the largest cost, as dense_cost converts it), with
-    every search round and certificate scan of both recorded; checked
-    equal, round by round.  Returns the dtypes of the arrays."""
+    """Each matrix's priced search on its numpy array (as_array) and in pure
+    Python: the candidate lists of python_candidate_lists, every search
+    round and certificate scan given no array.  Every round of both is
+    recorded and checked equal, round by round.  Returns the dtypes of the
+    arrays."""
     monkeypatch.setattr(tritsp.matching, "CANDIDATES", candidates)
+    lists = tritsp.matching._candidate_lists
     search = tritsp.matching._blossom_search
     scan = tritsp.matching._certificate_scan
     seen = []
+    pure_side = False
+
+    def lists_spy(sub):
+        return python_candidate_lists(sub.tolist()) if pure_side else lists(sub)
 
     def search_spy(w, cand, sub=None):
+        sub = None if pure_side else sub
         seen.append((sub is not None, "search", search(w, cand, sub)))
         return seen[-1][-1]
 
     def scan_spy(w, mate, y2, blossoms, negative, sub=None):
+        sub = None if pure_side else sub
         seen.append((sub is not None, "scan", scan(w, mate, y2, blossoms, negative, sub)))
         return seen[-1][-1]
 
+    monkeypatch.setattr(tritsp.matching, "_candidate_lists", lists_spy)
     monkeypatch.setattr(tritsp.matching, "_blossom_search", search_spy)
     monkeypatch.setattr(tritsp.matching, "_certificate_scan", scan_spy)
     dtypes = set()
     for trial, w in enumerate(ws):
-        sub = int_array(w, 2 * max(map(max, w)))
+        sub = as_array(w)
         dtypes.add(sub.dtype)
         seen.clear()
-        pure = tritsp.matching._priced_search(w)
+        pure_side = True
+        pure = tritsp.matching._priced_search(w, sub)
+        pure_side = False
+        assert not any(on_array for on_array, *_ in seen), trial
         pure_steps = [step for _, *step in seen]
         seen.clear()
         dense = tritsp.matching._priced_search(w, sub)
-        if len(w) > candidates + 1:
-            assert all(on_array for on_array, *_ in seen), trial
+        assert all(on_array for on_array, *_ in seen), trial
         assert dense == pure, (trial, candidates)
         assert [step for _, *step in seen] == pure_steps, (trial, candidates)
     return dtypes
 
 
 class TestDenseSteps:
-    """From a solve's numpy cost matrix, an odd set of more than CANDIDATES
-    + 1 vertices takes its candidate lists, jump start and pricing scans
-    from the array; every round gives what the Python lists give."""
+    """An odd set of more than CANDIDATES + 1 vertices takes its candidate
+    lists, jump start and pricing scans from its numpy array; every round
+    gives what the pure-Python steps give."""
+
+    @pytest.mark.parametrize("candidates", [0, 1, 2, 4, 15])
+    def test_lists_equal_the_python_builder(self, monkeypatch, candidates):
+        # tie-heavy costs, and costs at each dtype: int32, int64, exact ints
+        monkeypatch.setattr(tritsp.matching, "CANDIDATES", candidates)
+        dtypes = set()
+        for ws in (tie_matrices(5, 300, 20, [1, 2, 3, 5, 20]),
+                   *map(scaled_matrices, [2**22, 2**28, 2**62])):
+            for trial, w in enumerate(ws):
+                sub = as_array(w)
+                dtypes.add(sub.dtype)
+                got = tritsp.matching._candidate_lists(sub)
+                assert got == python_candidate_lists(w), (trial, candidates)
+        assert dtypes == {np.dtype(np.int32), np.dtype(np.int64), np.dtype(object)}
 
     def test_equal_with_ties(self, monkeypatch):
         ws = tie_matrices(5, 300, 20, [1, 2, 3, 5, 20])
@@ -723,7 +773,7 @@ class TestDenseSteps:
         for trial in range(60):
             hi = rng.choice([3, 50])
             w = _symmetric(2 * rng.randint(9, 14), lambda: rng.randint(0, hi))
-            sub = int_array(w, 2 * max(map(max, w)))
+            sub = as_array(w)
             mate, y2, blossoms = tritsp.matching._priced_search(w, sub)
             y2 = list(y2)
             y2[rng.randrange(len(w))] += rng.choice([-4, -2, 2, 6, 40])
@@ -757,24 +807,74 @@ def test_search_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-def test_numpy_stays_unloaded():
-    # a candidate-list matching and small planted and metric solves (n <
-    # 16, below the numpy audit) run in pure Python
-    code = """
-import random, sys
-from tritsp.instance import Instance, gen_metric, gen_planted
-from tritsp.matching import CANDIDATES, min_cost_perfect_matching
-from tritsp.solver import solve
+class TestPairScanRoute:
+    """Odd-set size alone picks the pair scan: numpy in every round for
+    more than CANDIDATES + 1 vertices (being even, 18 on), whether or not
+    the solve passed its matrix, and Python below."""
+
+    @pytest.mark.parametrize("m", [10, 16, 18, 34, 40])
+    def test_numpy_scan_from_eighteen_vertices(self, monkeypatch, m):
+        assert tritsp.matching.CANDIDATES + 1 == 16
+        calls = []
+
+        def spy(name, real):
+            def recording(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(tritsp.matching, name, recording)
+
+        # two_clusters needs two pricing rounds on its 34 vertices; the
+        # other sets are the first m vertices of 40
+        inst = two_clusters() if m == 34 else ceil2d_instance(40, m)
+        cost = min_cost_perfect_matching(inst, range(m)).cost
+        for name in ("_blossom_search", "_pair_scan", "_dense_pair_scan"):
+            spy(name, getattr(tritsp.matching, name))
+        for dense in (None, dense_cost(inst)):
+            calls.clear()
+            assert min_cost_perfect_matching(inst, range(m), _dense=dense).cost == cost
+            rounds = calls.count("_blossom_search")
+            assert rounds == (2 if m == 34 else 1)
+            scan = "_dense_pair_scan" if m > 16 else "_pair_scan"
+            assert calls == ["_blossom_search", scan] * rounds, dense is None
+
+
+def _numpy_loaded(code):
+    """Whether running `code` in a fresh interpreter loads numpy."""
+    code += "\nimport sys\nprint('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout in ("True\n", "False\n")
+    return out.stdout == "True\n"
+
+
+def _standalone(m):
+    """A matching of `m` random vertices called on its own, as source."""
+    return f"""
+import random
+from tritsp.instance import Instance
+from tritsp.matching import min_cost_perfect_matching
 rng = random.Random(2)
-rows = [[0] * 40 for _ in range(40)]
-for i in range(40):
-    for j in range(i + 1, 40):
+rows = [[0] * {m} for _ in range({m})]
+for i in range({m}):
+    for j in range(i + 1, {m}):
         rows[i][j] = rows[j][i] = rng.randint(1, 1000)
-assert 40 - 1 > CANDIDATES
-min_cost_perfect_matching(Instance.from_rows("r40", rows), range(40))
+min_cost_perfect_matching(Instance.from_rows("r{m}", rows), range({m}))
+"""
+
+
+def test_numpy_stays_unloaded():
+    # a matching of CANDIDATES + 1 vertices on full lists, and small planted
+    # and metric solves (n < 16, below the numpy audit), run in pure Python
+    assert tritsp.matching.CANDIDATES + 1 == 16
+    code = _standalone(16) + """
+from tritsp.instance import gen_metric, gen_planted
+from tritsp.solver import solve
 solve(gen_planted(12, 5, 1))
 assert solve(gen_metric(12, 1)).regime == "metric"
-print("numpy" in sys.modules)
 """
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    assert not _numpy_loaded(code)
+
+
+def test_eighteen_vertices_load_numpy():
+    # the least even set past full lists builds its candidate lists in numpy
+    assert _numpy_loaded(_standalone(18))

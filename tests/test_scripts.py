@@ -24,17 +24,18 @@ class TestReportDigest:
     def test_one_line_of_five_fields_per_file(self, data_dir):
         out = run_script("report_digest.py", data_dir, "--jobs", "1").stdout
         lines = out.splitlines()
-        # inst4.json and sq4.json, then sq4.tsp
-        assert [line.split()[0] for line in lines] == ["INST4", "SQ4", "SQ4"]
+        # the *.json files by name, then sq4.tsp
+        names = ["DEFECT7", "DEFECT8", "INST4", "SQ4", "SQ4"]
+        assert [line.split()[0] for line in lines] == names
         for line in lines:
             name, *digests = line.split()
             assert len(digests) == 4
             assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
         # the JSON and TSPLIB squares are the same instance
-        assert lines[1] == lines[2]
+        assert lines[3] == lines[4]
         # the last field digests the loaded instance's native JSON
         saved = save_instance(load_instance(Path(data_dir) / "inst4.json"))
-        assert lines[0].split()[-1] == hashlib.sha256(saved).hexdigest()
+        assert lines[2].split()[-1] == hashlib.sha256(saved).hexdigest()
 
     def test_forced_pool_equals_serial(self, data_dir, tmp_path):
         # the planted instance's end sets give both shards layouts, so each
@@ -44,7 +45,7 @@ class TestReportDigest:
         inputs = (data_dir, str(planted))
         serial = run_script("report_digest.py", *inputs, "--jobs", "1").stdout
         pooled = run_script("report_digest.py", *inputs, "--jobs", "2", "--force-pool")
-        assert len(serial.splitlines()) == 4
+        assert len(serial.splitlines()) == 6
         assert pooled.stdout == serial
 
 
@@ -57,3 +58,17 @@ def test_make_corpus_writes_the_planted_corpus(tmp_path):
     assert sorted(map(load_instance, files), key=lambda i: i.name) == sorted(
         expect, key=lambda i: i.name
     )
+
+
+def test_digest_inputs_writes_the_same_files_twice(data_dir, tmp_path):
+    # tests/data, 12 planted instances, two corpus seeds of 260 instances
+    # and two metric seeds of 4
+    runs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        res = run_script("digest_inputs.py", str(out))
+        count = len(list(Path(data_dir).iterdir())) + 12 + 2 * 260 + 2 * 4
+        assert res.stderr == f"wrote {count} files to {out}\n"
+        runs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert len(runs[0]) == count
+    assert runs[0] == runs[1]
+    assert runs[0]["inst4.json"] == (Path(data_dir) / "inst4.json").read_bytes()

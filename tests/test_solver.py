@@ -935,7 +935,9 @@ class TestChristofides:
 
 class TestOneConversion:
     """From 16 vertices on, a solve converts its cost matrix to numpy once,
-    and the audit, Prim and the matching all read that one array."""
+    and the audit, Prim and the metric regime's matching all read that one
+    array.  The chain regime's shards run without it, so each of their
+    matchings of more than 16 odd vertices converts its own m x m costs."""
 
     @staticmethod
     def _recorded(monkeypatch):
@@ -951,16 +953,38 @@ class TestOneConversion:
             monkeypatch.setattr(module, "int_array", recording)
         return made
 
+    @staticmethod
+    def _matched(monkeypatch):
+        """(odd-set size, whether the solve passed its matrix) of each
+        matching the solve runs, in order."""
+        matched = []
+        real = tritsp.solver.min_cost_perfect_matching
+
+        def recording(inst, odd, _dense=None):
+            matched.append((len(odd), _dense is not None))
+            return real(inst, odd, _dense)
+
+        monkeypatch.setattr(tritsp.solver, "min_cost_perfect_matching", recording)
+        return matched
+
     @pytest.mark.parametrize(
-        "inst",
-        [gen_metric(16, 3), gen_metric(50, 2), gen_planted(30, 6, 1)],
-        ids=["metric-16", "metric-50", "planted-30"],
+        "inst, own",
+        [
+            (gen_metric(16, 3), 0),
+            (gen_metric(50, 2), 0),
+            (gen_planted(30, 6, 1), 0),
+            (gen_planted(36, 4, 1), 6),
+        ],
+        ids=["metric-16", "metric-50", "planted-30", "planted-36"],
     )
-    def test_one_matrix_per_solve(self, monkeypatch, inst):
+    def test_one_matrix_per_solve(self, monkeypatch, inst, own):
         made = self._recorded(monkeypatch)
+        matched = self._matched(monkeypatch)
         solve(inst)
+        large = [(m, m) for m, passed in matched if m > 16 and not passed]
+        assert len(large) == own
         # every other conversion is a vector: Prim's vertices, scan duals
-        assert [shape for shape in made if len(shape) > 1] == [(inst.n, inst.n)]
+        assert [shape for shape in made if len(shape) > 1] == [(inst.n, inst.n), *large]
 
     def test_standalone_christofides_converts_once(self, monkeypatch):
         inst = gen_metric(50, 2)
