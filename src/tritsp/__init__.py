@@ -17,15 +17,16 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .layouts import ChainLayout, build_bad_cycle, enumerate_layouts
 from .forest import RootedForest, rooted_msf
 from .matching import Matching, min_cost_perfect_matching
-from .multigraph import MultiGraph
-from .shortcut import Tour, euler_tour, splice_bad, splice_good
+from .shortcut import MultiGraph, Tour, euler_tour, splice_bad, splice_good
 from .solver import (
+    ChainLayout,
     SolveOptions,
     SolveReport,
+    build_bad_cycle,
     christofides,
+    enumerate_layouts,
     evaluate_layout,
     held_karp,
     solve,

@@ -18,10 +18,16 @@ from dataclasses import dataclass
 
 from .errors import ContractViolationError, SizeRefusalError
 from .instance import Instance, TriangleAudit, audit_triangles
-from .layouts import ChainLayout, cut_chains
 from .matching import Matching, _checked_vertices
 from .shortcut import Tour, assemble_eulerian, repair_double_bad_edges
-from .solver import LayoutResult, _good_skeleton, evaluate_layout, held_karp
+from .solver import (
+    ChainLayout,
+    LayoutResult,
+    _good_skeleton,
+    cut_chains,
+    evaluate_layout,
+    held_karp,
+)
 
 __all__ = [
     "held_karp",

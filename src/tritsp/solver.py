@@ -1,5 +1,14 @@
 """Tour construction parameterized by the number of bad vertices.
 
+A layout is an ordered partition of the bad vertices into non-empty
+chains.  Its chain ends (its end set) alone fix the good skeleton, so the
+layouts come end set by end set (`end_sets`, `enumerate_layouts`); each
+is a vertex order (`layout_orders`) cut after every end (`cut_chains`).
+The smallest bad vertex leads the first chain (rotating the chains
+changes neither the induced cycle nor the end set, so each class is
+emitted once), and end sets larger than the number of good vertices are
+pruned whole.
+
 Every chain layout of the bad vertices is evaluated: bad cycle, rooted
 spanning forest over the good vertices, parity matching, then the
 shortcut pipeline.  The bad cycle gives every vertex even degree, so the
@@ -26,10 +35,11 @@ the skeleton: the overlay adds the ring's edges and sums their cost in
 one pass, the repair runs only where it doubled an edge, the Euler tour
 consumes the copy and the splices follow, each step's cost traced as a
 delta.  Every walk is Hamiltonian and no step raises its cost, by proof
-(`_run_ring`), so the report checks both on the winner, the only ring
-cut into a ChainLayout.  The cheapest resulting tour wins; ties break on
-the lexicographically smallest rotation, then on the first layout in
-enumeration order.
+(`_run_ring`), so solve checks both on the winner alone, the only ring
+cut into a ChainLayout, and raises ContractViolationError if it fails.
+The cheapest resulting tour wins; ties break on the lexicographically
+smallest rotation, then on the first layout in enumeration order
+(`layout_orders`).
 
 Under --jobs the forest groups are dealt out largest first, by their
 exact ring evaluations, each to the shard with the fewest so far
@@ -60,16 +70,14 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import ContractViolationError, SizeRefusalError
 from .forest import RootedForest, forests_from_mst, rooted_msf
 from .instance import Instance, TriangleAudit, audit_triangles, dense_cost, int_array
-from .layouts import ChainLayout, cut_chains, end_sets
-# unused here; perfbench/measure.py wraps them by these names
-from .layouts import build_bad_cycle, enumerate_layouts
 from .matching import Matching, min_cost_perfect_matching
-from .multigraph import MultiGraph
 from .shortcut import (
+    MultiGraph,
     Tour,
     assemble_eulerian,
     assemble_skeleton,
@@ -83,6 +91,12 @@ from .shortcut import (
 )
 
 __all__ = [
+    "ChainLayout",
+    "end_sets",
+    "layout_orders",
+    "cut_chains",
+    "enumerate_layouts",
+    "build_bad_cycle",
     "SolveOptions",
     "LayoutResult",
     "SolveReport",
@@ -98,6 +112,95 @@ __all__ = [
 # 1134-1896, on a 2-vCPU host whose second vCPU was contended (README)
 _SERIAL_MAX = 800
 _HK_MAX = 18
+
+
+@dataclass(frozen=True)
+class ChainLayout:
+    """Ordered chains (each a non-empty ordered tuple of bad vertices).
+
+    `vertices` (all bad vertices in chain order, the underlying
+    permutation) and `ends` are derived once, on construction; they take
+    no part in equality, hashing or repr."""
+
+    chains: tuple[tuple[int, ...], ...]
+    vertices: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.chains or any(not c for c in self.chains):
+            raise ContractViolationError("chains must be non-empty")
+        flat = tuple(itertools.chain.from_iterable(self.chains))
+        if len(set(flat)) != len(flat):
+            raise ContractViolationError(f"chains overlap: {self.chains}")
+        object.__setattr__(self, "vertices", flat)
+        object.__setattr__(self, "ends", tuple(c[-1] for c in self.chains))
+
+    @property
+    def layout_id(self) -> str:
+        return "|".join(",".join(map(str, c)) for c in self.chains)
+
+
+def end_sets(audit: TriangleAudit, good_count: int) -> Iterator[frozenset[int]]:
+    """Yield the end sets of the canonical layouts of audit.bad (at least 3
+    vertices), by size and then lexicographically: every set of bad vertices
+    but the smallest alone, which never ends the last chain.  Sets of more
+    than good_count are skipped: a layout mirroring an optimal tour needs a
+    good vertex between consecutive chains."""
+    bad = audit.bad
+    if len(bad) < 3:
+        raise ContractViolationError(f"layouts need 3 bad vertices, got {len(bad)}")
+    for size in range(1, min(len(bad), good_count) + 1):
+        for ends in itertools.combinations(bad, size):
+            if ends != bad[:1]:
+                yield frozenset(ends)
+
+
+def layout_orders(
+    audit: TriangleAudit, ends: frozenset[int]
+) -> Iterator[tuple[int, ...]]:
+    """The vertex orders of end set `ends`'s layouts: the permutations of
+    audit.bad that start with the smallest bad vertex and end in `ends`, by
+    last vertex and then lexicographically."""
+    bad = audit.bad
+    for last in sorted(ends - {bad[0]}):
+        for middle in itertools.permutations(v for v in bad[1:] if v != last):
+            yield (bad[0], *middle, last)
+
+
+def cut_chains(order: tuple[int, ...], ends: frozenset[int]) -> ChainLayout:
+    """The layout of `order` cut after every member of `ends`."""
+    chains, begin = [], 0
+    for i, v in enumerate(order, 1):
+        if v in ends:
+            chains.append(order[begin:i])
+            begin = i
+    return ChainLayout(tuple(chains))
+
+
+def enumerate_layouts(
+    audit: TriangleAudit, good_count: int, ends: frozenset[int] | None = None
+) -> Iterator[ChainLayout]:
+    """Yield every canonical layout of audit.bad once, deterministically,
+    end set by end set in `end_sets` order, or only the layouts of `ends`:
+    each order of `layout_orders`, cut after every member of its end set."""
+    for ends in end_sets(audit, good_count) if ends is None else (ends,):
+        for order in layout_orders(audit, ends):
+            yield cut_chains(order, ends)
+
+
+def build_bad_cycle(order: tuple[int, ...], inst: Instance) -> list[tuple[int, int]]:
+    """The b edges of the closed ring through all bad vertices in `order`
+    (a layout's vertices), as vertex pairs: each chain's own edges plus a
+    closing edge from each chain's end to the next chain's start
+    (cyclically).  One bad vertex gives no edge; two give their pair
+    twice."""
+    if min(order) < 0 or max(order) >= inst.n:
+        raise ContractViolationError(
+            f"layout vertices {order} out of range for n={inst.n}"
+        )
+    if len(order) == 1:
+        return []
+    return list(zip(order, order[1:] + order[:1]))
 
 
 @dataclass(frozen=True)
@@ -132,7 +235,8 @@ class SolveReport:
     # equals layouts: every shortcut step is proved safe (shortcut.py)
     certified: int = 0
     # the winner's steps never raise its cost, and its tour is a permutation
-    # of the vertices: both hold on every layout by proof (_run_ring)
+    # of the vertices: both hold on every layout by proof (_run_ring), and
+    # solve raises ContractViolationError if the winner breaks either
     steps_monotone: bool = True
     tours_hamiltonian: bool = True
     best: LayoutResult | None = field(default=None, compare=False)
@@ -451,16 +555,10 @@ def solve(inst: Instance, opts: SolveOptions | None = None) -> SolveReport:
     if not found:
         raise ContractViolationError("no layout produced a tour")
     _, best = min(found, key=lambda b: b[0])
+    if not best.steps_monotone:
+        raise ContractViolationError(f"the winner's step costs rise: {best.step_costs}")
+    if sorted(best.order) != list(range(n)):
+        raise ContractViolationError(f"the winner's tour {best.order} is not Hamiltonian")
     tour = Tour(best.order, best.cost, best.layout_id)
     layouts = _layout_count(audit, groups)
-    return SolveReport(
-        tour,
-        audit.k,
-        audit.k_t,
-        "chains",
-        layouts,
-        layouts,
-        best.steps_monotone,
-        sorted(best.order) == list(range(n)),
-        best,
-    )
+    return SolveReport(tour, audit.k, audit.k_t, "chains", layouts, layouts, best=best)

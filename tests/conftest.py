@@ -1,4 +1,6 @@
+import itertools
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,26 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 # per bad-set size: how many corpus instances to plant
 CORPUS_MIX = {3: 100, 4: 90, 5: 70, 6: 40}
 CORPUS_SIZES = (6, 7, 8, 9, 10, 11, 12)
+
+
+def scattered_instance(seed) -> Instance:
+    """A few violations scattered over a metric matrix: n in 5-8, costs
+    uniform in [L, 2L] for L in 20-100 (metric, as any two costs sum to at
+    least 2L), then 1-3 random edges, one after another (an edge drawn
+    twice is raised twice), each raised 1-5 above its cheapest two-hop
+    route.  Most draws land in the chains regime, with some good vertices
+    left; a few raise enough edges to make every vertex bad."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 8)
+    low = rng.randint(20, 100)
+    rows = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        rows[i][j] = rows[j][i] = rng.randint(low, 2 * low)
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.sample(range(n), 2)
+        hop = min(rows[i][w] + rows[w][j] for w in range(n) if w not in (i, j))
+        rows[i][j] = rows[j][i] = hop + rng.randint(1, 5)
+    return Instance(f"scattered{seed}", tuple(map(tuple, rows)))
 
 
 def multiplicity(g, u, v) -> int:

@@ -11,16 +11,13 @@ instances show the cost of that: the fix inverts their pin."""
 
 import itertools
 import math
-import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from conftest import scattered_instance
 
-from tritsp.instance import Instance, audit_triangles, gen_planted, load_instance
-from tritsp.layouts import ChainLayout
+from tritsp.instance import audit_triangles, gen_planted, load_instance
 from tritsp.oracles import held_karp
-from tritsp.solver import evaluate_layout, solve
+from tritsp.solver import ChainLayout, evaluate_layout, solve
 
 
 def all_layouts(bad, most):
@@ -58,23 +55,20 @@ def test_solve_is_no_cheaper_on_planted(bad):
         assert held_karp(inst).cost <= ref <= solve(inst).tour.cost, seed
 
 
-@given(st.integers(0, 10**6))
-@settings(max_examples=150)
-def test_solve_is_no_cheaper_on_arbitrary_instances(seed):
-    # matrices drawn as in test_solver.TestGuarantee
-    rng = random.Random(seed)
-    n = rng.randint(4, 7)
-    hi = rng.choice([3, 10, 100])
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = rng.randint(0, hi)
-    inst = Instance(f"fz{seed}", tuple(tuple(r) for r in rows))
-    audit = audit_triangles(inst)
-    if not audit.bad or not audit.good:  # no layouts: metric, or every vertex bad
-        return
-    ref = reference_cost(inst)
-    assert held_karp(inst).cost <= ref <= solve(inst).tour.cost
+def test_solve_is_no_cheaper_on_arbitrary_instances():
+    # matrices drawn as in test_solver.TestGuarantee; the reference runs
+    # where the layout space is small (b <= 4)
+    chains = 0
+    for seed in range(300):
+        inst = scattered_instance(seed)
+        audit = audit_triangles(inst)
+        if not audit.bad or not audit.good:  # no layouts: metric, or every vertex bad
+            continue
+        chains += 1
+        if len(audit.bad) <= 4:
+            ref = reference_cost(inst)
+            assert held_karp(inst).cost <= ref <= solve(inst).tour.cost, seed
+    assert chains >= 0.85 * 300
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tritsp.errors import ContractViolationError
 from tritsp.instance import Instance, TriangleAudit, audit_triangles
-from tritsp.layouts import (
+from tritsp.solver import (
     ChainLayout,
     build_bad_cycle,
     end_sets,

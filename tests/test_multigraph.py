@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritsp.errors import ContractViolationError
-from tritsp.multigraph import MultiGraph
+from tritsp.shortcut import MultiGraph
 
 
 def test_add_and_remove():
@@ -19,7 +19,7 @@ def test_add_and_remove():
     assert multiplicity(g, 0, 1) == 1
     g.remove_edge(1, 0)
     assert multiplicity(g, 0, 1) == 0
-    assert g.edge_count == 0
+    assert sum(degree(g, v) for v in range(4)) == 0
 
 
 def test_remove_absent_edge_raises():
@@ -38,7 +38,7 @@ def test_neighbors_sorted_distinct():
     g = MultiGraph(5)
     for v in (4, 0, 4, 4):
         g.add_edge(2, v)
-    assert g.neighbors(2) == [0, 4]
+    assert [v for v in range(5) if multiplicity(g, 2, v)] == [0, 4]
     assert degree(g, 2) == 4
 
 
@@ -47,7 +47,7 @@ def test_edges_listing():
     for a, b in ((3, 1), (0, 2), (1, 3)):
         g.add_edge(a, b)
     assert g.edges() == [(0, 2, 1), (1, 3, 2)]
-    assert g.edge_count == 3
+    assert sum(degree(g, v) for v in range(4)) == 2 * 3
 
 
 def test_copy_is_independent():
@@ -76,10 +76,11 @@ def test_edge_count_equals_a_recount(ops):
     def assert_matches(g):
         model_edges = sorted((a, b, m) for (a, b), m in model.items() if m)
         assert g.edges() == model_edges
-        assert g.edge_count == sum(model.values())
+        assert sum(degree(g, x) for x in range(5)) == 2 * sum(model.values())
         for x in range(5):
             assert g._adj[x] == sorted(g._adj[x])
-            assert g.neighbors(x) == sorted({a + b - x for a, b, _ in model_edges if x in (a, b)})
+            distinct = [y for y in range(5) if multiplicity(g, x, y)]
+            assert distinct == sorted({a + b - x for a, b, _ in model_edges if x in (a, b)})
 
     for op, u, v, repeat in ops:
         key = (min(u, v), max(u, v))

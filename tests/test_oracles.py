@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from tritsp.errors import ContractViolationError, SizeRefusalError
 from tritsp.instance import Instance, audit_triangles, gen_planted
-from tritsp.layouts import ChainLayout
 from tritsp.oracles import (
     brute_msf_cost,
     extract_layout,

@@ -22,13 +22,6 @@ from test_layouts import fake_audit
 
 import tritsp.solver
 from tritsp.instance import Instance, audit_triangles, gen_planted
-from tritsp.layouts import (
-    build_bad_cycle,
-    cut_chains,
-    end_sets,
-    enumerate_layouts,
-    layout_orders,
-)
 from tritsp.shortcut import (
     canonical_rotation,
     euler_tour,
@@ -37,7 +30,16 @@ from tritsp.shortcut import (
     splice_good,
     walk_cost,
 )
-from tritsp.solver import LayoutResult, SolveOptions, solve
+from tritsp.solver import (
+    LayoutResult,
+    SolveOptions,
+    build_bad_cycle,
+    cut_chains,
+    end_sets,
+    enumerate_layouts,
+    layout_orders,
+    solve,
+)
 
 
 def _reference_ring(inst, audit, order, skeleton):

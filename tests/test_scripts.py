@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,14 +10,15 @@ from pathlib import Path
 from tritsp.instance import gen_planted, load_instance, planted_corpus, save_instance
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SRC = SCRIPTS.parent / "src"
 
 
-def run_script(name, *args):
+def run_script(name, *args, check=True):
     return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True,
         text=True,
-        check=True,
+        check=check,
     )
 
 
@@ -72,3 +74,29 @@ def test_digest_inputs_writes_the_same_files_twice(data_dir, tmp_path):
     assert len(runs[0]) == count
     assert runs[0] == runs[1]
     assert runs[0]["inst4.json"] == (Path(data_dir) / "inst4.json").read_bytes()
+
+
+class TestCompareDigests:
+    def test_a_tree_matches_itself(self, data_dir):
+        res = run_script("compare_digests.py", str(SRC), str(SRC), data_dir)
+        assert res.stdout == ""
+        assert res.stderr == "0 of 10 lines differ (5 inputs, 2 modes)\n"
+
+    def test_an_output_change_is_named(self, data_dir, tmp_path):
+        # a copy whose metric regime reports under another name: only the
+        # square, stored as JSON and as TSPLIB, solves in that regime
+        shutil.copytree(SRC / "tritsp", tmp_path / "tritsp",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        solver = tmp_path / "tritsp" / "solver.py"
+        text = solver.read_text()
+        assert text.count('"metric")') == 1
+        solver.write_text(text.replace('"metric")', '"metric2")'))
+        res = run_script("compare_digests.py", str(SRC), str(tmp_path), data_dir, check=False)
+        assert res.returncode == 1
+        data = Path(data_dir)
+        assert res.stdout.splitlines() == [
+            f"{mode}\t{data / name}"
+            for mode in ("--jobs 1", "--jobs 2 --force-pool")
+            for name in ("sq4.json", "sq4.tsp")
+        ]
+        assert res.stderr == "4 of 10 lines differ (5 inputs, 2 modes)\n"

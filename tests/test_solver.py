@@ -9,22 +9,30 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from conftest import scattered_instance
 
 from tritsp.errors import ContractViolationError, SizeRefusalError
 from tritsp.forest import RootedForest, rooted_msf
 from tritsp.instance import Instance, TriangleAudit, audit_triangles, gen_metric, gen_planted
-from tritsp.layouts import ChainLayout, cut_chains, end_sets, enumerate_layouts, layout_orders
 from tritsp.matching import Matching, verify_matching_certificate
-from tritsp.multigraph import MultiGraph
 from tritsp.oracles import held_karp
-from tritsp.shortcut import canonical_rotation, walk_cost
+from tritsp.shortcut import MultiGraph, canonical_rotation, walk_cost
 import tritsp.forest
 import tritsp.instance
 import tritsp.matching
 import tritsp.solver
-from tritsp.solver import LayoutResult, SolveOptions, christofides, evaluate_layout, solve
+from tritsp.solver import (
+    ChainLayout,
+    LayoutResult,
+    SolveOptions,
+    christofides,
+    cut_chains,
+    end_sets,
+    enumerate_layouts,
+    evaluate_layout,
+    layout_orders,
+    solve,
+)
 
 
 class _NoPool:
@@ -688,7 +696,7 @@ class TestSkeletonCache:
 class TestReportFields:
     """steps_monotone and tours_hamiltonian hold on every ring by proof
     (_run_ring), so solve checks them on the winner only: a fault there
-    reaches the report, a losing ring's does not."""
+    raises, a losing ring's does not reach the report."""
 
     @staticmethod
     def _fault(monkeypatch, inst, fault, on_winner=True):
@@ -723,18 +731,16 @@ class TestReportFields:
     def test_winner_missing_a_vertex(self, monkeypatch):
         inst = gen_planted(12, 6, seed=1)
         won = self._fault(monkeypatch, inst, self._drop_last)
-        rep = solve(inst)
-        assert rep.tour.cost == won.cost and rep.tour.order == won.order[:-1]
-        assert rep.tours_hamiltonian is False
-        assert rep.steps_monotone is True
+        with pytest.raises(ContractViolationError, match="not Hamiltonian") as err:
+            solve(inst)
+        assert str(won.order[:-1]) in str(err.value)
 
     def test_winner_trace_rising(self, monkeypatch):
         inst = gen_planted(12, 6, seed=1)
         won = self._fault(monkeypatch, inst, self._rise)
-        rep = solve(inst)
-        assert (rep.tour.cost, rep.tour.order) == (won.cost, won.order)
-        assert rep.steps_monotone is False
-        assert rep.tours_hamiltonian is True
+        with pytest.raises(ContractViolationError, match="step costs rise") as err:
+            solve(inst)
+        assert str((won.step_costs[0] - 1, *won.step_costs)) in str(err.value)
 
     def test_losing_rings_not_checked(self, monkeypatch):
         inst = gen_planted(12, 6, seed=1)
@@ -1001,23 +1007,20 @@ class TestOneConversion:
 
 
 class TestGuarantee:
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=150)
-    def test_five_halves_on_arbitrary_instances(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(4, 7)
-        hi = rng.choice([3, 10, 100])
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows[i][j] = rows[j][i] = rng.randint(0, hi)
-        inst = Instance(f"fz{seed}", tuple(tuple(r) for r in rows))
-        rep = solve(inst)
-        opt = held_karp(inst)
-        assert sorted(rep.tour.order) == list(range(n))
-        assert walk_cost(inst, rep.tour.order) == rep.tour.cost
-        assert opt.cost <= rep.tour.cost
-        assert 2 * rep.tour.cost <= 5 * opt.cost
+    def test_five_halves_on_arbitrary_instances(self):
+        # scattered violations put most draws in the chains regime, where
+        # the bound rests on the layout search (all-bad is exact)
+        chains = 0
+        for seed in range(300):
+            inst = scattered_instance(seed)
+            rep = solve(inst)
+            opt = held_karp(inst)
+            chains += rep.regime == "chains"
+            assert sorted(rep.tour.order) == list(range(inst.n)), seed
+            assert walk_cost(inst, rep.tour.order) == rep.tour.cost, seed
+            assert opt.cost <= rep.tour.cost, seed
+            assert 2 * rep.tour.cost <= 5 * opt.cost, seed
+        assert chains >= 0.85 * 300
 
     def test_planted_sample_certified(self):
         for seed in range(8):
